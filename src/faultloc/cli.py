@@ -74,8 +74,8 @@ class SweepSpec:
             if not 0.0 <= m <= 1.0:
                 raise ValueError(f"sweep m value {m} outside [0, 1]")
         for rf in self.rf_ohm:
-            if rf < 0:
-                raise ValueError(f"negative sweep fault resistance {rf}")
+            if not rf >= 0.0:  # rejects NaN too
+                raise ValueError(f"sweep fault resistance {rf} is negative or NaN")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown report format {self.format!r}")
 

@@ -72,8 +72,8 @@ class FaultScenario:
     def __post_init__(self) -> None:
         if not 0.0 <= self.m <= 1.0:
             raise ValueError(f"fault position m={self.m} outside [0, 1]")
-        if self.rf_ohm < 0.0:
-            raise ValueError(f"negative fault resistance {self.rf_ohm}")
+        if not self.rf_ohm >= 0.0:  # rejects NaN too
+            raise ValueError(f"fault resistance {self.rf_ohm} is negative or NaN")
         if not isinstance(self.fault_type, FaultType):
             object.__setattr__(self, "fault_type", FaultType(self.fault_type))
 

@@ -21,6 +21,8 @@ from enum import Enum
 
 import math
 
+import numpy as np
+
 from .faultsim import PhasorMeasurementSet
 from .netmodel import LineRecord, Network
 from .seqmatrix import (
@@ -65,6 +67,10 @@ DEPENDENCE_TOLERANCE = 1e-8
 
 #: Slack applied when testing whether an estimate lies in [0, 1].
 RANGE_SLACK = 1e-9
+
+#: Relative size below which the leading coefficient of a ratio solve or of
+#: the hybrid quadratic counts as zero.
+SOLVE_TOLERANCE = 1e-12
 
 
 class DegenerateChannelError(ValueError):
@@ -197,14 +203,24 @@ def _ratio_solve(
     numer_b: complex, numer_c: complex, denom_b: complex, denom_c: complex, ratio: complex
 ) -> complex:
     """Solve ratio = (numer_b + numer_c*m)/(denom_b + denom_c*m) for m."""
-    den = ratio * denom_c - numer_c
-    scale = abs(ratio * denom_c) + abs(numer_c)
-    if scale == 0.0 or abs(den) <= 1e-12 * scale:
+    num, den, singular = _ratio_terms(numer_b, numer_c, denom_b, denom_c, ratio)
+    if singular:
         raise LinearDependenceError(
             "channel responses are proportional; the ratio does not depend on"
             " the fault position"
         )
-    return (numer_b - ratio * denom_b) / den
+    return num / den
+
+
+def _ratio_terms(numer_b, numer_c, denom_b, denom_c, ratio):
+    """Numerator and denominator of m, and whether the solve is singular.
+
+    Works on scalars and elementwise on arrays of laws alike.
+    """
+    den = ratio * denom_c - numer_c
+    scale = abs(ratio * denom_c) + abs(numer_c)
+    singular = (scale == 0.0) | (abs(den) <= SOLVE_TOLERANCE * scale)
+    return numer_b - ratio * denom_b, den, singular
 
 
 def _estimate(m_complex: complex, method: Method) -> LocationEstimate:
@@ -284,10 +300,16 @@ def locate_hybrid_quadratic(
     _require_match(pair.current, branch_coeffs.line_id)
     _require_match(pair.voltage, str(voltage_coeffs.bus))
     ratio = _ratio(pair.current, pair.voltage)
-    d2 = abs(ratio) ** 2
-    bk, ck = branch_coeffs.b, branch_coeffs.c
-    bl, cl = voltage_coeffs.b, voltage_coeffs.c
+    return _quadratic_solve(
+        branch_coeffs.b, branch_coeffs.c, voltage_coeffs.b, voltage_coeffs.c, ratio
+    )
 
+
+def _quadratic_solve(
+    bk: complex, ck: complex, bl: complex, cl: complex, ratio: complex
+) -> LocationEstimate:
+    """The hybrid quadratic for a branch law ``bk + ck*m`` over a voltage law."""
+    d2 = abs(ratio) ** 2
     c2 = ck.real**2 + ck.imag**2 - d2 * (cl.real**2 + cl.imag**2)
     c1 = 2.0 * (
         bk.real * ck.real + bk.imag * ck.imag
@@ -304,7 +326,11 @@ def locate_hybrid_quadratic(
         m = in_range[0]
     elif len(in_range) == 2:
         ambiguous = True
-        m = _tiebreak(in_range, pair, branch_coeffs, voltage_coeffs)
+        try:
+            direct = _ratio_solve(bk, ck, bl, cl, ratio).real
+        except LinearDependenceError:
+            direct = 0.5
+        m = min(in_range, key=lambda r: abs(r - direct))
         notes = "both roots in [0, 1]; tie broken toward the direct solution"
     else:
         m = min(roots, key=lambda r: max(0.0 - r, r - 1.0, 0.0))
@@ -325,8 +351,8 @@ def _real_roots(c2: float, c1: float, c0: float) -> tuple[tuple[float, ...], flo
     scale = max(abs(c2), abs(c1), abs(c0))
     if scale == 0.0:
         raise LinearDependenceError("all quadratic coefficients vanish")
-    if abs(c2) <= 1e-12 * scale:
-        if abs(c1) <= 1e-12 * scale:
+    if abs(c2) <= SOLVE_TOLERANCE * scale:
+        if abs(c1) <= SOLVE_TOLERANCE * scale:
             raise LinearDependenceError("quadratic degenerates to a constant")
         return ((-c0 / c1,), 0.0)
     disc = c1 * c1 - 4.0 * c2 * c0
@@ -336,19 +362,6 @@ def _real_roots(c2: float, c1: float, c0: float) -> tuple[tuple[float, ...], flo
         r2 = (-c1 - s) / (2.0 * c2)
         return ((r1,) if r1 == r2 else (r1, r2), 0.0)
     return ((-c1 / (2.0 * c2),), math.sqrt(-disc) / (2.0 * abs(c2)))
-
-
-def _tiebreak(
-    candidates: list[float],
-    pair: HybridPair,
-    branch_coeffs: BranchCoefficients,
-    voltage_coeffs: TransferCoefficients,
-) -> float:
-    try:
-        direct = locate_hybrid_direct(pair, branch_coeffs, voltage_coeffs).m
-    except (DegenerateChannelError, LinearDependenceError):
-        direct = 0.5
-    return min(candidates, key=lambda r: abs(r - direct))
 
 
 def _require_match(channel: Channel, expected: str) -> None:
@@ -361,10 +374,18 @@ def _require_match(channel: Channel, expected: str) -> None:
 def _require_independent(
     v1: tuple[complex, complex], v2: tuple[complex, complex], what: str
 ) -> None:
-    det = v1[0] * v2[1] - v1[1] * v2[0]
-    scale = (abs(v1[0]) + abs(v1[1])) * (abs(v2[0]) + abs(v2[1]))
-    if scale == 0.0 or abs(det) <= DEPENDENCE_TOLERANCE * scale:
+    if _dependent(*v1, *v2):
         raise LinearDependenceError(f"{what} are linearly dependent")
+
+
+def _dependent(b1, c1, b2, c2):
+    """Whether laws ``b1 + c1*m`` and ``b2 + c2*m`` are proportional.
+
+    Works on scalars and elementwise on arrays of laws alike.
+    """
+    det = b1 * c2 - c1 * b2
+    scale = (abs(b1) + abs(c1)) * (abs(b2) + abs(c2))
+    return (scale == 0.0) | (abs(det) <= DEPENDENCE_TOLERANCE * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -570,17 +591,129 @@ def rank_line_hypotheses(
 ) -> list[tuple[str, LocationEstimate]]:
     """Run the estimator against every line hypothesis, best first.
 
+    Every hypothesis is solved in one pass: the two channel laws of all
+    lines are gathered from Z at the lines' end buses and the ratio is
+    solved as array expressions, with the checks of
+    :func:`estimate_for_placement`.  Hypotheses that those checks reject
+    are skipped: all of them when the denominator channel is degenerate,
+    one line when its two laws are proportional or its current channels
+    dependent.  So are the lines a current channel measures, whose branch
+    law does not hold while they are faulted.
+
     Hypotheses yielding an in-range estimate sort ahead of out-of-range
     ones, then by residual.  A convenience for identifying the faulted line
     when it is not known a priori.
     """
     zbus = zbus if zbus is not None else build_zbus(net, 1)
+    if method is Method.SSVM:
+        if not isinstance(placement, VoltagePlacement):
+            raise TypeError("voltage method needs a VoltagePlacement")
+        pair = VoltagePair(
+            voltage_channel(ms, placement.bus_k), voltage_channel(ms, placement.bus_l)
+        )
+        channels = (pair.k, pair.l)
+        sources = (placement.bus_k, placement.bus_l)
+    elif method is Method.SSCM:
+        if not isinstance(placement, CurrentPlacement):
+            raise TypeError("current method needs a CurrentPlacement")
+        pair = CurrentPair(
+            current_channel(ms, placement.channel_1),
+            current_channel(ms, placement.channel_2),
+        )
+        channels = (pair.first, pair.second)
+        sources = (
+            net.line(_base(placement.channel_1)),
+            net.line(_base(placement.channel_2)),
+        )
+    else:
+        if not isinstance(placement, HybridPlacement):
+            raise TypeError("hybrid methods need a HybridPlacement")
+        pair = HybridPair(
+            current_channel(ms, placement.current_channel),
+            voltage_channel(ms, placement.bus),
+        )
+        channels = (pair.current, pair.voltage)
+        sources = (net.line(_base(placement.current_channel)), placement.bus)
+    ends = _line_ends(net, zbus)
+    (nb, nc), (db, dc) = (_laws(zbus, ends, src) for src in sources)
+    measured = {src.id for src in sources if isinstance(src, LineRecord)}
+    try:
+        ratio = _ratio(*channels)
+    except DegenerateChannelError:
+        return []
+
     results: list[tuple[str, LocationEstimate]] = []
-    for rec in net.lines:
-        try:
-            est = estimate_for_placement(net, zbus, rec.id, placement, ms, method)
-        except (DegenerateChannelError, LinearDependenceError):
-            continue
-        results.append((rec.id, est))
+    if method is Method.HYBRID_QUAD:
+        laws = zip(nb.tolist(), nc.tolist(), db.tolist(), dc.tolist())
+        for rec, law in zip(net.lines, laws):
+            if rec.id in measured:
+                continue
+            try:
+                est = _quadratic_solve(*law, ratio)
+            except LinearDependenceError:
+                continue
+            results.append((rec.id, est))
+    else:
+        num, den, singular = _ratio_terms(nb, nc, db, dc, ratio)
+        if method is Method.SSCM:
+            singular |= _dependent(nb, nc, db, dc)
+        keep = np.flatnonzero(~singular)
+        m = num[keep] / den[keep]
+        for i, m_complex in zip(keep.tolist(), m.tolist()):
+            line_id = net.lines[i].id
+            if line_id not in measured:
+                results.append((line_id, _estimate(m_complex, method)))
     results.sort(key=lambda item: (not item[1].in_range, item[1].residual))
     return results
+
+
+def _line_ends(net: Network, zbus: SequenceZbus) -> tuple[np.ndarray, np.ndarray]:
+    """Z indices of every line's from- and to-bus, in ``net.lines`` order."""
+    p, q = net.line_end_indices()
+    if zbus.bus_order != net.buses:
+        order = np.array([zbus.index(b) for b in net.buses], dtype=np.intp)
+        p, q = order[p], order[q]
+    return p, q
+
+
+def _laws(
+    zbus: SequenceZbus, ends: tuple[np.ndarray, np.ndarray], source: int | LineRecord
+) -> tuple[np.ndarray, np.ndarray]:
+    """A channel's law ``b + c*m`` for a fault on every line, as (b, c) arrays.
+
+    ``source`` is the measured bus (transfer law, as
+    :func:`transfer_coefficients`) or branch (branch law, as
+    :func:`branch_coefficients`).
+    """
+    if isinstance(source, LineRecord):
+        zb = source.z(zbus.sequence)
+        if abs(zb) == 0.0:
+            raise ValueError(f"branch {source.id!r} has zero impedance")
+        bf, cf = _laws(zbus, ends, source.from_bus)
+        bt, ct = _laws(zbus, ends, source.to_bus)
+        return _divide(bf - bt, zb), _divide(cf - ct, zb)
+    k = zbus.index(source)
+    zp = zbus.z[ends[0], k]
+    return zp, zbus.z[ends[1], k] - zp
+
+
+def _divide(a: np.ndarray, b: complex) -> np.ndarray:
+    """``a / b`` rounded as CPython rounds a complex quotient (Smith's method).
+
+    numpy multiplies by a reciprocal instead, which moves the last bit.  The
+    branch laws then differ from :func:`branch_coefficients`', and the
+    hybrid quadratic's off-axis residual, a square root of a discriminant
+    near zero, turns that last bit into a difference near 1e-8.
+    """
+    if abs(b.real) >= abs(b.imag):
+        ratio = b.imag / b.real
+        denom = b.real + b.imag * ratio
+        real, imag = a.real + a.imag * ratio, a.imag - a.real * ratio
+    else:
+        ratio = b.real / b.imag
+        denom = b.real * ratio + b.imag
+        real, imag = a.real * ratio + a.imag, a.imag * ratio - a.real
+    out = np.empty_like(a)
+    out.real = real / denom
+    out.imag = imag / denom
+    return out

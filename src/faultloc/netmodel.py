@@ -24,6 +24,8 @@ from pathlib import Path
 import cmath
 import math
 
+import numpy as np
+
 __all__ = [
     "CaseError",
     "LineRecord",
@@ -114,10 +116,18 @@ class Network:
     base_kv: float = 230.0
     frequency_hz: float = 50.0
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
+    _lines_by_id: dict[str, LineRecord] = field(init=False, repr=False, compare=False)
+    _line_ends: tuple[np.ndarray, np.ndarray] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "_index", {label: i for i, label in enumerate(self.buses)}
+        )
+        # Reversed, so that the first of several lines sharing an id wins.
+        object.__setattr__(
+            self, "_lines_by_id", {rec.id: rec for rec in reversed(self.lines)}
         )
 
     @property
@@ -136,10 +146,23 @@ class Network:
             raise CaseError(f"unknown bus {label}") from None
 
     def line(self, line_id: str) -> LineRecord:
-        for rec in self.lines:
-            if rec.id == line_id:
-                return rec
-        raise CaseError(f"unknown line {line_id!r}")
+        try:
+            return self._lines_by_id[line_id]
+        except KeyError:
+            raise CaseError(f"unknown line {line_id!r}") from None
+
+    def line_end_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bus indices of every line's from- and to-bus, in ``lines`` order.
+
+        Built on first use and cached; the arrays are read-only.
+        """
+        if self._line_ends is None:
+            index = self.bus_index
+            pairs = [(index(r.from_bus), index(r.to_bus)) for r in self.lines]
+            ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+            ends.setflags(write=False)
+            object.__setattr__(self, "_line_ends", (ends[:, 0], ends[:, 1]))
+        return self._line_ends
 
     def line_between(self, a: int, b: int) -> LineRecord:
         """The unique line joining buses a and b, in either orientation."""

@@ -12,7 +12,7 @@ without ever rebuilding the matrix:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import io
 
@@ -58,9 +58,20 @@ class SequenceZbus:
     sequence: int
     z: np.ndarray
     bus_order: tuple[int, ...]
+    _index: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_index", {label: i for i, label in enumerate(self.bus_order)}
+        )
 
     def index(self, bus: int) -> int:
-        return self.bus_order.index(bus)
+        try:
+            return self._index[bus]
+        except KeyError:
+            raise ValueError(
+                f"bus {bus} is not in the sequence-{self.sequence} matrix"
+            ) from None
 
     def at(self, bus_j: int, bus_k: int) -> complex:
         return complex(self.z[self.index(bus_j), self.index(bus_k)])

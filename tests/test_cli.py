@@ -151,6 +151,21 @@ def test_sweep_empty_type_list_rejected(tmp_path, capsys):
     assert not out.exists()  # failure must not leave a partial file
 
 
+def test_nan_fault_resistance_exits_one(tmp_path, capsys):
+    rc = run_cli(
+        [
+            "--case", CASE_PATH, "--line", "T2", "--type", "LG", "--m", "0.5",
+            "--rf-ohm", "nan", "--method", "ssvm", "--buses", "1,2",
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "never.csv"
+    spec = _write_sweep(tmp_path, rf_ohm=[1.0, float("nan")])
+    assert run_cli(["--case", CASE_PATH, "--sweep", spec, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def _segment_clamp(fraction=0.5):
     net = bundled_case("fourbus")
     ms = FaultStudy(net).measurements(

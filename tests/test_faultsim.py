@@ -231,6 +231,13 @@ def test_infinite_rf_reproduces_prefault(fourbus_study):
         assert ms.fault_branch_i[bid][1] == pre
 
 
+def test_scenario_rejects_negative_and_nan_rf():
+    for rf in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="negative or NaN"):
+            FaultScenario("T2", 0.5, FaultType.LG, rf_ohm=rf)
+    assert FaultScenario("T2", 0.5, FaultType.LG, rf_ohm=math.inf).rf_ohm == math.inf
+
+
 def test_lg_wiring_identity(fourbus, fourbus_study):
     """Reported fault voltages are exactly E0 - Z_kr(m) * i1, by construction."""
     from faultloc.seqmatrix import transfer_coefficients

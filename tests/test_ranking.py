@@ -1,0 +1,235 @@
+"""Line ranking against a per-line loop over the scalar estimator.
+
+``rank_line_hypotheses`` solves every hypothesis in one array pass; the
+reference here runs :func:`estimate_for_placement` line by line, skipping
+what the ranking documents as skipped.  Both use the same laws, but the
+final complex division for m rounds differently in numpy and CPython, so
+the estimates agree to a relative 1e-12, not bit for bit.
+"""
+from __future__ import annotations
+
+from dataclasses import replace
+
+import random
+
+import numpy as np
+import pytest
+
+from faultloc import (
+    CurrentPlacement,
+    DegenerateChannelError,
+    FaultScenario,
+    FaultStudy,
+    FaultType,
+    HybridPlacement,
+    LinearDependenceError,
+    Method,
+    SequenceZbus,
+    VoltagePlacement,
+    estimate_for_placement,
+    parse_case,
+    rank_line_hypotheses,
+)
+
+
+def mesh_text(n: int, seed: int) -> str:
+    """An n x n mesh with seeded line data; bus r*n + c + 1 sits at (r, c).
+
+    Every line gets its own X/R ratio: with one common ratio all transfer
+    impedances share a phase angle and wrong hypotheses solve as cleanly as
+    the true line.
+    """
+    rng = random.Random(seed)
+    out = ["base 100 230 50"]
+    out += [f"bus {k}" for k in range(1, n * n + 1)]
+    for r in range(n):
+        for c in range(n):
+            here = r * n + c + 1
+            for lid, there, ok in (
+                (f"h{r}_{c}", here + 1, c + 1 < n),
+                (f"v{r}_{c}", here + n, r + 1 < n),
+            ):
+                if ok:
+                    x1 = rng.uniform(5e-4, 9e-4)
+                    r1 = x1 * rng.uniform(0.03, 0.3)
+                    out.append(
+                        f"line {lid} {here} {there} {rng.uniform(20, 120):.6f}"
+                        f" {r1:.6e} {x1:.6e} {3 * r1:.6e} {3 * x1:.6e}"
+                    )
+    out.append("source 1 0.002 0.04")
+    out.append(f"source {n * n} 0.003 0.05 1.02 {rng.uniform(-15, -5):.4f}")
+    return "\n".join(out) + "\n"
+
+
+MESH = mesh_text(4, seed=7)
+
+#: case -> (buses, branches, faults); the hybrid methods pair the first
+#: branch with the last bus, as the CLI does.  No fault sits on a measured
+#: branch, whose channel a default tap set does not report.
+CASES = {
+    "fourbus": (
+        (1, 2),
+        ("T1", "T3"),
+        [("T2", 0.56, FaultType.LG, 1.0), ("T2", 0.1, FaultType.LLL, 0.0)],
+    ),
+    "ieee14": (
+        (1, 14),
+        ("2-3", "13-14"),
+        [
+            ("4-5", 0.3, FaultType.LG, 5.0),
+            ("9-14", 0.85, FaultType.LL, 0.0),
+            ("6-12", 0.02, FaultType.LLG, 10.0),
+        ],
+    ),
+    "mesh": (
+        (6, 11),
+        ("h1_2", "v2_1"),
+        [
+            ("h0_0", 0.4, FaultType.LG, 2.0),
+            ("v1_1", 0.7, FaultType.LLL, 0.0),
+            ("h3_2", 0.95, FaultType.LL, 20.0),
+        ],
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def case(request, fourbus, ieee14):
+    net = {"fourbus": fourbus, "ieee14": ieee14}.get(request.param) or parse_case(MESH)
+    return net, FaultStudy(net), CASES[request.param]
+
+
+def placement_for(method: Method, buses, branches):
+    if method is Method.SSVM:
+        return VoltagePlacement(*buses)
+    if method is Method.SSCM:
+        return CurrentPlacement(*branches)
+    return HybridPlacement(branches[0], buses[-1])
+
+
+def measured_lines(placement) -> set[str]:
+    if isinstance(placement, CurrentPlacement):
+        return {placement.channel_1, placement.channel_2}
+    if isinstance(placement, HybridPlacement):
+        return {placement.current_channel}
+    return set()
+
+
+def per_line_ranking(net, zbus, ms, placement, method):
+    skip = measured_lines(placement)
+    results = []
+    for rec in net.lines:
+        if rec.id in skip:
+            continue
+        try:
+            est = estimate_for_placement(net, zbus, rec.id, placement, ms, method)
+        except (DegenerateChannelError, LinearDependenceError):
+            continue
+        results.append((rec.id, est))
+    results.sort(key=lambda item: (not item[1].in_range, item[1].residual))
+    return results
+
+
+def assert_same_ranking(got, want):
+    assert [line_id for line_id, _ in got] == [line_id for line_id, _ in want]
+    for (line_id, g), (_, w) in zip(got, want):
+        tol = 1e-12 * max(1.0, abs(w.m))
+        assert abs(g.m - w.m) <= tol, line_id
+        assert abs(g.residual - w.residual) <= tol, line_id
+        assert (g.method, g.ambiguous, g.notes) == (w.method, w.ambiguous, w.notes)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_ranking_matches_per_line_estimates(case, method):
+    net, study, (buses, branches, faults) = case
+    placement = placement_for(method, buses, branches)
+    zbus = study.zbus(1)
+    for line_id, m, ftype, rf in faults:
+        ms = study.measurements(FaultScenario(line_id, m, ftype, rf))
+        got = rank_line_hypotheses(net, ms, placement, method, zbus)
+        assert got, line_id
+        assert_same_ranking(got, per_line_ranking(net, zbus, ms, placement, method))
+        assert not measured_lines(placement) & {lid for lid, _ in got}
+        if method is not Method.HYBRID_QUAD:
+            top_line, top = got[0]
+            assert top_line == line_id
+            assert abs(top.m - m) < 1e-6
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_degenerate_denominator_ranks_nothing(case, method):
+    net, study, (buses, branches, faults) = case
+    placement = placement_for(method, buses, branches)
+    ms = study.measurements(FaultScenario(*faults[0]))
+    # The denominator is the second channel of a pair; freeze its change.
+    if method is Method.SSVM:
+        bus = placement.bus_l
+        fault_v = dict(ms.fault_bus_v)
+        fault_v[bus] = (0j, ms.prefault_bus_v[bus], 0j)
+        frozen = replace(ms, fault_bus_v=fault_v)
+    elif method is Method.SSCM:
+        bid = placement.channel_2
+        fault_i = dict(ms.fault_branch_i)
+        fault_i[bid] = (0j, ms.prefault_branch_i[bid], 0j)
+        frozen = replace(ms, fault_branch_i=fault_i)
+    else:
+        bus = placement.bus
+        fault_v = dict(ms.fault_bus_v)
+        fault_v[bus] = (0j, ms.prefault_bus_v[bus], 0j)
+        frozen = replace(ms, fault_bus_v=fault_v)
+    zbus = study.zbus(1)
+    assert rank_line_hypotheses(net, frozen, placement, method, zbus) == []
+    assert per_line_ranking(net, zbus, frozen, placement, method) == []
+
+
+@pytest.mark.parametrize("method", [Method.HYBRID_DIRECT, Method.HYBRID_QUAD])
+def test_ranking_skips_measured_branch_fourbus(fourbus, fourbus_study, method):
+    ms = fourbus_study.measurements(FaultScenario("T2", 0.1, FaultType.LG, 0.0))
+    ranked = rank_line_hypotheses(
+        fourbus, ms, HybridPlacement("T1", 2), method, fourbus_study.zbus(1)
+    )
+    assert "T1" not in [line_id for line_id, _ in ranked]
+    assert ranked[0][0] == "T2"
+
+
+def test_ranking_skips_measured_branches_ieee14(ieee14, ieee14_study):
+    ms = ieee14_study.measurements(FaultScenario("4-5", 0.3, FaultType.LG, 0.0))
+    ranked = rank_line_hypotheses(
+        ieee14, ms, CurrentPlacement("2-3", "13-14"), Method.SSCM, ieee14_study.zbus(1)
+    )
+    ids = [line_id for line_id, _ in ranked]
+    assert "2-3" not in ids and "13-14" not in ids
+    assert ids[0] == "4-5"
+
+
+def test_ranking_placement_and_zero_impedance_errors(fourbus, fourbus_study):
+    ms = fourbus_study.measurements(FaultScenario("T2", 0.5, FaultType.LG, 0.0))
+    zbus = fourbus_study.zbus(1)
+    with pytest.raises(TypeError):
+        rank_line_hypotheses(fourbus, ms, VoltagePlacement(1, 2), Method.SSCM, zbus)
+    # The matrix stays that of the intact case; only the branch law sees T1.
+    lines = tuple(
+        replace(rec, z1_per_km=0j) if rec.id == "T1" else rec for rec in fourbus.lines
+    )
+    shorted = replace(fourbus, lines=lines)
+    placement = CurrentPlacement("T1", "T3")
+    with pytest.raises(ValueError, match="zero impedance"):
+        rank_line_hypotheses(shorted, ms, placement, Method.SSCM, zbus)
+    with pytest.raises(ValueError, match="zero impedance"):
+        estimate_for_placement(shorted, zbus, "T2", placement, ms, Method.SSCM)
+
+
+def test_ranking_follows_the_matrix_bus_order(ieee14, ieee14_study):
+    zbus = ieee14_study.zbus(1)
+    order = list(reversed(range(ieee14.n)))
+    permuted = SequenceZbus(
+        sequence=1,
+        z=zbus.z[np.ix_(order, order)],
+        bus_order=tuple(ieee14.buses[i] for i in order),
+    )
+    ms = ieee14_study.measurements(FaultScenario("9-14", 0.85, FaultType.LL, 0.0))
+    for method in Method:
+        placement = placement_for(method, (1, 14), ("2-3", "13-14"))
+        assert rank_line_hypotheses(ieee14, ms, placement, method, permuted) == (
+            rank_line_hypotheses(ieee14, ms, placement, method, zbus)
+        )
