@@ -14,14 +14,12 @@ from .netmodel import (
     parse_case,
     serialize_case,
     validate,
-    with_tap,
 )
 from .seqmatrix import (
-    BranchCoefficients,
     FaultPointCoefficients,
     IllConditionedNetworkError,
+    LinearLaw,
     SequenceZbus,
-    TransferCoefficients,
     UngroundedNetworkError,
     branch_coefficients,
     build_ybus,
@@ -49,23 +47,17 @@ from .faultsim import (
 )
 from .locator import (
     Channel,
-    CurrentPair,
     CurrentPlacement,
     DegenerateChannelError,
-    HybridPair,
     HybridPlacement,
     LinearDependenceError,
     LocationEstimate,
     Method,
-    VoltagePair,
     VoltagePlacement,
     current_channel,
     estimate_for_placement,
     feasibility_check,
-    locate_hybrid_direct,
-    locate_hybrid_quadratic,
-    locate_sscm,
-    locate_ssvm,
+    locate,
     percent_error,
     rank_line_hypotheses,
     voltage_channel,

@@ -10,11 +10,10 @@ Exit codes: 0 success, 1 parse/validation failure, 2 infeasible placement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -189,7 +188,7 @@ def _evaluate(
     ms = study.measurements(scenario, taps)
     if distort:
         ms = apply_distortion(ms, [parse_distortion(t) for t in distort])
-    line = net.line(scenario.line_id)
+    length = net.line(scenario.line_id).length_km
     rows = []
     for method in methods:
         placement = placements[method]
@@ -204,7 +203,6 @@ def _evaluate(
             )
         except (DegenerateChannelError, LinearDependenceError) as exc:
             raise PlacementError(f"{method.value}: {exc}") from None
-        length = line.length_km
         rows.append(
             ReportRow(
                 line=scenario.line_id,
@@ -269,9 +267,7 @@ def aggregates_by_method(rows: list[ReportRow]) -> dict[str, dict[str, float]]:
 
 
 def _num(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return repr(float(x))
+    return repr(float(x))  # "nan", "inf" and "-inf" included
 
 
 def render_csv(rows: list[ReportRow]) -> str:
@@ -293,20 +289,7 @@ def render_csv(rows: list[ReportRow]) -> str:
 def render_json(rows: list[ReportRow]) -> str:
     doc = {
         "schema": 1,
-        "rows": [
-            {
-                "line": r.line,
-                "type": r.type,
-                "m_true": r.m_true,
-                "rf_ohm": r.rf_ohm,
-                "method": r.method,
-                "m_est": r.m_est,
-                "residual": r.residual,
-                "pct_error": r.pct_error,
-                "feasible": r.feasible,
-            }
-            for r in rows
-        ],
+        "rows": [asdict(r) for r in rows],
         "aggregates": aggregates_by_method(rows),
     }
     return json.dumps(doc, indent=2) + "\n"

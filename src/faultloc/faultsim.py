@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .netmodel import Network
+from .netmodel import LineRecord, Network
 from .seqmatrix import (
     SequenceZbus,
     branch_coefficients,
@@ -124,10 +124,6 @@ class PhasorMeasurementSet:
     def delta_v(self, bus: int) -> complex:
         """Positive-sequence voltage change at a bus."""
         return self.fault_bus_v[bus][1] - self.prefault_bus_v[bus]
-
-    def delta_i(self, branch_id: str) -> complex:
-        """Positive-sequence current change on a branch channel."""
-        return self.fault_branch_i[branch_id][1] - self.prefault_branch_i[branch_id]
 
 
 def prefault_solve(net: Network) -> tuple[dict[int, complex], dict[str, complex]]:
@@ -239,16 +235,23 @@ class FaultStudy:
         return self._prefault
 
     def fault_currents(self, scenario: FaultScenario) -> SequenceFaultCurrents:
+        return self._fault_point(scenario)[2]
+
+    def _fault_point(
+        self, scenario: FaultScenario
+    ) -> tuple[SequenceTriple, complex, SequenceFaultCurrents]:
+        """Driving-point impedances, pre-fault voltage and currents at the fault."""
         line = self.net.line(scenario.line_id)
+        m = scenario.m
         bus_v, _ = self.prefault
         z_rr = tuple(
-            fault_point_coefficients(self.zbus(s), line).z_at(scenario.m)
-            for s in (0, 1, 2)
+            fault_point_coefficients(self.zbus(s), line).z_at(m) for s in (0, 1, 2)
         )
-        e_r = (1.0 - scenario.m) * bus_v[line.from_bus] + scenario.m * bus_v[line.to_bus]
-        return fault_sequence_currents(
+        e_r = (1.0 - m) * bus_v[line.from_bus] + m * bus_v[line.to_bus]
+        cur = fault_sequence_currents(
             scenario.fault_type, z_rr, e_r, scenario.rf_ohm / self.net.z_base_ohm
         )
+        return z_rr, e_r, cur
 
     def measurements(
         self, scenario: FaultScenario, taps: MeasurementTaps | None = None
@@ -258,7 +261,7 @@ class FaultStudy:
         line = net.line(scenario.line_id)
         m = scenario.m
         bus_v0, branch_i0 = self.prefault
-        cur = self.fault_currents(scenario)
+        z_rr, e_r, cur = self._fault_point(scenario)
 
         buses = taps.buses if taps.buses is not None else net.buses
         if taps.branches is not None:
@@ -266,20 +269,17 @@ class FaultStudy:
         else:
             branch_ids = tuple(r.id for r in net.lines if r.id != line.id)
 
+        def bus_triple(b: int) -> SequenceTriple:
+            zkr = [transfer_coefficients(self.zbus(s), line, b).at(m) for s in (0, 1, 2)]
+            return _during_fault(zkr, bus_v0[b], cur)
+
         prefault_bus_v: dict[int, complex] = {}
         fault_bus_v: dict[int, SequenceTriple] = {}
         for b in buses:
             if b not in bus_v0:
                 raise KeyError(f"tap references unknown bus {b}")
-            zkr = [
-                transfer_coefficients(self.zbus(s), line, b).z_at(m) for s in (0, 1, 2)
-            ]
             prefault_bus_v[b] = bus_v0[b]
-            fault_bus_v[b] = (
-                -zkr[0] * cur.i0,
-                bus_v0[b] - zkr[1] * cur.i1,
-                -zkr[2] * cur.i2,
-            )
+            fault_bus_v[b] = bus_triple(b)
 
         prefault_branch_i: dict[str, complex] = {}
         fault_branch_i: dict[str, SequenceTriple] = {}
@@ -291,21 +291,23 @@ class FaultStudy:
                 )
             rec = net.line(bid)
             beta = [
-                branch_coefficients(self.zbus(s), line, rec).beta_at(m)
-                for s in (0, 1, 2)
+                branch_coefficients(self.zbus(s), line, rec).at(m) for s in (0, 1, 2)
             ]
             prefault_branch_i[bid] = branch_i0[bid]
-            fault_branch_i[bid] = (
-                -beta[0] * cur.i0,
-                branch_i0[bid] - beta[1] * cur.i1,
-                -beta[2] * cur.i2,
-            )
+            fault_branch_i[bid] = _during_fault(beta, branch_i0[bid], cur)
 
         if taps.faulted_segments:
-            self._add_segments(
-                scenario, line, cur, bus_v0, branch_i0,
-                prefault_branch_i, fault_branch_i, fault_bus_v,
+            e_fault = _during_fault(z_rr, e_r, cur)
+            e_p, e_q = (
+                fault_bus_v[b] if b in fault_bus_v else bus_triple(b)
+                for b in (line.from_bus, line.to_bus)
             )
+            seg_from, seg_to = _segment_currents(line, m, cur, e_fault, e_p, e_q)
+            i0_through = branch_i0[line.id]
+            prefault_branch_i[f"{line.id}@from"] = i0_through
+            prefault_branch_i[f"{line.id}@to"] = -i0_through
+            fault_branch_i[f"{line.id}@from"] = seg_from
+            fault_branch_i[f"{line.id}@to"] = seg_to
 
         token = f"{scenario.line_id}:{scenario.fault_type.value}:m={m:g}:rf={scenario.rf_ohm:g}"
         return PhasorMeasurementSet(
@@ -316,51 +318,45 @@ class FaultStudy:
             token=token,
         )
 
-    def _add_segments(self, scenario, line, cur, bus_v0, branch_i0,
-                      prefault_branch_i, fault_branch_i, fault_bus_v):
-        """Terminal currents of the faulted line, fed toward the fault."""
-        m = scenario.m
-        e_r0 = (1.0 - m) * bus_v0[line.from_bus] + m * bus_v0[line.to_bus]
-        z_rr = [
-            fault_point_coefficients(self.zbus(s), line).z_at(m) for s in (0, 1, 2)
-        ]
-        e_r = (-z_rr[0] * cur.i0, e_r0 - z_rr[1] * cur.i1, -z_rr[2] * cur.i2)
 
-        def bus_triple(b: int) -> SequenceTriple:
-            if b in fault_bus_v:
-                return fault_bus_v[b]
-            zkr = [
-                transfer_coefficients(self.zbus(s), line, b).z_at(m)
-                for s in (0, 1, 2)
-            ]
-            return (-zkr[0] * cur.i0, bus_v0[b] - zkr[1] * cur.i1, -zkr[2] * cur.i2)
+def _during_fault(k, pre: complex, cur: SequenceFaultCurrents) -> SequenceTriple:
+    """Sequence values of a quantity that changes by ``-k[s]`` per unit fault
+    current in sequence s, on top of the positive-sequence value ``pre``."""
+    return (-k[0] * cur.i0, pre - k[1] * cur.i1, -k[2] * cur.i2)
 
-        e_p = bus_triple(line.from_bus)
-        e_q = bus_triple(line.to_bus)
-        i_fault = cur.triple()
-        seg_from: list[complex] = []
-        seg_to: list[complex] = []
-        for s in (0, 1, 2):
-            zl = line.z(s)
-            if 0.0 < m < 1.0:
-                i_from = (e_p[s] - e_r[s]) / (m * zl)
-                i_to = (e_q[s] - e_r[s]) / ((1.0 - m) * zl)
-            elif m == 0.0:
-                # Fault sits at the from-bus; its segment has zero length, so
-                # get its current from the balance at the fault point.
-                i_to = (e_q[s] - e_r[s]) / zl
-                i_from = i_fault[s] - i_to
-            else:
-                i_from = (e_p[s] - e_r[s]) / zl
-                i_to = i_fault[s] - i_from
-            seg_from.append(i_from)
-            seg_to.append(i_to)
 
-        i0_through = branch_i0[line.id]
-        prefault_branch_i[f"{line.id}@from"] = i0_through
-        prefault_branch_i[f"{line.id}@to"] = -i0_through
-        fault_branch_i[f"{line.id}@from"] = tuple(seg_from)
-        fault_branch_i[f"{line.id}@to"] = tuple(seg_to)
+def _segment_currents(
+    line: LineRecord,
+    m: float,
+    cur: SequenceFaultCurrents,
+    e_r: SequenceTriple,
+    e_p: SequenceTriple,
+    e_q: SequenceTriple,
+) -> tuple[SequenceTriple, SequenceTriple]:
+    """Terminal currents of the faulted line, fed toward the fault.
+
+    ``e_r``, ``e_p`` and ``e_q`` are the during-fault sequence voltages at
+    the fault point and at the line's from- and to-bus.
+    """
+    i_fault = cur.triple()
+    seg_from: list[complex] = []
+    seg_to: list[complex] = []
+    for s in (0, 1, 2):
+        zl = line.z(s)
+        if 0.0 < m < 1.0:
+            i_from = (e_p[s] - e_r[s]) / (m * zl)
+            i_to = (e_q[s] - e_r[s]) / ((1.0 - m) * zl)
+        elif m == 0.0:
+            # Fault sits at the from-bus; its segment has zero length, so
+            # get its current from the balance at the fault point.
+            i_to = (e_q[s] - e_r[s]) / zl
+            i_from = i_fault[s] - i_to
+        else:
+            i_from = (e_p[s] - e_r[s]) / zl
+            i_to = i_fault[s] - i_from
+        seg_from.append(i_from)
+        seg_to.append(i_to)
+    return tuple(seg_from), tuple(seg_to)
 
 
 def simulate_measurements(
@@ -387,6 +383,18 @@ class Distortion:
     phase_deg: float = 0.0
     clamp_pu: float | None = None
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.gain) and math.isfinite(self.phase_deg)):
+            raise ValueError(
+                f"distortion of {self.channel!r}: gain {self.gain} and phase"
+                f" {self.phase_deg} must be finite"
+            )
+        if self.clamp_pu is not None and not 0.0 < self.clamp_pu < math.inf:
+            raise ValueError(
+                f"distortion of {self.channel!r}: clamp {self.clamp_pu} pu must be"
+                " a positive finite number"
+            )
+
     def factor(self) -> complex:
         return cmath.rect(self.gain, math.radians(self.phase_deg))
 
@@ -406,18 +414,14 @@ def apply_distortion(
 
     for d in spec:
         if d.kind == "busV":
-            bus = int(d.channel)
-            if bus not in fault_v:
-                raise KeyError(f"unknown voltage channel {d.channel!r}")
-            pre_v[bus], fault_v[bus] = _distort(d, pre_v[bus], fault_v[bus])
+            pre, fault, key, name = pre_v, fault_v, int(d.channel), "voltage"
         elif d.kind == "branchI":
-            if d.channel not in fault_i:
-                raise KeyError(f"unknown current channel {d.channel!r}")
-            pre_i[d.channel], fault_i[d.channel] = _distort(
-                d, pre_i[d.channel], fault_i[d.channel]
-            )
+            pre, fault, key, name = pre_i, fault_i, d.channel, "current"
         else:
             raise KeyError(f"unknown channel kind {d.kind!r}")
+        if key not in fault:
+            raise KeyError(f"unknown {name} channel {d.channel!r}")
+        pre[key], fault[key] = _distort(d, pre[key], fault[key])
 
     return replace(
         ms,

@@ -1,16 +1,20 @@
 """Fault-position estimators from sparse synchronized phasor pairs.
 
-Three estimators share one idea: the fault-driven change of any measured
-quantity is a coefficient law in the normalized fault position m times the
-(unknown) fault current, so the ratio of two measured changes cancels the
-fault current and pins m in closed form.
+Every estimator is one idea: the fault-driven change of any measured
+quantity is a :class:`~faultloc.seqmatrix.LinearLaw` ``b + c*m`` in the
+normalized fault position m times the (unknown) fault current, so the ratio
+of two measured changes cancels the fault current and pins m in closed form.
+The methods differ only in which two channels feed that ratio:
 
-* voltage method: ratio of two bus-voltage changes,
-* current method: ratio of two branch-current changes,
-* hybrid method: one branch-current change over one bus-voltage change,
-  solved either directly in the complex plane or through the real quadratic
-  satisfied by the ratio magnitude.
+* ``ssvm``: two bus-voltage changes,
+* ``sscm``: two branch-current changes,
+* ``hybrid``: one branch-current change over one bus-voltage change,
+* ``hybrid-quad``: the same pair, solved through the real quadratic
+  satisfied by the ratio magnitude instead of in the complex plane.
 
+:func:`locate` solves one ratio; placements name the two channels they
+measure, and :func:`estimate_for_placement` and
+:func:`rank_line_hypotheses` read those channels and derive their laws.
 All estimators consume positive-sequence phasors only and need no
 fault-type or phase-selection information.
 """
@@ -26,9 +30,8 @@ import numpy as np
 from .faultsim import PhasorMeasurementSet
 from .netmodel import LineRecord, Network
 from .seqmatrix import (
-    BranchCoefficients,
+    LinearLaw,
     SequenceZbus,
-    TransferCoefficients,
     branch_coefficients,
     build_zbus,
     transfer_coefficients,
@@ -39,19 +42,13 @@ __all__ = [
     "LinearDependenceError",
     "Method",
     "Channel",
-    "VoltagePair",
-    "CurrentPair",
-    "HybridPair",
     "LocationEstimate",
     "VoltagePlacement",
     "CurrentPlacement",
     "HybridPlacement",
     "voltage_channel",
     "current_channel",
-    "locate_ssvm",
-    "locate_sscm",
-    "locate_hybrid_direct",
-    "locate_hybrid_quadratic",
+    "locate",
     "estimate_for_placement",
     "feasibility_check",
     "percent_error",
@@ -72,6 +69,8 @@ RANGE_SLACK = 1e-9
 #: the hybrid quadratic counts as zero.
 SOLVE_TOLERANCE = 1e-12
 
+_DEPENDENT = "channel fault responses are linearly dependent"
+
 
 class DegenerateChannelError(ValueError):
     """A consumed channel shows no usable fault signature."""
@@ -88,6 +87,15 @@ class Method(str, Enum):
     HYBRID_QUAD = "hybrid-quad"
 
 
+#: Channel kinds each method divides: (numerator, denominator).
+_KINDS = {
+    Method.SSVM: ("busV", "busV"),
+    Method.SSCM: ("branchI", "branchI"),
+    Method.HYBRID_DIRECT: ("branchI", "busV"),
+    Method.HYBRID_QUAD: ("branchI", "busV"),
+}
+
+
 @dataclass(frozen=True)
 class Channel:
     """One synchronized phasor channel: pre-fault and during-fault values."""
@@ -101,11 +109,6 @@ class Channel:
     @property
     def delta(self) -> complex:
         return self.fault - self.pre
-
-    @property
-    def base_id(self) -> str:
-        """Line id for branch channels, with any terminal suffix removed."""
-        return self.ident.split("@", 1)[0]
 
 
 def voltage_channel(ms: PhasorMeasurementSet, bus: int) -> Channel:
@@ -130,42 +133,6 @@ def current_channel(ms: PhasorMeasurementSet, channel_id: str) -> Channel:
     )
 
 
-def _check_pair(a: Channel, b: Channel, kinds: tuple[str, str]) -> None:
-    if (a.kind, b.kind) != kinds:
-        raise ValueError(f"expected channel kinds {kinds}, got ({a.kind}, {b.kind})")
-    if a.token and b.token and a.token != b.token:
-        raise ValueError(
-            f"channels are not synchronized: tokens {a.token!r} != {b.token!r}"
-        )
-
-
-@dataclass(frozen=True)
-class VoltagePair:
-    k: Channel
-    l: Channel
-
-    def __post_init__(self) -> None:
-        _check_pair(self.k, self.l, ("busV", "busV"))
-
-
-@dataclass(frozen=True)
-class CurrentPair:
-    first: Channel
-    second: Channel
-
-    def __post_init__(self) -> None:
-        _check_pair(self.first, self.second, ("branchI", "branchI"))
-
-
-@dataclass(frozen=True)
-class HybridPair:
-    current: Channel
-    voltage: Channel
-
-    def __post_init__(self) -> None:
-        _check_pair(self.current, self.voltage, ("branchI", "busV"))
-
-
 @dataclass(frozen=True)
 class LocationEstimate:
     """Result of one estimator run.
@@ -181,13 +148,51 @@ class LocationEstimate:
     method: Method
     m_complex: complex | None
     residual: float
-    feasible: bool = True
     ambiguous: bool = False
     notes: str = ""
 
     @property
     def in_range(self) -> bool:
         return -RANGE_SLACK <= self.m <= 1.0 + RANGE_SLACK
+
+
+def locate(
+    method: Method,
+    numer: Channel,
+    denom: Channel,
+    numer_law: LinearLaw,
+    denom_law: LinearLaw,
+) -> LocationEstimate:
+    """Fault position from the ratio of two measured changes.
+
+    ``numer_law``/``denom_law`` give each channel's change per unit fault
+    current for a fault on the hypothesized line, so that
+    ``numer.delta / denom.delta == numer_law.at(m) / denom_law.at(m)``.
+    The channels' kinds must be those the method divides (two voltages for
+    ssvm, two currents for sscm, current over voltage for the hybrids) and
+    their tokens must match.  A current channel must measure a line other
+    than the faulted one; the branch law does not hold on the faulted line.
+
+    Raises :class:`LinearDependenceError` when the two laws are
+    proportional and :class:`DegenerateChannelError` when the denominator
+    shows no fault signature.
+    """
+    method = Method(method)
+    kinds = (numer.kind, denom.kind)
+    if kinds != _KINDS[method]:
+        raise ValueError(
+            f"{method.value} expects channel kinds {_KINDS[method]}, got {kinds}"
+        )
+    if numer.token and denom.token and numer.token != denom.token:
+        raise ValueError(
+            f"channels are not synchronized: tokens {numer.token!r} != {denom.token!r}"
+        )
+    if _dependent(numer_law, denom_law):
+        raise LinearDependenceError(_DEPENDENT)
+    ratio = _ratio(numer, denom)
+    if method is Method.HYBRID_QUAD:
+        return _quadratic_solve(numer_law, denom_law, ratio)
+    return _estimate(_ratio_solve(numer_law, denom_law, ratio), method)
 
 
 def _ratio(numer: Channel, denom: Channel) -> complex:
@@ -199,11 +204,9 @@ def _ratio(numer: Channel, denom: Channel) -> complex:
     return numer.delta / denom.delta
 
 
-def _ratio_solve(
-    numer_b: complex, numer_c: complex, denom_b: complex, denom_c: complex, ratio: complex
-) -> complex:
-    """Solve ratio = (numer_b + numer_c*m)/(denom_b + denom_c*m) for m."""
-    num, den, singular = _ratio_terms(numer_b, numer_c, denom_b, denom_c, ratio)
+def _ratio_solve(numer: LinearLaw, denom: LinearLaw, ratio: complex) -> complex:
+    """Solve ratio = numer.at(m) / denom.at(m) for m."""
+    num, den, singular = _ratio_terms(numer, denom, ratio)
     if singular:
         raise LinearDependenceError(
             "channel responses are proportional; the ratio does not depend on"
@@ -212,15 +215,25 @@ def _ratio_solve(
     return num / den
 
 
-def _ratio_terms(numer_b, numer_c, denom_b, denom_c, ratio):
+def _ratio_terms(numer: LinearLaw, denom: LinearLaw, ratio):
     """Numerator and denominator of m, and whether the solve is singular.
 
-    Works on scalars and elementwise on arrays of laws alike.
+    Works on scalar laws and elementwise on laws of arrays alike.
     """
-    den = ratio * denom_c - numer_c
-    scale = abs(ratio * denom_c) + abs(numer_c)
+    den = ratio * denom.c - numer.c
+    scale = abs(ratio * denom.c) + abs(numer.c)
     singular = (scale == 0.0) | (abs(den) <= SOLVE_TOLERANCE * scale)
-    return numer_b - ratio * denom_b, den, singular
+    return numer.b - ratio * denom.b, den, singular
+
+
+def _dependent(a: LinearLaw, b: LinearLaw):
+    """Whether laws ``a`` and ``b`` are proportional.
+
+    Works on scalar laws and elementwise on laws of arrays alike.
+    """
+    det = a.b * b.c - a.c * b.b
+    scale = (abs(a.b) + abs(a.c)) * (abs(b.b) + abs(b.c))
+    return (scale == 0.0) | (abs(det) <= DEPENDENCE_TOLERANCE * scale)
 
 
 def _estimate(m_complex: complex, method: Method) -> LocationEstimate:
@@ -235,80 +248,19 @@ def _estimate(m_complex: complex, method: Method) -> LocationEstimate:
     )
 
 
-def locate_ssvm(
-    pair: VoltagePair,
-    coeffs_k: TransferCoefficients,
-    coeffs_l: TransferCoefficients,
-) -> LocationEstimate:
-    """Fault position from the ratio of two bus-voltage changes."""
-    _require_match(pair.k, str(coeffs_k.bus))
-    _require_match(pair.l, str(coeffs_l.bus))
-    ratio = _ratio(pair.k, pair.l)
-    m = _ratio_solve(coeffs_k.b, coeffs_k.c, coeffs_l.b, coeffs_l.c, ratio)
-    return _estimate(m, Method.SSVM)
-
-
-def locate_sscm(
-    pair: CurrentPair,
-    coeffs_1: BranchCoefficients,
-    coeffs_2: BranchCoefficients,
-) -> LocationEstimate:
-    """Fault position from the ratio of two branch-current changes.
-
-    Both measured branches must be lines other than the faulted one; the
-    branch-current law does not hold on the faulted line itself.
-    """
-    _require_match(pair.first, coeffs_1.line_id)
-    _require_match(pair.second, coeffs_2.line_id)
-    _require_independent(
-        (coeffs_1.b, coeffs_1.c), (coeffs_2.b, coeffs_2.c), "branch current changes"
-    )
-    ratio = _ratio(pair.first, pair.second)
-    m = _ratio_solve(coeffs_1.b, coeffs_1.c, coeffs_2.b, coeffs_2.c, ratio)
-    return _estimate(m, Method.SSCM)
-
-
-def locate_hybrid_direct(
-    pair: HybridPair,
-    branch_coeffs: BranchCoefficients,
-    voltage_coeffs: TransferCoefficients,
-) -> LocationEstimate:
-    """Fault position from one branch-current change over one voltage change."""
-    _require_match(pair.current, branch_coeffs.line_id)
-    _require_match(pair.voltage, str(voltage_coeffs.bus))
-    ratio = _ratio(pair.current, pair.voltage)
-    m = _ratio_solve(
-        branch_coeffs.b, branch_coeffs.c, voltage_coeffs.b, voltage_coeffs.c, ratio
-    )
-    return _estimate(m, Method.HYBRID_DIRECT)
-
-
-def locate_hybrid_quadratic(
-    pair: HybridPair,
-    branch_coeffs: BranchCoefficients,
-    voltage_coeffs: TransferCoefficients,
+def _quadratic_solve(
+    numer: LinearLaw, denom: LinearLaw, ratio: complex
 ) -> LocationEstimate:
     """Hybrid estimate through the real quadratic in m.
 
     Equating the squared magnitudes of both sides of the ratio relation
     gives ``c2*m**2 + c1*m + c0 = 0`` with real coefficients built from the
-    real/imaginary parts of the channel coefficient laws and the squared
-    ratio magnitude.  The root inside [0, 1] is the estimate; if both roots
-    land inside, the result is flagged ambiguous and the root nearest the
-    direct-form solution is returned.
+    real/imaginary parts of the two laws and the squared ratio magnitude.
+    The root inside [0, 1] is the estimate; if both roots land inside, the
+    result is flagged ambiguous and the root nearest the direct-form
+    solution is returned.
     """
-    _require_match(pair.current, branch_coeffs.line_id)
-    _require_match(pair.voltage, str(voltage_coeffs.bus))
-    ratio = _ratio(pair.current, pair.voltage)
-    return _quadratic_solve(
-        branch_coeffs.b, branch_coeffs.c, voltage_coeffs.b, voltage_coeffs.c, ratio
-    )
-
-
-def _quadratic_solve(
-    bk: complex, ck: complex, bl: complex, cl: complex, ratio: complex
-) -> LocationEstimate:
-    """The hybrid quadratic for a branch law ``bk + ck*m`` over a voltage law."""
+    bk, ck, bl, cl = numer.b, numer.c, denom.b, denom.c
     d2 = abs(ratio) ** 2
     c2 = ck.real**2 + ck.imag**2 - d2 * (cl.real**2 + cl.imag**2)
     c1 = 2.0 * (
@@ -327,7 +279,7 @@ def _quadratic_solve(
     elif len(in_range) == 2:
         ambiguous = True
         try:
-            direct = _ratio_solve(bk, ck, bl, cl, ratio).real
+            direct = _ratio_solve(numer, denom, ratio).real
         except LinearDependenceError:
             direct = 0.5
         m = min(in_range, key=lambda r: abs(r - direct))
@@ -364,30 +316,6 @@ def _real_roots(c2: float, c1: float, c0: float) -> tuple[tuple[float, ...], flo
     return ((-c1 / (2.0 * c2),), math.sqrt(-disc) / (2.0 * abs(c2)))
 
 
-def _require_match(channel: Channel, expected: str) -> None:
-    if channel.base_id != expected:
-        raise ValueError(
-            f"channel {channel.ident!r} does not match coefficients for {expected!r}"
-        )
-
-
-def _require_independent(
-    v1: tuple[complex, complex], v2: tuple[complex, complex], what: str
-) -> None:
-    if _dependent(*v1, *v2):
-        raise LinearDependenceError(f"{what} are linearly dependent")
-
-
-def _dependent(b1, c1, b2, c2):
-    """Whether laws ``b1 + c1*m`` and ``b2 + c2*m`` are proportional.
-
-    Works on scalars and elementwise on arrays of laws alike.
-    """
-    det = b1 * c2 - c1 * b2
-    scale = (abs(b1) + abs(c1)) * (abs(b2) + abs(c2))
-    return (scale == 0.0) | (abs(det) <= DEPENDENCE_TOLERANCE * scale)
-
-
 # ---------------------------------------------------------------------------
 # Placements and feasibility
 # ---------------------------------------------------------------------------
@@ -398,11 +326,19 @@ class VoltagePlacement:
     bus_k: int
     bus_l: int
 
+    @property
+    def channels(self) -> tuple[tuple[str, int], tuple[str, int]]:
+        return (("busV", self.bus_k), ("busV", self.bus_l))
+
 
 @dataclass(frozen=True)
 class CurrentPlacement:
     channel_1: str
     channel_2: str
+
+    @property
+    def channels(self) -> tuple[tuple[str, str], tuple[str, str]]:
+        return (("branchI", self.channel_1), ("branchI", self.channel_2))
 
 
 @dataclass(frozen=True)
@@ -410,8 +346,27 @@ class HybridPlacement:
     current_channel: str
     bus: int
 
+    @property
+    def channels(self) -> tuple[tuple[str, str], tuple[str, int]]:
+        return (("branchI", self.current_channel), ("busV", self.bus))
+
 
 Placement = VoltagePlacement | CurrentPlacement | HybridPlacement
+
+
+def _source(net: Network, kind: str, ident: int | str) -> int | LineRecord:
+    """What a channel measures: its bus, or the line its current flows on.
+
+    A current channel id may name a terminal of a line (``T2@from``).
+    """
+    return net.line(ident.partition("@")[0]) if kind == "branchI" else ident
+
+
+def _law(zbus: SequenceZbus, line: LineRecord, source: int | LineRecord) -> LinearLaw:
+    """The law of a channel measuring ``source`` under a fault on ``line``."""
+    if isinstance(source, LineRecord):
+        return branch_coefficients(zbus, line, source)
+    return transfer_coefficients(zbus, line, source)
 
 
 def feasibility_check(
@@ -429,38 +384,17 @@ def feasibility_check(
     test).  Returns (feasible, reason).
     """
     line = net.line(faulted_line_id)
-
-    if isinstance(placement, VoltagePlacement):
-        locs_a: list[int] = [placement.bus_k]
-        locs_b: list[int] = [placement.bus_l]
-    elif isinstance(placement, CurrentPlacement):
-        la = net.line(_base(placement.channel_1))
-        lb = net.line(_base(placement.channel_2))
-        locs_a = [la.from_bus, la.to_bus]
-        locs_b = [lb.from_bus, lb.to_bus]
-    else:
-        la = net.line(_base(placement.current_channel))
-        locs_a = [la.from_bus, la.to_bus]
-        locs_b = [placement.bus]
+    sources = [_source(net, kind, ident) for kind, ident in placement.channels]
+    locs_a, locs_b = (
+        [s.from_bus, s.to_bus] if isinstance(s, LineRecord) else [s] for s in sources
+    )
 
     # The rank test is the decisive physical condition for placements with a
     # current channel, so its verdict names the reason when both tests fail.
-    if not isinstance(placement, VoltagePlacement):
+    if any(isinstance(s, LineRecord) for s in sources):
         zbus = zbus if zbus is not None else build_zbus(net, 1)
-        if isinstance(placement, CurrentPlacement):
-            c1 = branch_coefficients(zbus, line, net.line(_base(placement.channel_1)))
-            c2 = branch_coefficients(zbus, line, net.line(_base(placement.channel_2)))
-            pair = ((c1.b, c1.c), (c2.b, c2.c))
-        else:
-            cb = branch_coefficients(
-                zbus, line, net.line(_base(placement.current_channel))
-            )
-            cv = transfer_coefficients(zbus, line, placement.bus)
-            pair = ((cb.b, cb.c), (cv.b, cv.c))
-        try:
-            _require_independent(pair[0], pair[1], "channel fault responses")
-        except LinearDependenceError as exc:
-            return False, str(exc)
+        if _dependent(*(_law(zbus, line, s) for s in sources)):
+            return False, _DEPENDENT
 
     if not _path_through_line(net, line, locs_a, locs_b):
         return (
@@ -469,10 +403,6 @@ def feasibility_check(
             " measurement locations",
         )
     return True, "ok"
-
-
-def _base(channel_id: str) -> str:
-    return channel_id.split("@", 1)[0]
 
 
 def _path_through_line(
@@ -487,16 +417,11 @@ def _path_through_line(
         net.bus_index(b)  # raises CaseError on unknown measurement buses
 
     via = object()  # synthetic fault node, distinct from every label
-    adj: dict[object, list[object]] = {b: [] for b in net.buses}
-    adj[via] = []
-    for rec in net.lines:
-        if rec.id == line.id:
-            for a, b in ((rec.from_bus, via), (via, rec.to_bus)):
-                adj[a].append(b)
-                adj[b].append(a)
-        else:
-            adj[rec.from_bus].append(rec.to_bus)
-            adj[rec.to_bus].append(rec.from_bus)
+    adj: dict[object, list[object]] = {
+        b: [via if lid == line.id else nb for nb, lid in nbrs]
+        for b, nbrs in net.adjacency().items()
+    }
+    adj[via] = [line.from_bus, line.to_bus]
 
     goal_set = set(goals)
 
@@ -526,8 +451,30 @@ def percent_error(actual_km: float, estimated_km: float, line_length_km: float) 
 
 
 # ---------------------------------------------------------------------------
-# Placement-driven dispatch
+# Placement-driven estimates
 # ---------------------------------------------------------------------------
+
+
+def _consumed(
+    net: Network, ms: PhasorMeasurementSet, placement: Placement, method: Method
+) -> list[tuple[Channel, int | LineRecord]]:
+    """The placement's two channels read from ``ms``, each with its source.
+
+    Both come from one measurement set, so their tokens match.
+    """
+    kinds = tuple(kind for kind, _ in placement.channels)
+    if kinds != _KINDS[method]:
+        raise TypeError(
+            f"{method.value} needs channel kinds {_KINDS[method]}, the placement"
+            f" has {kinds}"
+        )
+    return [
+        (
+            voltage_channel(ms, ident) if kind == "busV" else current_channel(ms, ident),
+            _source(net, kind, ident),
+        )
+        for kind, ident in placement.channels
+    ]
 
 
 def estimate_for_placement(
@@ -538,48 +485,18 @@ def estimate_for_placement(
     ms: PhasorMeasurementSet,
     method: Method,
 ) -> LocationEstimate:
-    """Build the measurement pair and coefficients for a placement and locate.
+    """Read the placement's channels, derive their laws and :func:`locate`.
 
     The faulted line here is a hypothesis: coefficients are derived for it,
-    and an out-of-range result indicates the hypothesis is wrong.
+    and an out-of-range result indicates the hypothesis is wrong.  Raises
+    ``TypeError`` when the placement does not measure the channel kinds the
+    method divides.
     """
     line = net.line(faulted_line_id)
-    if method is Method.SSVM:
-        if not isinstance(placement, VoltagePlacement):
-            raise TypeError("voltage method needs a VoltagePlacement")
-        pair = VoltagePair(
-            voltage_channel(ms, placement.bus_k), voltage_channel(ms, placement.bus_l)
-        )
-        return locate_ssvm(
-            pair,
-            transfer_coefficients(zbus, line, placement.bus_k),
-            transfer_coefficients(zbus, line, placement.bus_l),
-        )
-    if method is Method.SSCM:
-        if not isinstance(placement, CurrentPlacement):
-            raise TypeError("current method needs a CurrentPlacement")
-        pair = CurrentPair(
-            current_channel(ms, placement.channel_1),
-            current_channel(ms, placement.channel_2),
-        )
-        return locate_sscm(
-            pair,
-            branch_coefficients(zbus, line, net.line(_base(placement.channel_1))),
-            branch_coefficients(zbus, line, net.line(_base(placement.channel_2))),
-        )
-    if not isinstance(placement, HybridPlacement):
-        raise TypeError("hybrid methods need a HybridPlacement")
-    pair = HybridPair(
-        current_channel(ms, placement.current_channel),
-        voltage_channel(ms, placement.bus),
+    (numer, numer_src), (denom, denom_src) = _consumed(net, ms, placement, method)
+    return locate(
+        method, numer, denom, _law(zbus, line, numer_src), _law(zbus, line, denom_src)
     )
-    bcoeffs = branch_coefficients(
-        zbus, line, net.line(_base(placement.current_channel))
-    )
-    vcoeffs = transfer_coefficients(zbus, line, placement.bus)
-    if method is Method.HYBRID_DIRECT:
-        return locate_hybrid_direct(pair, bcoeffs, vcoeffs)
-    return locate_hybrid_quadratic(pair, bcoeffs, vcoeffs)
 
 
 def rank_line_hypotheses(
@@ -593,76 +510,42 @@ def rank_line_hypotheses(
 
     Every hypothesis is solved in one pass: the two channel laws of all
     lines are gathered from Z at the lines' end buses and the ratio is
-    solved as array expressions, with the checks of
-    :func:`estimate_for_placement`.  Hypotheses that those checks reject
-    are skipped: all of them when the denominator channel is degenerate,
-    one line when its two laws are proportional or its current channels
-    dependent.  So are the lines a current channel measures, whose branch
-    law does not hold while they are faulted.
+    solved as array expressions, with the checks of :func:`locate`.
+    Hypotheses that those checks reject are skipped: all of them when the
+    denominator channel is degenerate, one line when its two laws are
+    dependent or its ratio does not depend on m.  So are the lines a
+    current channel measures, whose branch law does not hold while they
+    are faulted.
 
     Hypotheses yielding an in-range estimate sort ahead of out-of-range
     ones, then by residual.  A convenience for identifying the faulted line
     when it is not known a priori.
     """
     zbus = zbus if zbus is not None else build_zbus(net, 1)
-    if method is Method.SSVM:
-        if not isinstance(placement, VoltagePlacement):
-            raise TypeError("voltage method needs a VoltagePlacement")
-        pair = VoltagePair(
-            voltage_channel(ms, placement.bus_k), voltage_channel(ms, placement.bus_l)
-        )
-        channels = (pair.k, pair.l)
-        sources = (placement.bus_k, placement.bus_l)
-    elif method is Method.SSCM:
-        if not isinstance(placement, CurrentPlacement):
-            raise TypeError("current method needs a CurrentPlacement")
-        pair = CurrentPair(
-            current_channel(ms, placement.channel_1),
-            current_channel(ms, placement.channel_2),
-        )
-        channels = (pair.first, pair.second)
-        sources = (
-            net.line(_base(placement.channel_1)),
-            net.line(_base(placement.channel_2)),
-        )
-    else:
-        if not isinstance(placement, HybridPlacement):
-            raise TypeError("hybrid methods need a HybridPlacement")
-        pair = HybridPair(
-            current_channel(ms, placement.current_channel),
-            voltage_channel(ms, placement.bus),
-        )
-        channels = (pair.current, pair.voltage)
-        sources = (net.line(_base(placement.current_channel)), placement.bus)
+    (numer, numer_src), (denom, denom_src) = _consumed(net, ms, placement, method)
     ends = _line_ends(net, zbus)
-    (nb, nc), (db, dc) = (_laws(zbus, ends, src) for src in sources)
-    measured = {src.id for src in sources if isinstance(src, LineRecord)}
+    numer_law, denom_law = _laws(zbus, ends, numer_src), _laws(zbus, ends, denom_src)
+    measured = {src.id for src in (numer_src, denom_src) if isinstance(src, LineRecord)}
     try:
-        ratio = _ratio(*channels)
+        ratio = _ratio(numer, denom)
     except DegenerateChannelError:
         return []
 
+    skip = _dependent(numer_law, denom_law) | [rec.id in measured for rec in net.lines]
     results: list[tuple[str, LocationEstimate]] = []
     if method is Method.HYBRID_QUAD:
-        laws = zip(nb.tolist(), nc.tolist(), db.tolist(), dc.tolist())
-        for rec, law in zip(net.lines, laws):
-            if rec.id in measured:
-                continue
+        for i in np.flatnonzero(~skip).tolist():
+            laws = (LinearLaw(complex(w.b[i]), complex(w.c[i])) for w in (numer_law, denom_law))
             try:
-                est = _quadratic_solve(*law, ratio)
+                results.append((net.lines[i].id, _quadratic_solve(*laws, ratio)))
             except LinearDependenceError:
                 continue
-            results.append((rec.id, est))
     else:
-        num, den, singular = _ratio_terms(nb, nc, db, dc, ratio)
-        if method is Method.SSCM:
-            singular |= _dependent(nb, nc, db, dc)
-        keep = np.flatnonzero(~singular)
+        num, den, singular = _ratio_terms(numer_law, denom_law, ratio)
+        keep = np.flatnonzero(~(skip | singular))
         m = num[keep] / den[keep]
         for i, m_complex in zip(keep.tolist(), m.tolist()):
-            line_id = net.lines[i].id
-            if line_id not in measured:
-                results.append((line_id, _estimate(m_complex, method)))
+            results.append((net.lines[i].id, _estimate(m_complex, method)))
     results.sort(key=lambda item: (not item[1].in_range, item[1].residual))
     return results
 
@@ -678,8 +561,8 @@ def _line_ends(net: Network, zbus: SequenceZbus) -> tuple[np.ndarray, np.ndarray
 
 def _laws(
     zbus: SequenceZbus, ends: tuple[np.ndarray, np.ndarray], source: int | LineRecord
-) -> tuple[np.ndarray, np.ndarray]:
-    """A channel's law ``b + c*m`` for a fault on every line, as (b, c) arrays.
+) -> LinearLaw:
+    """A channel's law for a fault on every line, as a law of arrays.
 
     ``source`` is the measured bus (transfer law, as
     :func:`transfer_coefficients`) or branch (branch law, as
@@ -689,12 +572,12 @@ def _laws(
         zb = source.z(zbus.sequence)
         if abs(zb) == 0.0:
             raise ValueError(f"branch {source.id!r} has zero impedance")
-        bf, cf = _laws(zbus, ends, source.from_bus)
-        bt, ct = _laws(zbus, ends, source.to_bus)
-        return _divide(bf - bt, zb), _divide(cf - ct, zb)
+        f = _laws(zbus, ends, source.from_bus)
+        t = _laws(zbus, ends, source.to_bus)
+        return LinearLaw(_divide(f.b - t.b, zb), _divide(f.c - t.c, zb))
     k = zbus.index(source)
     zp = zbus.z[ends[0], k]
-    return zp, zbus.z[ends[1], k] - zp
+    return LinearLaw(zp, zbus.z[ends[1], k] - zp)
 
 
 def _divide(a: np.ndarray, b: complex) -> np.ndarray:

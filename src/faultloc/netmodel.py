@@ -13,11 +13,11 @@ Case file format (UTF-8, one record per line, ``#`` starts a comment):
     line <id> <from> <to> <length_km> <r1_per_km> <x1_per_km> <r0_per_km> <x0_per_km>
     source <bus> <r1> <x1> [r0 x0 r2 x2] [emf_mag emf_deg]
 
-Numbers are decimal with optional exponent; all impedances in pu.
+Numbers are finite decimals with optional exponent; all impedances in pu.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -74,9 +74,6 @@ class LineRecord:
     def z(self, sequence: int) -> complex:
         """Total impedance for sequence 0, 1 or 2."""
         return self.z0 if sequence == 0 else self.z1
-
-    def endpoints(self) -> tuple[int, int]:
-        return (self.from_bus, self.to_bus)
 
 
 @dataclass(frozen=True)
@@ -189,9 +186,21 @@ class Network:
 
 def _parse_float(token: str, lineno: int, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
-        raise CaseError(f"line {lineno}: bad {what} {token!r}") from None
+        value = math.nan  # reported below, as "nan" and "inf" are
+    if not math.isfinite(value):
+        raise CaseError(f"line {lineno}: bad {what} {token!r}")
+    return value
+
+
+def _parse_label(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise CaseError(
+            f"line {lineno}: bus label must be an integer, got {token!r}"
+        ) from None
 
 
 def parse_case(text: str) -> Network:
@@ -222,12 +231,7 @@ def parse_case(text: str) -> Network:
         elif kind == "bus":
             if len(args) != 1:
                 raise CaseError(f"line {lineno}: bus expects one label")
-            try:
-                label = int(args[0])
-            except ValueError:
-                raise CaseError(
-                    f"line {lineno}: bus label must be an integer, got {args[0]!r}"
-                ) from None
+            label = _parse_label(args[0], lineno)
             if label in buses:
                 raise CaseError(f"line {lineno}: duplicate bus label {label}")
             buses.append(label)
@@ -241,10 +245,7 @@ def parse_case(text: str) -> Network:
             lid = args[0]
             if lid in line_ids:
                 raise CaseError(f"line {lineno}: duplicate line id {lid!r}")
-            try:
-                from_bus, to_bus = int(args[1]), int(args[2])
-            except ValueError:
-                raise CaseError(f"line {lineno}: bus labels must be integers") from None
+            from_bus, to_bus = _parse_label(args[1], lineno), _parse_label(args[2], lineno)
             for b in (from_bus, to_bus):
                 if b not in buses:
                     raise CaseError(f"line {lineno}: unknown bus {b}")
@@ -273,10 +274,7 @@ def parse_case(text: str) -> Network:
                     f"line {lineno}: source expects <bus> <r1> <x1>"
                     " [r0 x0 r2 x2] [emf_mag emf_deg]"
                 )
-            try:
-                bus = int(args[0])
-            except ValueError:
-                raise CaseError(f"line {lineno}: bus label must be an integer") from None
+            bus = _parse_label(args[0], lineno)
             if bus not in buses:
                 raise CaseError(f"line {lineno}: unknown bus {bus}")
             nums = [_parse_float(a, lineno, "source value") for a in args[1:]]
@@ -398,34 +396,3 @@ def validate(net: Network) -> list[str]:
             if b not in reach:
                 diags.append(f"bus {b} has no path to any source (ungrounded island)")
     return diags
-
-
-def with_tap(net: Network, line_id: str, m: float, tap_label: int | None = None) -> tuple[Network, int]:
-    """Return a copy of the network with a new bus inserted on a line.
-
-    The line is replaced by two segments of lengths ``m*L`` and ``(1-m)*L``
-    with the original per-km impedances.  Used to place an explicit node at a
-    fault point; requires 0 < m < 1.
-    """
-    if not 0.0 < m < 1.0:
-        raise ValueError(f"tap position m={m} must lie strictly inside (0, 1)")
-    target = net.line(line_id)
-    label = tap_label if tap_label is not None else max(net.buses) + 1
-    if label in net.buses:
-        raise CaseError(f"tap label {label} already in use")
-    seg_p = replace(target, id=f"{line_id}__p", to_bus=label, length_km=m * target.length_km)
-    seg_q = replace(
-        target, id=f"{line_id}__q", from_bus=label, length_km=(1.0 - m) * target.length_km
-    )
-    lines = tuple(r for r in net.lines if r.id != line_id) + (seg_p, seg_q)
-    return (
-        Network(
-            buses=net.buses + (label,),
-            lines=lines,
-            sources=net.sources,
-            base_mva=net.base_mva,
-            base_kv=net.base_kv,
-            frequency_hz=net.frequency_hz,
-        ),
-        label,
-    )

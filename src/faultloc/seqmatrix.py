@@ -1,14 +1,17 @@
-"""Per-sequence bus impedance matrices and fault-position coefficients.
+"""Per-sequence bus impedance matrices and fault-position coefficient laws.
 
 The bus impedance matrix is the inverse of the nodal admittance matrix built
 from the series lines plus each source's internal impedance as a shunt to the
 reference node.  For a prospective fault at normalized position ``m`` on a
-line p-q, three families of coefficients describe how the network responds
-without ever rebuilding the matrix:
+line p-q, two law types describe how the network responds without ever
+rebuilding the matrix:
 
-* transfer impedance from any bus k to the fault point is linear in m,
-* the current-division sensitivity of any healthy branch is linear in m,
-* the driving-point impedance at the fault point is quadratic in m.
+* :class:`LinearLaw` ``b + c*m``: the transfer impedance from any bus k to
+  the fault point, and the current-division sensitivity of any healthy
+  branch (the difference of its end buses' transfer laws over its
+  impedance).  Every estimator solves a ratio of two of these.
+* :class:`FaultPointCoefficients` ``a0 + a1*m + a2*m**2``: the
+  driving-point impedance at the fault point, which sets the fault current.
 """
 from __future__ import annotations
 
@@ -24,8 +27,7 @@ __all__ = [
     "UngroundedNetworkError",
     "IllConditionedNetworkError",
     "SequenceZbus",
-    "TransferCoefficients",
-    "BranchCoefficients",
+    "LinearLaw",
     "FaultPointCoefficients",
     "build_ybus",
     "build_zbus",
@@ -78,40 +80,18 @@ class SequenceZbus:
 
 
 @dataclass(frozen=True)
-class TransferCoefficients:
-    """Linear law for the transfer impedance from a bus to the fault point.
+class LinearLaw:
+    """A law ``at(m) = b + c*m`` in the normalized fault position m.
 
-    ``z_at(m) = b + c*m`` where m is the normalized fault position along the
-    line, measured from its from-bus.
+    m is measured along the faulted line from its from-bus.  ``b`` and ``c``
+    are complex numbers, or equal-shape arrays of them holding one law per
+    hypothesised faulted line.
     """
 
     b: complex
     c: complex
-    bus: int
-    line_id: str
-    sequence: int
 
-    def z_at(self, m: float) -> complex:
-        return self.b + self.c * m
-
-
-@dataclass(frozen=True)
-class BranchCoefficients:
-    """Linear law for a branch's current change per unit fault current.
-
-    ``beta_at(m) = b + c*m`` gives the share of the fault current that the
-    branch (oriented from-bus -> to-bus) sheds; the during-fault branch
-    current is the pre-fault current minus ``beta_at(m)`` times the fault
-    current.  Valid for branches other than the faulted line itself.
-    """
-
-    b: complex
-    c: complex
-    branch: tuple[int, int]
-    line_id: str
-    sequence: int
-
-    def beta_at(self, m: float) -> complex:
+    def at(self, m: float) -> complex:
         return self.b + self.c * m
 
 
@@ -126,8 +106,6 @@ class FaultPointCoefficients:
     a0: complex
     a1: complex
     a2: complex
-    line_id: str
-    sequence: int
 
     def z_at(self, m: float) -> complex:
         return self.a0 + (self.a1 + self.a2 * m) * m
@@ -181,21 +159,21 @@ def build_zbus(net: Network, sequence: int) -> SequenceZbus:
     return SequenceZbus(sequence=sequence, z=z, bus_order=net.buses)
 
 
-def transfer_coefficients(
-    zbus: SequenceZbus, line: LineRecord, bus: int
-) -> TransferCoefficients:
+def transfer_coefficients(zbus: SequenceZbus, line: LineRecord, bus: int) -> LinearLaw:
     """Transfer impedance law from ``bus`` to a fault anywhere on ``line``."""
     zp = zbus.at(line.from_bus, bus)
     zq = zbus.at(line.to_bus, bus)
-    return TransferCoefficients(
-        b=zp, c=zq - zp, bus=bus, line_id=line.id, sequence=zbus.sequence
-    )
+    return LinearLaw(zp, zq - zp)
 
 
 def branch_coefficients(
     zbus: SequenceZbus, faulted_line: LineRecord, branch: LineRecord
-) -> BranchCoefficients:
+) -> LinearLaw:
     """Current-change law for ``branch`` under a fault on ``faulted_line``.
+
+    ``at(m)`` gives the share of the fault current that the branch (oriented
+    from-bus -> to-bus) sheds: the during-fault branch current is the
+    pre-fault current minus ``at(m)`` times the fault current.
 
     The law only models branches whose current is the voltage difference of
     their terminals over their impedance; it therefore does not describe the
@@ -207,13 +185,7 @@ def branch_coefficients(
         raise ValueError(f"branch {branch.id!r} has zero impedance")
     ck = transfer_coefficients(zbus, faulted_line, branch.from_bus)
     cl = transfer_coefficients(zbus, faulted_line, branch.to_bus)
-    return BranchCoefficients(
-        b=(ck.b - cl.b) / zb,
-        c=(ck.c - cl.c) / zb,
-        branch=(branch.from_bus, branch.to_bus),
-        line_id=branch.id,
-        sequence=zbus.sequence,
-    )
+    return LinearLaw((ck.b - cl.b) / zb, (ck.c - cl.c) / zb)
 
 
 def fault_point_coefficients(
@@ -234,8 +206,6 @@ def fault_point_coefficients(
         a0=zpp,
         a1=2.0 * (zpq - zpp) + zl,
         a2=zpp + zqq - 2.0 * zpq - zl,
-        line_id=line.id,
-        sequence=zbus.sequence,
     )
 
 

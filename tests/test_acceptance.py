@@ -117,12 +117,12 @@ def test_coefficient_laws_match_tap_rebuild(fourbus):
                 zt = np.linalg.inv(assemble_y(tnet, 1))
                 idx = {b: i for i, b in enumerate(tnet.buses)}
                 for b in fourbus.buses:
-                    worst = max(worst, abs(coeffs[b].z_at(m) - zt[idx[b], idx[r]]))
+                    worst = max(worst, abs(coeffs[b].at(m) - zt[idx[b], idx[r]]))
                 worst = max(worst, abs(fp.z_at(m) - zt[idx[r], idx[r]]))
             else:
                 end = line.from_bus if m == 0.0 else line.to_bus
                 for b in fourbus.buses:
-                    worst = max(worst, abs(coeffs[b].z_at(m) - zb.at(end, b)))
+                    worst = max(worst, abs(coeffs[b].at(m) - zb.at(end, b)))
                 worst = max(worst, abs(fp.z_at(m) - zb.at(end, end)))
     _verdict(
         "coefficient laws vs tap rebuild",
@@ -284,15 +284,9 @@ def test_noise_sensitivity_sanity(fourbus, fourbus_study):
     """0.1% multiplicative channel noise: median error < 0.05 everywhere."""
     from faultloc import (
         Channel,
-        CurrentPair,
-        HybridPair,
-        VoltagePair,
         branch_coefficients,
         current_channel,
-        locate_hybrid_direct,
-        locate_hybrid_quadratic,
-        locate_sscm,
-        locate_ssvm,
+        locate,
         voltage_channel,
     )
 
@@ -326,15 +320,15 @@ def test_noise_sensitivity_sanity(fourbus, fourbus_study):
                 jk, jl = jitter(vk), jitter(vl)
                 j1, j3 = jitter(i1), jitter(i3)
                 runs = [
-                    (Method.SSVM, lambda: locate_ssvm(VoltagePair(jk, jl), ck, cl)),
-                    (Method.SSCM, lambda: locate_sscm(CurrentPair(j1, j3), b1, b3)),
+                    (Method.SSVM, lambda: locate(Method.SSVM, jk, jl, ck, cl)),
+                    (Method.SSCM, lambda: locate(Method.SSCM, j1, j3, b1, b3)),
                     (
                         Method.HYBRID_DIRECT,
-                        lambda: locate_hybrid_direct(HybridPair(j1, jl), b1, cl),
+                        lambda: locate(Method.HYBRID_DIRECT, j1, jl, b1, cl),
                     ),
                     (
                         Method.HYBRID_QUAD,
-                        lambda: locate_hybrid_quadratic(HybridPair(j1, jl), b1, cl),
+                        lambda: locate(Method.HYBRID_QUAD, j1, jl, b1, cl),
                     ),
                 ]
                 for method, run in runs:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from faultloc import FaultScenario, FaultType, MeasurementTaps, bundled_case
 from faultloc.cli import main
 from faultloc import FaultStudy
@@ -162,6 +164,57 @@ def test_nan_fault_resistance_exits_one(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     out = tmp_path / "never.csv"
     spec = _write_sweep(tmp_path, rf_ohm=[1.0, float("nan")])
+    assert run_cli(["--case", CASE_PATH, "--sweep", spec, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("base 100 230 50", "base nan 230 50"),
+        ("source 3 0.0006 0.037343", "source 3 0.0006 0.037343 nan 0"),
+    ],
+)
+def test_non_finite_case_number_exits_one(tmp_path, capsys, old, new):
+    text = open(CASE_PATH, encoding="utf-8").read()
+    assert old in text
+    case = tmp_path / "bad.case"
+    case.write_text(text.replace(old, new), encoding="utf-8")
+    rc = run_cli(
+        [
+            "--case", str(case), "--line", "T2", "--type", "LG", "--m", "0.5",
+            "--method", "ssvm", "--buses", "1,2",
+        ]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nan" in captured.err
+
+
+@pytest.mark.parametrize(
+    "distort",
+    [
+        "busV:2:gain:nan",
+        "busV:2:gain:1.0:inf",
+        "branchI:T1:clamp:nan",
+        "branchI:T1:clamp:inf",
+        "branchI:T1:clamp:0",
+        "branchI:T1:clamp:-1",
+    ],
+)
+def test_non_finite_or_non_positive_distortion_exits_one(tmp_path, capsys, distort):
+    rc = run_cli(
+        [
+            "--case", CASE_PATH, "--line", "T2", "--type", "LG", "--m", "0.5",
+            "--method", "hybrid", "--buses", "2", "--branches", "T1",
+            "--distort", distort,
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "never.csv"
+    spec = _write_sweep(tmp_path, distort=[distort])
     assert run_cli(["--case", CASE_PATH, "--sweep", spec, "--out", str(out)]) == 1
     assert not out.exists()
 

@@ -7,42 +7,28 @@ import pytest
 
 from faultloc import (
     Channel,
-    CurrentPair,
     CurrentPlacement,
     DegenerateChannelError,
     FaultScenario,
     FaultType,
-    HybridPair,
     HybridPlacement,
     LinearDependenceError,
+    LinearLaw,
     MeasurementTaps,
     Method,
-    VoltagePair,
     VoltagePlacement,
     branch_coefficients,
     current_channel,
     estimate_for_placement,
     feasibility_check,
-    locate_hybrid_direct,
-    locate_hybrid_quadratic,
-    locate_sscm,
-    locate_ssvm,
+    locate,
     percent_error,
     rank_line_hypotheses,
     transfer_coefficients,
     voltage_channel,
 )
-from faultloc.seqmatrix import BranchCoefficients, TransferCoefficients
 
 from oracles import all_simple_paths
-
-
-def _tc(b, c, bus=1, line_id="T2"):
-    return TransferCoefficients(b=b, c=c, bus=bus, line_id=line_id, sequence=1)
-
-
-def _bc(b, c, line_id="T1"):
-    return BranchCoefficients(b=b, c=c, branch=(1, 2), line_id=line_id, sequence=1)
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +78,16 @@ def test_ssvm_buses_behind_bridge_are_dependent(bridge_five):
 def test_ssvm_out_of_range_solution_is_flagged():
     # Synthetic channels consistent with a fault at m = 1.7 on the
     # hypothesized line: the estimator must report it, flagged, unclamped.
-    ck, cl = _tc(1.0, 1.0, bus=1), _tc(2.0, 0.5, bus=2)
+    ck, cl = LinearLaw(1.0, 1.0), LinearLaw(2.0, 0.5)
     m_true = 1.7
-    ratio = ck.z_at(m_true) / cl.z_at(m_true)
-    pair = VoltagePair(
+    ratio = ck.at(m_true) / cl.at(m_true)
+    est = locate(
+        Method.SSVM,
         Channel("busV", "1", 1.0 + 0j, 1.0 - ratio * 0.01),
         Channel("busV", "2", 1.0 + 0j, 1.0 - 0.01),
+        ck,
+        cl,
     )
-    est = locate_ssvm(pair, ck, cl)
     assert est.m == pytest.approx(1.7, abs=1e-9)
     assert not est.in_range
     assert "hypothesis" in est.notes
@@ -166,13 +154,13 @@ def test_hybrid_recovers_ieee14_scenario(ieee14, ieee14_study):
 def test_hybrid_quadratic_double_root():
     # beta(m) = m - 0.5 against a constant voltage law with zero ratio:
     # the quadratic is (m - 0.5)^2, a double root at the fault.
-    bcoeffs = _bc(-0.5 + 0j, 1.0 + 0j)
-    vcoeffs = _tc(1.0 + 0j, 0j, bus=2)
-    pair = HybridPair(
+    est = locate(
+        Method.HYBRID_QUAD,
         Channel("branchI", "T1", 0j, 0j),
         Channel("busV", "2", 1.0 + 0j, 0.7 + 0j),
+        LinearLaw(-0.5 + 0j, 1.0 + 0j),
+        LinearLaw(1.0 + 0j, 0j),
     )
-    est = locate_hybrid_quadratic(pair, bcoeffs, vcoeffs)
     assert est.m == pytest.approx(0.5, abs=1e-12)
     assert not est.ambiguous
     assert est.residual < 1e-12
@@ -180,13 +168,13 @@ def test_hybrid_quadratic_double_root():
 
 def test_hybrid_quadratic_linear_fallback():
     # Engineered so the quadratic term cancels: c2 = 0, c1 = 2, c0 = -1.
-    bcoeffs = _bc(0j, 1.0 + 0j)
-    vcoeffs = _tc(-1.0 + 0j, 1.0 + 0j, bus=2)
-    pair = HybridPair(
+    est = locate(
+        Method.HYBRID_QUAD,
         Channel("branchI", "T1", 0j, 0.2 + 0j),
         Channel("busV", "2", 1.0 + 0j, 1.2 + 0j),
+        LinearLaw(0j, 1.0 + 0j),
+        LinearLaw(-1.0 + 0j, 1.0 + 0j),
     )
-    est = locate_hybrid_quadratic(pair, bcoeffs, vcoeffs)
     assert est.m == pytest.approx(0.5, abs=1e-12)
 
 
@@ -249,19 +237,33 @@ def test_methods_exact_with_circulating_prefault_flow():
 def test_pair_kind_and_token_validation():
     v = Channel("busV", "1", 1 + 0j, 0.9 + 0j, token="a")
     i = Channel("branchI", "T1", 0j, 0.1j, token="a")
-    with pytest.raises(ValueError):
-        VoltagePair(v, i)
-    with pytest.raises(ValueError):
-        CurrentPair(i, Channel("branchI", "T3", 0j, 0.1j, token="b"))
-    HybridPair(i, v)  # matching kinds and tokens construct fine
+    laws = (LinearLaw(1 + 0j, 1 + 0j), LinearLaw(2 + 0j, 0.5 + 0j))
+    with pytest.raises(ValueError, match="channel kinds"):
+        locate(Method.SSVM, v, i, *laws)
+    with pytest.raises(ValueError, match="channel kinds"):
+        locate(Method.HYBRID_DIRECT, v, i, *laws)  # current over voltage
+    with pytest.raises(ValueError, match="not synchronized"):
+        locate(Method.SSCM, i, Channel("branchI", "T3", 0j, 0.1j, token="b"), *laws)
+    locate(Method.HYBRID_DIRECT, i, v, *laws)  # matching kinds and tokens solve
 
 
-def test_channel_coefficient_mismatch_rejected():
-    pair = VoltagePair(
-        Channel("busV", "1", 1 + 0j, 0.9 + 0j), Channel("busV", "2", 1 + 0j, 0.8 + 0j)
-    )
-    with pytest.raises(ValueError, match="does not match"):
-        locate_ssvm(pair, _tc(1 + 0j, 1 + 0j, bus=3), _tc(1 + 0j, 1 + 0j, bus=2))
+@pytest.mark.parametrize(
+    "method,kinds",
+    [
+        (Method.SSVM, ("busV", "busV")),
+        (Method.HYBRID_DIRECT, ("branchI", "busV")),
+        (Method.HYBRID_QUAD, ("branchI", "busV")),
+    ],
+)
+def test_near_proportional_laws_are_dependent(method, kinds):
+    # Relative determinant about 1e-10: far below the rank tolerance, yet the
+    # ratio solve alone would accept it and return an arbitrary position.
+    a = LinearLaw(1.0 + 0.3j, 0.5 - 0.2j)
+    b = LinearLaw(2.0 * a.b, 2.0 * a.c * (1.0 + 1e-10))
+    numer = Channel(kinds[0], "x", 0j, a.at(0.4) * 1e-3)
+    denom = Channel(kinds[1], "y", 0j, b.at(0.4) * 1.0001e-3)
+    with pytest.raises(LinearDependenceError):
+        locate(method, numer, denom, a, b)
 
 
 def test_estimate_for_placement_type_checks(fourbus, fourbus_study):
@@ -294,17 +296,15 @@ def test_scale_invariance_of_all_methods(fourbus, fourbus_study):
     vk, vl = voltage_channel(ms, 1), voltage_channel(ms, 2)
     i1, i3 = current_channel(ms, "T1"), current_channel(ms, "T3")
 
-    baselines = [
-        locate_ssvm(VoltagePair(vk, vl), ck, cl),
-        locate_sscm(CurrentPair(i1, i3), b1, b3),
-        locate_hybrid_direct(HybridPair(i1, vl), b1, cl),
-        locate_hybrid_quadratic(HybridPair(i1, vl), b1, cl),
+    runs = [
+        (Method.SSVM, vk, vl, ck, cl),
+        (Method.SSCM, i1, i3, b1, b3),
+        (Method.HYBRID_DIRECT, i1, vl, b1, cl),
+        (Method.HYBRID_QUAD, i1, vl, b1, cl),
     ]
+    baselines = [locate(method, a, b, la, lb) for method, a, b, la, lb in runs]
     rescaled = [
-        locate_ssvm(VoltagePair(scaled(vk), scaled(vl)), ck, cl),
-        locate_sscm(CurrentPair(scaled(i1), scaled(i3)), b1, b3),
-        locate_hybrid_direct(HybridPair(scaled(i1), scaled(vl)), b1, cl),
-        locate_hybrid_quadratic(HybridPair(scaled(i1), scaled(vl)), b1, cl),
+        locate(method, scaled(a), scaled(b), la, lb) for method, a, b, la, lb in runs
     ]
     for a, b in zip(baselines, rescaled):
         assert abs(a.m - b.m) < 1e-12

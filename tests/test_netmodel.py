@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from faultloc import CaseError, parse_case, serialize_case, validate, with_tap
+from faultloc import CaseError, parse_case, serialize_case, validate
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
 ONE_BUS = """
@@ -129,21 +129,28 @@ def test_line_between_and_parallel_ambiguity(parallel_pair):
         parallel_pair.line_between(1, 2)
 
 
-def test_with_tap_splits_line(fourbus):
-    tapped, r = with_tap(fourbus, "T2", 0.56)
-    assert r == 5
-    assert tapped.n == 5
-    seg_p = tapped.line("T2__p")
-    seg_q = tapped.line("T2__q")
-    assert seg_p.length_km + seg_q.length_km == pytest.approx(178.6)
-    assert seg_p.to_bus == r and seg_q.from_bus == r
-    assert abs(seg_p.z1 + seg_q.z1 - fourbus.line("T2").z1) < 1e-12
-    with pytest.raises(ValueError):
-        with_tap(fourbus, "T2", 0.0)
-    with pytest.raises(ValueError):
-        with_tap(fourbus, "T2", 1.0)
-
-
 def test_unknown_line_lookup(fourbus):
     with pytest.raises(CaseError, match="unknown line"):
         fourbus.line("T9")
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "base nan 230 50",
+        "base 100 inf 50",
+        "line L 1 2 nan 0.01 0.1 0.03 0.3",
+        "line L 1 2 10 0.01 -inf 0.03 0.3",
+        "source 1 0.0006 0.037343 nan 0",
+        "source 1 0.0006 0.037343 0.001 0.1 0.001 0.1 1.0 inf",
+    ],
+)
+def test_parse_rejects_non_finite_numbers(record):
+    kind = record.split()[0]
+    text = {
+        "base": record + "\nbus 1\nsource 1 0.0006 0.037343\n",
+        "line": "bus 1\nbus 2\n" + record + "\nsource 1 0.0006 0.037343\n",
+        "source": "bus 1\n" + record + "\n",
+    }[kind]
+    with pytest.raises(CaseError, match=r"line \d+: bad"):
+        parse_case(text)

@@ -233,3 +233,16 @@ def test_ranking_follows_the_matrix_bus_order(ieee14, ieee14_study):
         assert rank_line_hypotheses(ieee14, ms, placement, method, permuted) == (
             rank_line_hypotheses(ieee14, ms, placement, method, zbus)
         )
+
+
+def test_ranking_skips_dependent_lines_for_voltage_pairs(ieee14, ieee14_study):
+    # Bus 8 hangs off bus 7 alone, so for a fault on 7-8 buses 1 and 5 see
+    # the fault through bus 7 only: their transfer laws are proportional.
+    zbus = ieee14_study.zbus(1)
+    ms = ieee14_study.measurements(FaultScenario("1-5", 0.43, FaultType.LLG, 10.0))
+    placement = VoltagePlacement(1, 5)
+    ranked = rank_line_hypotheses(ieee14, ms, placement, Method.SSVM, zbus)
+    assert ranked[0][0] == "1-5"
+    assert "7-8" not in [line_id for line_id, _ in ranked]
+    with pytest.raises(LinearDependenceError):
+        estimate_for_placement(ieee14, zbus, "7-8", placement, ms, Method.SSVM)

@@ -91,11 +91,11 @@ def test_transfer_law_matches_tap_rebuild_everywhere(fourbus, seq):
                 zt = np.linalg.inv(assemble_y(tnet, seq))
                 idx = {b: i for i, b in enumerate(tnet.buses)}
                 for b in fourbus.buses:
-                    assert abs(coeffs[b].z_at(m) - zt[idx[b], idx[r]]) < 1e-9
+                    assert abs(coeffs[b].at(m) - zt[idx[b], idx[r]]) < 1e-9
             else:
                 end = line.from_bus if m == 0.0 else line.to_bus
                 for b in fourbus.buses:
-                    assert abs(coeffs[b].z_at(m) - zb.at(end, b)) < 1e-9
+                    assert abs(coeffs[b].at(m) - zb.at(end, b)) < 1e-9
 
 
 def test_fault_point_law_endpoints_and_interior(fourbus):
@@ -136,7 +136,7 @@ def test_branch_law_matches_tap_rebuild_current_change(fourbus):
         bc = branch_coefficients(zb, fault_line, rec)
         dv = -(zt[idx[rec.from_bus], idx[r]] - zt[idx[rec.to_bus], idx[r]])
         di_oracle = dv / rec.z1
-        assert abs(-bc.beta_at(m) - di_oracle) < 1e-9
+        assert abs(-bc.at(m) - di_oracle) < 1e-9
 
 
 def test_parallel_healthy_branch_beta_varies_with_m(parallel_pair):
@@ -144,7 +144,7 @@ def test_parallel_healthy_branch_beta_varies_with_m(parallel_pair):
     zb = build_zbus(parallel_pair, 1)
     fault_line = parallel_pair.line("P1")
     bc = branch_coefficients(zb, fault_line, parallel_pair.line("P2"))
-    assert abs(bc.beta_at(0.0) - bc.beta_at(1.0)) > 1e-3
+    assert abs(bc.at(0.0) - bc.at(1.0)) > 1e-3
     # and the tap oracle agrees at an interior point
     m = 0.4
     tnet, r = tap_network(parallel_pair, "P1", m)
@@ -152,7 +152,7 @@ def test_parallel_healthy_branch_beta_varies_with_m(parallel_pair):
     idx = {b: i for i, b in enumerate(tnet.buses)}
     rec = parallel_pair.line("P2")
     dv = -(zt[idx[rec.from_bus], idx[r]] - zt[idx[rec.to_bus], idx[r]])
-    assert abs(-bc.beta_at(m) - dv / rec.z1) < 1e-9
+    assert abs(-bc.at(m) - dv / rec.z1) < 1e-9
 
 
 def test_branch_coefficients_zero_impedance_rejected(fourbus):
