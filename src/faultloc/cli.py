@@ -182,12 +182,12 @@ def _evaluate(
     scenario: FaultScenario,
     methods: tuple[Method, ...],
     placements: dict[Method, Placement],
-    distort: tuple[str, ...],
+    distortions: tuple[Distortion, ...],
 ) -> list[ReportRow]:
     taps = MeasurementTaps(faulted_segments=True)
     ms = study.measurements(scenario, taps)
-    if distort:
-        ms = apply_distortion(ms, [parse_distortion(t) for t in distort])
+    if distortions:
+        ms = apply_distortion(ms, distortions)
     length = net.line(scenario.line_id).length_km
     rows = []
     for method in methods:
@@ -228,9 +228,10 @@ def run_locate(
     distort: tuple[str, ...] = (),
 ) -> list[ReportRow]:
     """Evaluate one scenario with the selected methods."""
+    distortions = tuple(parse_distortion(t) for t in distort)
     placements = {m: _placement_for(m, buses, branches) for m in methods}
     study = FaultStudy(net)
-    rows = _evaluate(net, study, scenario, methods, placements, distort)
+    rows = _evaluate(net, study, scenario, methods, placements, distortions)
     rows.sort(key=ReportRow.sort_key)
     return rows
 
@@ -238,6 +239,7 @@ def run_locate(
 def run_sweep(spec: SweepSpec) -> list[ReportRow]:
     """Evaluate the sweep's full scenario cross-product, deterministically."""
     spec.validate()
+    distortions = tuple(parse_distortion(t) for t in spec.distort)
     net = load_case(spec.case)
     branches = tuple(_resolve_branch(net, b) for b in spec.branches)
     placements = {m: _placement_for(m, spec.buses, branches) for m in spec.methods}
@@ -249,7 +251,7 @@ def run_sweep(spec: SweepSpec) -> list[ReportRow]:
                 for rf in spec.rf_ohm:
                     scenario = FaultScenario(line_id, m, ftype, rf)
                     rows.extend(
-                        _evaluate(net, study, scenario, spec.methods, placements, spec.distort)
+                        _evaluate(net, study, scenario, spec.methods, placements, distortions)
                     )
     rows.sort(key=ReportRow.sort_key)
     return rows

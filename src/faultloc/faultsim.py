@@ -213,9 +213,11 @@ def _check_loop(z: complex) -> None:
 class FaultStudy:
     """Caches the per-sequence matrices and pre-fault state of one network.
 
-    Building the three bus impedance matrices dominates the cost of a
-    simulation, so sweeps over many scenarios on the same network should go
-    through one study object.
+    Building the bus impedance matrices dominates the cost of a simulation,
+    so sweeps over many scenarios on the same network should go through one
+    study object.  Lines carry z2 = z1, so when no source sets its own z2
+    the negative-sequence network equals the positive-sequence one and
+    shares its matrix.
     """
 
     def __init__(self, net: Network):
@@ -225,7 +227,10 @@ class FaultStudy:
 
     def zbus(self, sequence: int) -> SequenceZbus:
         if sequence not in self._zbus:
-            self._zbus[sequence] = build_zbus(self.net, sequence)
+            if sequence == 2 and all(s.z(2) == s.z(1) for s in self.net.sources):
+                self._zbus[2] = replace(self.zbus(1), sequence=2)
+            else:
+                self._zbus[sequence] = build_zbus(self.net, sequence)
         return self._zbus[sequence]
 
     @property
@@ -488,6 +493,11 @@ def measurements_to_csv(ms: PhasorMeasurementSet) -> str:
 
 
 def measurements_from_csv(text: str) -> PhasorMeasurementSet:
+    """Import a set written by :func:`measurements_to_csv`.
+
+    Raises ``ValueError`` naming the row for a value that is not finite or a
+    sequence other than 0, 1 or 2.
+    """
     pre_v: dict[int, complex] = {}
     fault_v: dict[int, list[complex]] = {}
     pre_i: dict[str, complex] = {}
@@ -500,6 +510,10 @@ def measurements_from_csv(text: str) -> PhasorMeasurementSet:
         kind, ident, stage, seq_s, re_s, im_s = (tok.strip() for tok in ln.split(","))
         v = complex(float(re_s), float(im_s))
         seq = int(seq_s)
+        if not cmath.isfinite(v):
+            raise ValueError(f"measurement CSV row {ln!r}: value is not finite")
+        if seq not in (0, 1, 2):
+            raise ValueError(f"measurement CSV row {ln!r}: sequence must be 0, 1 or 2")
         if kind == "busV":
             bus = int(ident)
             if stage == "pre":

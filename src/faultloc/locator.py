@@ -146,7 +146,6 @@ class LocationEstimate:
 
     m: float
     method: Method
-    m_complex: complex | None
     residual: float
     ambiguous: bool = False
     notes: str = ""
@@ -242,7 +241,6 @@ def _estimate(m_complex: complex, method: Method) -> LocationEstimate:
     return LocationEstimate(
         m=m,
         method=method,
-        m_complex=m_complex,
         residual=abs(m_complex.imag),
         notes="solution outside [0, 1]; wrong faulted-line hypothesis?" if out else "",
     )
@@ -291,7 +289,6 @@ def _quadratic_solve(
     return LocationEstimate(
         m=m,
         method=Method.HYBRID_QUAD,
-        m_complex=None,
         residual=off_axis,
         ambiguous=ambiguous,
         notes=notes,

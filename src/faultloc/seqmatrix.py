@@ -54,15 +54,20 @@ class SequenceZbus:
     """Dense bus impedance matrix for one sequence network.
 
     ``z[j, k]`` is the voltage at bus ``bus_order[j]`` per unit current
-    injected at bus ``bus_order[k]``, reference node implicit.
+    injected at bus ``bus_order[k]``, reference node implicit.  ``z`` is
+    made read-only, because studies share one array between sequences whose
+    admittance matrices are equal.  ``condition`` is the admittance matrix's
+    1-norm condition number, the one :func:`build_zbus` checks.
     """
 
     sequence: int
     z: np.ndarray
     bus_order: tuple[int, ...]
+    condition: float
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.z.setflags(write=False)
         object.__setattr__(
             self, "_index", {label: i for i, label in enumerate(self.bus_order)}
         )
@@ -136,7 +141,9 @@ def build_zbus(net: Network, sequence: int) -> SequenceZbus:
 
     Raises :class:`UngroundedNetworkError` when the matrix is singular (some
     bus has no path to the reference) and :class:`IllConditionedNetworkError`
-    when its condition number exceeds :data:`CONDITION_LIMIT`.
+    when its 1-norm condition number ``||Y||_1 * ||Z||_1``, taken from the
+    inverse in hand rather than from a second factorisation, exceeds
+    :data:`CONDITION_LIMIT`.
     """
     if not net.sources:
         raise UngroundedNetworkError("network has no sources")
@@ -147,7 +154,7 @@ def build_zbus(net: Network, sequence: int) -> SequenceZbus:
         raise UngroundedNetworkError(
             f"sequence-{sequence} network is singular: {exc}"
         ) from None
-    cond = np.linalg.cond(y)
+    cond = np.linalg.norm(y, 1) * np.linalg.norm(z, 1)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedNetworkError(
             f"sequence-{sequence} admittance matrix condition {cond:.3e}"
@@ -156,7 +163,7 @@ def build_zbus(net: Network, sequence: int) -> SequenceZbus:
     # Enforce exact reciprocity; the inverse of a symmetric matrix can pick
     # up asymmetry at roundoff level.
     z = 0.5 * (z + z.T)
-    return SequenceZbus(sequence=sequence, z=z, bus_order=net.buses)
+    return SequenceZbus(sequence=sequence, z=z, bus_order=net.buses, condition=float(cond))
 
 
 def transfer_coefficients(zbus: SequenceZbus, line: LineRecord, bus: int) -> LinearLaw:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from faultloc import FaultScenario, FaultType, MeasurementTaps, bundled_case
+from faultloc import cli
 from faultloc.cli import main
 from faultloc import FaultStudy
 
@@ -279,6 +280,15 @@ def test_bad_distortion_spec_exits_one(capsys):
         ]
     )
     assert rc == 1
+
+
+def test_bad_sweep_distortion_exits_before_any_scenario(tmp_path, capsys, monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(cli, "_evaluate", lambda *args: evaluated.append(args) or [])
+    spec = _write_sweep(tmp_path, distort=["busV:1:gain:1.01", "busV:1:wobble:2"])
+    assert run_cli(["--case", CASE_PATH, "--sweep", spec]) == 1
+    assert evaluated == []
+    assert "wobble" in capsys.readouterr().err
 
 
 def test_unknown_branch_token_exits_one(capsys):

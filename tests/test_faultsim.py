@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from faultloc import (
@@ -12,6 +13,7 @@ from faultloc import (
     FaultType,
     MeasurementTaps,
     apply_distortion,
+    build_zbus,
     fault_point_coefficients,
     fault_sequence_currents,
     inverse_sequence_transform,
@@ -24,6 +26,7 @@ from faultloc import (
 )
 
 from oracles import DirectFaultSolve
+from test_ranking import mesh_text
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +410,83 @@ def test_measurements_csv_rejects_garbage():
         measurements_from_csv("not,a,header\n")
 
 
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("busV,1,pre,1,nan,0", "not finite"),
+        ("busV,1,fault,1,inf,0", "not finite"),
+        ("branchI,T1,fault,0,0.5,-inf", "not finite"),
+        ("busV,1,fault,3,0.1,0", "sequence"),
+        ("branchI,T1,fault,-1,0.1,0", "sequence"),
+    ],
+)
+def test_measurements_csv_rejects_bad_values(row, problem):
+    with pytest.raises(ValueError, match=problem) as err:
+        measurements_from_csv(f"kind,id,stage,seq,re,im\n{row}\n")
+    assert row in str(err.value)
+
+
 def test_simulate_one_shot_matches_study(fourbus, fourbus_study):
     sc = FaultScenario("T2", 0.2, FaultType.LL, 1.0)
     a = simulate_measurements(fourbus, sc)
     b = fourbus_study.measurements(sc)
     assert a.fault_bus_v == b.fault_bus_v
     assert a.fault_branch_i == b.fault_branch_i
+
+
+# ---------------------------------------------------------------------------
+# Study set-up
+# ---------------------------------------------------------------------------
+
+# The source at bus 1 sets its own negative-sequence impedance.
+OWN_Z2 = """
+base 100 230 50
+bus 1
+bus 2
+line L 1 2 1.0 0.02 0.2 0.06 0.6
+source 1 0.01 0.1 0.005 0.05 0.012 0.11
+source 2 0.01 0.1
+"""
+
+
+@pytest.mark.parametrize("name", ["fourbus", "ieee14"])
+def test_study_shares_the_positive_sequence_matrix(request, name):
+    net = request.getfixturevalue(name)
+    study = FaultStudy(net)
+    z2 = study.zbus(2)
+    assert z2.sequence == 2
+    assert z2.z is study.zbus(1).z
+    assert z2.z.tobytes() == build_zbus(net, 2).z.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        z2.z[0, 0] = 0.0
+
+
+def test_study_builds_its_own_matrix_for_a_source_z2():
+    net = parse_case(OWN_Z2)
+    study = FaultStudy(net)
+    z1, z2 = study.zbus(1), study.zbus(2)
+    assert z2.z is not z1.z
+    assert z2.z.tobytes() == build_zbus(net, 2).z.tobytes()
+    assert not np.allclose(z2.z, z1.z)
+
+
+def test_mesh_setup_inverts_twice_and_runs_no_svd(monkeypatch):
+    net = parse_case(mesh_text(8, seed=11))
+    inverted = []
+    inv = np.linalg.inv
+
+    def counted_inv(a):
+        inverted.append(a.shape)
+        return inv(a)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("set-up must not factorise Y a second time")
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(np.linalg, "cond", forbidden)
+    study = FaultStudy(net)
+    for seq in (0, 1, 2):
+        study.zbus(seq)
+    study.prefault
+    assert inverted == [(64, 64), (64, 64)]

@@ -226,6 +226,7 @@ def test_ranking_follows_the_matrix_bus_order(ieee14, ieee14_study):
         sequence=1,
         z=zbus.z[np.ix_(order, order)],
         bus_order=tuple(ieee14.buses[i] for i in order),
+        condition=zbus.condition,
     )
     ms = ieee14_study.measurements(FaultScenario("9-14", 0.85, FaultType.LL, 0.0))
     for method in Method:

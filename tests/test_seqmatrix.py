@@ -178,6 +178,20 @@ def test_ill_conditioned_network_rejected():
         build_zbus(net, 1)
 
 
+@pytest.mark.parametrize("name", ["fourbus", "ieee14"])
+@pytest.mark.parametrize("seq", [0, 1, 2])
+def test_checked_condition_is_the_one_norm_condition_number(request, name, seq):
+    net = request.getfixturevalue(name)
+    want = np.linalg.cond(build_ybus(net, seq), 1)
+    assert build_zbus(net, seq).condition == pytest.approx(want, rel=1e-9)
+
+
+def test_zbus_matrix_is_read_only(fourbus):
+    zb = build_zbus(fourbus, 1)
+    with pytest.raises(ValueError, match="read-only"):
+        zb.z[0, 0] = 0.0
+
+
 def test_zbus_csv_dump_roundtrips(fourbus):
     zb = build_zbus(fourbus, 1)
     text = zbus_to_csv(zb)
