@@ -2,7 +2,10 @@
 
 A run simulates the requested fault(s) on a case, feeds the synthetic
 measurements to the selected estimators, and emits one report row per
-(scenario, method).  Reports are deterministic: rows are sorted by
+(scenario, method).  Only the channels the selected methods read, plus the
+distorted ones, are simulated; each is computed as it would be with every
+channel tapped, so reports and error messages do not depend on this.
+Reports are deterministic: rows are sorted by
 (line, type, m, rf, method) and identical inputs produce byte-identical
 files; timing is printed to stderr, never into the report.
 
@@ -79,11 +82,32 @@ class SweepSpec:
             raise ValueError(f"unknown report format {self.format!r}")
 
 
+#: Sweep spec fields that hold JSON lists, and those whose entries are text.
+_LIST_FIELDS = ("lines", "types", "m_values", "rf_ohm", "methods", "buses", "branches", "distort")
+_TEXT_LIST_FIELDS = ("lines", "branches", "distort")
+
+
+def _check_spec_types(raw) -> None:
+    """Raise ``TypeError`` unless ``raw`` has the JSON shape of a sweep spec."""
+    if not isinstance(raw, dict):
+        raise TypeError("a sweep spec must be a JSON object")
+    for name in ("case", "out"):
+        if not isinstance(raw.get(name, ""), (str, type(None))):
+            raise TypeError(f"field {name!r} must be a string")
+    for name in _LIST_FIELDS:
+        value = raw.get(name, [])
+        if not isinstance(value, list):
+            raise TypeError(f"field {name!r} must be a list")
+        if name in _TEXT_LIST_FIELDS and not all(isinstance(v, str) for v in value):
+            raise TypeError(f"field {name!r} must list strings")
+
+
 def load_sweep_spec(path: str, default_case: str | None = None) -> SweepSpec:
     """Read a sweep spec; ``case`` may be omitted when a default is given."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     try:
+        _check_spec_types(raw)
         spec = SweepSpec(
             case=raw.get("case", default_case) or "",
             lines=tuple(raw["lines"]),
@@ -176,6 +200,45 @@ class ReportRow:
         return (self.line, self.type, self.m_true, self.rf_ohm, self.method)
 
 
+def _taps(
+    net: Network,
+    line_id: str,
+    placements: dict[Method, Placement],
+    distortions: tuple[Distortion, ...],
+) -> MeasurementTaps:
+    """The channels a scenario on ``line_id`` reads: the placements' own
+    and the distorted ones.
+
+    A channel that tapping every channel would not produce either (an
+    unknown bus or line, the faulted line's own id, a terminal of a line
+    that is not faulted) is left out, so that the check that rejects it
+    raises just as it would with every channel tapped.
+    """
+    segments = (f"{line_id}@from", f"{line_id}@to")
+    channels = [ch for p in placements.values() for ch in p.channels]
+    for d in distortions:
+        try:
+            channels.append((d.kind, int(d.channel) if d.kind == "busV" else d.channel))
+        except ValueError:
+            pass  # apply_distortion raises this again
+    buses: dict[int, None] = {}
+    branches: dict[str, None] = {}
+    segmented = False
+    for kind, ident in channels:
+        try:
+            if kind == "busV":
+                net.bus_index(ident)
+                buses[ident] = None
+            elif ident in segments:
+                segmented = True
+            elif ident != line_id:
+                net.line(ident)
+                branches[ident] = None
+        except CaseError:
+            pass
+    return MeasurementTaps(tuple(buses), tuple(branches), faulted_segments=segmented)
+
+
 def _evaluate(
     net: Network,
     study: FaultStudy,
@@ -184,7 +247,7 @@ def _evaluate(
     placements: dict[Method, Placement],
     distortions: tuple[Distortion, ...],
 ) -> list[ReportRow]:
-    taps = MeasurementTaps(faulted_segments=True)
+    taps = _taps(net, scenario.line_id, placements, distortions)
     ms = study.measurements(scenario, taps)
     if distortions:
         ms = apply_distortion(ms, distortions)

@@ -99,6 +99,11 @@ class MeasurementTaps:
     the faulted line itself, channel ids ``<line>@from`` and ``<line>@to``,
     defined as the current each terminal feeds toward the fault point; that
     is what a current transformer at the terminal reads.
+
+    Each tapped channel is computed the same way whatever else is tapped,
+    so a caller that needs only a few channels (the CLI taps the ones its
+    methods read plus the distorted ones) gets the same values for them as
+    from the all-tap set.
     """
 
     buses: tuple[int, ...] | None = None
@@ -495,8 +500,10 @@ def measurements_to_csv(ms: PhasorMeasurementSet) -> str:
 def measurements_from_csv(text: str) -> PhasorMeasurementSet:
     """Import a set written by :func:`measurements_to_csv`.
 
-    Raises ``ValueError`` naming the row for a value that is not finite or a
-    sequence other than 0, 1 or 2.
+    Raises ``ValueError`` naming the row for a row without six fields, an
+    unknown kind, a stage other than ``pre`` or ``fault``, a bus label or
+    number that does not parse, a value that is not finite, or a sequence
+    other than 0, 1 or 2.
     """
     pre_v: dict[int, complex] = {}
     fault_v: dict[int, list[complex]] = {}
@@ -507,26 +514,32 @@ def measurements_from_csv(text: str) -> PhasorMeasurementSet:
     if not lines or lines[0].strip() != _CSV_HEADER:
         raise ValueError("measurement CSV must start with the standard header")
     for ln in lines[1:]:
-        kind, ident, stage, seq_s, re_s, im_s = (tok.strip() for tok in ln.split(","))
-        v = complex(float(re_s), float(im_s))
-        seq = int(seq_s)
+        fields = [tok.strip() for tok in ln.split(",")]
+        if len(fields) != 6:
+            raise ValueError(f"measurement CSV row {ln!r}: expected 6 fields, got {len(fields)}")
+        kind, ident, stage, seq_s, re_s, im_s = fields
+        if kind == "busV":
+            pre, fault = pre_v, fault_v
+        elif kind == "branchI":
+            pre, fault = pre_i, fault_i
+        else:
+            raise ValueError(f"measurement CSV row {ln!r}: unknown channel kind {kind!r}")
+        if stage not in ("pre", "fault"):
+            raise ValueError(f"measurement CSV row {ln!r}: stage must be pre or fault")
+        try:
+            key = int(ident) if kind == "busV" else ident
+            v = complex(float(re_s), float(im_s))
+            seq = int(seq_s)
+        except ValueError:
+            raise ValueError(f"measurement CSV row {ln!r}: bad bus label or number") from None
         if not cmath.isfinite(v):
             raise ValueError(f"measurement CSV row {ln!r}: value is not finite")
         if seq not in (0, 1, 2):
             raise ValueError(f"measurement CSV row {ln!r}: sequence must be 0, 1 or 2")
-        if kind == "busV":
-            bus = int(ident)
-            if stage == "pre":
-                pre_v[bus] = v
-            else:
-                fault_v.setdefault(bus, [0j, 0j, 0j])[seq] = v
-        elif kind == "branchI":
-            if stage == "pre":
-                pre_i[ident] = v
-            else:
-                fault_i.setdefault(ident, [0j, 0j, 0j])[seq] = v
+        if stage == "pre":
+            pre[key] = v
         else:
-            raise ValueError(f"unknown channel kind {kind!r}")
+            fault.setdefault(key, [0j, 0j, 0j])[seq] = v
 
     return PhasorMeasurementSet(
         prefault_bus_v=pre_v,

@@ -299,3 +299,153 @@ def test_unknown_branch_token_exits_one(capsys):
         ]
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"lines": "T2"},
+        {"lines": [2]},
+        {"types": "LG"},
+        {"m_values": "1"},
+        {"rf_ohm": "5"},
+        {"methods": "ssvm"},
+        {"buses": "12"},
+        {"branches": "T1"},
+        {"branches": ["T1", 3]},
+        {"distort": "busV:1:gain:1.01"},
+        {"distort": [1]},
+        {"case": 5},
+        {"out": ["report.csv"]},
+    ],
+)
+def test_sweep_spec_with_wrong_json_types_exits_one(tmp_path, capsys, overrides):
+    out = tmp_path / "never.csv"
+    spec = _write_sweep(tmp_path, **overrides)
+    assert run_cli(["--case", CASE_PATH, "--sweep", spec, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"faultloc: error: bad sweep spec {spec!r}")
+    assert not out.exists()
+
+
+def test_sweep_spec_that_is_not_an_object_exits_one(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps([{"lines": ["T2"]}]))
+    assert run_cli(["--case", CASE_PATH, "--sweep", str(path)]) == 1
+    assert "bad sweep spec" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# A run taps only the channels it reads
+# ---------------------------------------------------------------------------
+
+
+def _all_taps(net, line_id, placements, distortions):
+    return MeasurementTaps(faulted_segments=True)
+
+
+def _ieee14_sweep(tmp_path, name, **overrides):
+    spec = {
+        "case": CASE14_PATH,
+        "lines": ["1-2", "4-5", "6-11", "9-14"],
+        "types": ["LG", "LLG", "LLL"],
+        "m_values": [0.0, 0.37, 1.0],
+        "rf_ohm": [0.0, 4.0],
+        "methods": ["ssvm", "sscm", "hybrid", "hybrid-quad"],
+        "buses": [1, 14],
+        "branches": ["2-3", "13-14"],
+    }
+    spec.update(overrides)
+    path = tmp_path / name
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def _sweep_specs(tmp_path):
+    """Sweeps with distortions on consumed channels, on channels no method
+    reads, and on a terminal of the faulted line."""
+    return [
+        _write_sweep(tmp_path, "plain.json", m_values=[0.0, 0.28, 1.0]),
+        _write_sweep(
+            tmp_path, "distorted.json", methods=["ssvm", "sscm", "hybrid", "hybrid-quad"],
+            distort=["busV:1:gain:1.01:0.3", "branchI:T3:clamp:0.5", "busV:4:gain:0.9",
+                     "branchI:T2@from:clamp:0.2", "branchI:T2@to:gain:1.2"],
+        ),
+        _write_sweep(
+            tmp_path, "segment.json", methods=["sscm", "hybrid"],
+            branches=["T2@from", "T3"], distort=["branchI:T2@from:clamp:0.2"],
+        ),
+        _ieee14_sweep(
+            tmp_path, "ieee14.json",
+            distort=["busV:14:gain:1.02:-1", "branchI:2-3:clamp:0.4",
+                     "busV:7:gain:1.5", "branchI:7-8:gain:0.5"],
+        ),
+        _ieee14_sweep(
+            tmp_path, "ieee14-segment.json", lines=["4-5"], branches=["4-5@to", "2-3"],
+            distort=["branchI:4-5@from:clamp:0.3", "branchI:4-5@to:gain:1.5:3"],
+        ),
+    ]
+
+
+#: Runs the all-tap set rejects, each with the error that rejects it.
+_SINGLE = ["--case", CASE_PATH, "--line", "T2", "--type", "LG", "--m", "0.5"]
+_REJECTED = [
+    (_SINGLE + ["--method", "ssvm", "--buses", "1,2", "--distort", "busV:77:gain:1.01"],
+     "unknown voltage channel '77'"),
+    (_SINGLE + ["--method", "ssvm", "--buses", "1,2", "--distort", "branchI:T1@to:gain:1.01"],
+     "unknown current channel 'T1@to'"),
+    (_SINGLE + ["--method", "all", "--buses", "1,2", "--branches", "T2,T3"], "'T2'"),
+    (_SINGLE + ["--method", "ssvm", "--buses", "1,9"], "unknown bus 9"),
+]
+
+
+def test_consumed_taps_match_all_taps(tmp_path, capsys, monkeypatch):
+    def runs():
+        reports = []
+        for k, spec in enumerate(_sweep_specs(tmp_path)):
+            out = tmp_path / f"report-{k}.csv"
+            assert run_cli(["--case", CASE_PATH, "--sweep", spec, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        capsys.readouterr()
+        errors = [(run_cli(argv), capsys.readouterr().err) for argv, _ in _REJECTED]
+        return reports, errors
+
+    consumed = runs()
+    monkeypatch.setattr(cli, "_taps", _all_taps)
+    assert runs() == consumed
+    for (rc, err), (_, message) in zip(consumed[1], _REJECTED):
+        assert rc == 1
+        assert err.startswith("faultloc: error: ") and message in err
+        assert err.count("\n") == 1
+
+
+def test_measurements_hold_exactly_the_read_channels(tmp_path, monkeypatch):
+    taken = []
+    measure = FaultStudy.measurements
+
+    def spy(self, scenario, taps=None):
+        ms = measure(self, scenario, taps)
+        taken.append((scenario.line_id, set(ms.fault_bus_v), set(ms.fault_branch_i)))
+        return ms
+
+    monkeypatch.setattr(FaultStudy, "measurements", spy)
+    spec = _write_sweep(
+        tmp_path, methods=["ssvm", "sscm", "hybrid"], buses=[1, 4, 2],
+        branches=["T1", "T3"],
+        distort=["busV:3:gain:1.1", "branchI:T2@to:clamp:0.5", "busV:1:gain:0.99"],
+    )
+    assert run_cli(["--case", CASE_PATH, "--sweep", spec]) == 0
+    assert len(taken) == 16
+    # ssvm reads buses 1 and 4, hybrid bus 2; sscm reads T1 and T3.
+    assert {(line, frozenset(v), frozenset(i)) for line, v, i in taken} == {
+        ("T2", frozenset({1, 2, 3, 4}), frozenset({"T1", "T3", "T2@from", "T2@to"}))
+    }
+
+    taken.clear()
+    spec = _ieee14_sweep(
+        tmp_path, "ieee14.json", methods=["sscm", "hybrid"], distort=["busV:7:gain:1.5"]
+    )
+    assert run_cli(["--case", CASE14_PATH, "--sweep", spec]) == 0
+    assert len(taken) == 72
+    for _, buses, branches in taken:
+        assert buses == {7, 14}
+        assert branches == {"2-3", "13-14"}

@@ -418,6 +418,13 @@ def test_measurements_csv_rejects_garbage():
         ("branchI,T1,fault,0,0.5,-inf", "not finite"),
         ("busV,1,fault,3,0.1,0", "sequence"),
         ("branchI,T1,fault,-1,0.1,0", "sequence"),
+        ("busV,1,during,1,0.1,0", "stage"),
+        ("branchI,T1,Fault,1,0.1,0", "stage"),
+        ("busV,1,fault,1,0.1", "expected 6 fields, got 5"),
+        ("busV,1,fault,1,0.1,0,0", "expected 6 fields, got 7"),
+        ("phaseV,1,fault,1,0.1,0", "unknown channel kind"),
+        ("busV,one,fault,1,0.1,0", "bad bus label or number"),
+        ("busV,1,fault,1,0.1,x", "bad bus label or number"),
     ],
 )
 def test_measurements_csv_rejects_bad_values(row, problem):
