@@ -100,6 +100,8 @@ def _check_spec_types(raw) -> None:
             raise TypeError(f"field {name!r} must be a list")
         if name in _TEXT_LIST_FIELDS and not all(isinstance(v, str) for v in value):
             raise TypeError(f"field {name!r} must list strings")
+    if not all(type(v) is int for v in raw.get("buses", [])):  # not 1.9, not true
+        raise TypeError("field 'buses' must list integer bus labels")
 
 
 def load_sweep_spec(path: str, default_case: str | None = None) -> SweepSpec:

@@ -502,8 +502,8 @@ def measurements_from_csv(text: str) -> PhasorMeasurementSet:
 
     Raises ``ValueError`` naming the row for a row without six fields, an
     unknown kind, a stage other than ``pre`` or ``fault``, a bus label or
-    number that does not parse, a value that is not finite, or a sequence
-    other than 0, 1 or 2.
+    number that does not parse, a value that is not finite, a sequence
+    other than 0, 1 or 2, or other than 1 on a ``pre`` row.
     """
     pre_v: dict[int, complex] = {}
     fault_v: dict[int, list[complex]] = {}
@@ -536,6 +536,8 @@ def measurements_from_csv(text: str) -> PhasorMeasurementSet:
             raise ValueError(f"measurement CSV row {ln!r}: value is not finite")
         if seq not in (0, 1, 2):
             raise ValueError(f"measurement CSV row {ln!r}: sequence must be 0, 1 or 2")
+        if stage == "pre" and seq != 1:
+            raise ValueError(f"measurement CSV row {ln!r}: a pre row must be sequence 1")
         if stage == "pre":
             pre[key] = v
         else:

@@ -14,7 +14,8 @@ The methods differ only in which two channels feed that ratio:
 
 :func:`locate` solves one ratio; placements name the two channels they
 measure, and :func:`estimate_for_placement` and
-:func:`rank_line_hypotheses` read those channels and derive their laws.
+:func:`rank_line_hypotheses` read those channels and take their laws,
+for one line or for all, from :mod:`faultloc.seqmatrix`.
 All estimators consume positive-sequence phasors only and need no
 fault-type or phase-selection information.
 """
@@ -31,6 +32,7 @@ from .faultsim import PhasorMeasurementSet
 from .netmodel import LineRecord, Network
 from .seqmatrix import (
     LinearLaw,
+    Lines,
     SequenceZbus,
     branch_coefficients,
     build_zbus,
@@ -359,7 +361,7 @@ def _source(net: Network, kind: str, ident: int | str) -> int | LineRecord:
     return net.line(ident.partition("@")[0]) if kind == "branchI" else ident
 
 
-def _law(zbus: SequenceZbus, line: LineRecord, source: int | LineRecord) -> LinearLaw:
+def _law(zbus: SequenceZbus, line: Lines, source: int | LineRecord) -> LinearLaw:
     """The law of a channel measuring ``source`` under a fault on ``line``."""
     if isinstance(source, LineRecord):
         return branch_coefficients(zbus, line, source)
@@ -506,8 +508,8 @@ def rank_line_hypotheses(
     """Run the estimator against every line hypothesis, best first.
 
     Every hypothesis is solved in one pass: the two channel laws of all
-    lines are gathered from Z at the lines' end buses and the ratio is
-    solved as array expressions, with the checks of :func:`locate`.
+    lines come as laws of arrays and the ratio is solved as array
+    expressions, with the checks of :func:`locate`.
     Hypotheses that those checks reject are skipped: all of them when the
     denominator channel is degenerate, one line when its two laws are
     dependent or its ratio does not depend on m.  So are the lines a
@@ -521,7 +523,7 @@ def rank_line_hypotheses(
     zbus = zbus if zbus is not None else build_zbus(net, 1)
     (numer, numer_src), (denom, denom_src) = _consumed(net, ms, placement, method)
     ends = _line_ends(net, zbus)
-    numer_law, denom_law = _laws(zbus, ends, numer_src), _laws(zbus, ends, denom_src)
+    numer_law, denom_law = _law(zbus, ends, numer_src), _law(zbus, ends, denom_src)
     measured = {src.id for src in (numer_src, denom_src) if isinstance(src, LineRecord)}
     try:
         ratio = _ratio(numer, denom)
@@ -555,45 +557,3 @@ def _line_ends(net: Network, zbus: SequenceZbus) -> tuple[np.ndarray, np.ndarray
         p, q = order[p], order[q]
     return p, q
 
-
-def _laws(
-    zbus: SequenceZbus, ends: tuple[np.ndarray, np.ndarray], source: int | LineRecord
-) -> LinearLaw:
-    """A channel's law for a fault on every line, as a law of arrays.
-
-    ``source`` is the measured bus (transfer law, as
-    :func:`transfer_coefficients`) or branch (branch law, as
-    :func:`branch_coefficients`).
-    """
-    if isinstance(source, LineRecord):
-        zb = source.z(zbus.sequence)
-        if abs(zb) == 0.0:
-            raise ValueError(f"branch {source.id!r} has zero impedance")
-        f = _laws(zbus, ends, source.from_bus)
-        t = _laws(zbus, ends, source.to_bus)
-        return LinearLaw(_divide(f.b - t.b, zb), _divide(f.c - t.c, zb))
-    k = zbus.index(source)
-    zp = zbus.z[ends[0], k]
-    return LinearLaw(zp, zbus.z[ends[1], k] - zp)
-
-
-def _divide(a: np.ndarray, b: complex) -> np.ndarray:
-    """``a / b`` rounded as CPython rounds a complex quotient (Smith's method).
-
-    numpy multiplies by a reciprocal instead, which moves the last bit.  The
-    branch laws then differ from :func:`branch_coefficients`', and the
-    hybrid quadratic's off-axis residual, a square root of a discriminant
-    near zero, turns that last bit into a difference near 1e-8.
-    """
-    if abs(b.real) >= abs(b.imag):
-        ratio = b.imag / b.real
-        denom = b.real + b.imag * ratio
-        real, imag = a.real + a.imag * ratio, a.imag - a.real * ratio
-    else:
-        ratio = b.real / b.imag
-        denom = b.real * ratio + b.imag
-        real, imag = a.real * ratio + a.imag, a.imag * ratio - a.real
-    out = np.empty_like(a)
-    out.real = real / denom
-    out.imag = imag / denom
-    return out

@@ -9,9 +9,13 @@ rebuilding the matrix:
 * :class:`LinearLaw` ``b + c*m``: the transfer impedance from any bus k to
   the fault point, and the current-division sensitivity of any healthy
   branch (the difference of its end buses' transfer laws over its
-  impedance).  Every estimator solves a ratio of two of these.
+  impedance).  Every estimator solves a ratio of two of these, and only
+  :func:`transfer_coefficients` and :func:`branch_coefficients` build them,
+  for one faulted line or for many (:data:`Lines`).
 * :class:`FaultPointCoefficients` ``a0 + a1*m + a2*m**2``: the
   driving-point impedance at the fault point, which sets the fault current.
+
+No other module reads :attr:`SequenceZbus.z`.
 """
 from __future__ import annotations
 
@@ -39,6 +43,10 @@ __all__ = [
 
 #: Networks whose admittance matrix condition number exceeds this are rejected.
 CONDITION_LIMIT = 1e12
+
+#: A law's faulted line: one :class:`LineRecord`, for a law of two ``complex``,
+#: or the Z indices ``(p, q)`` of many lines' ends, for a law of arrays.
+Lines = LineRecord | tuple[np.ndarray, np.ndarray]
 
 
 class UngroundedNetworkError(ValueError):
@@ -166,15 +174,19 @@ def build_zbus(net: Network, sequence: int) -> SequenceZbus:
     return SequenceZbus(sequence=sequence, z=z, bus_order=net.buses, condition=float(cond))
 
 
-def transfer_coefficients(zbus: SequenceZbus, line: LineRecord, bus: int) -> LinearLaw:
+def transfer_coefficients(zbus: SequenceZbus, line: Lines, bus: int) -> LinearLaw:
     """Transfer impedance law from ``bus`` to a fault anywhere on ``line``."""
-    zp = zbus.at(line.from_bus, bus)
-    zq = zbus.at(line.to_bus, bus)
+    k = zbus.index(bus)
+    if isinstance(line, LineRecord):
+        zp = complex(zbus.z[zbus.index(line.from_bus), k])
+        zq = complex(zbus.z[zbus.index(line.to_bus), k])
+    else:
+        zp, zq = zbus.z[line[0], k], zbus.z[line[1], k]
     return LinearLaw(zp, zq - zp)
 
 
 def branch_coefficients(
-    zbus: SequenceZbus, faulted_line: LineRecord, branch: LineRecord
+    zbus: SequenceZbus, faulted_line: Lines, branch: LineRecord
 ) -> LinearLaw:
     """Current-change law for ``branch`` under a fault on ``faulted_line``.
 
@@ -192,7 +204,29 @@ def branch_coefficients(
         raise ValueError(f"branch {branch.id!r} has zero impedance")
     ck = transfer_coefficients(zbus, faulted_line, branch.from_bus)
     cl = transfer_coefficients(zbus, faulted_line, branch.to_bus)
-    return LinearLaw((ck.b - cl.b) / zb, (ck.c - cl.c) / zb)
+    return LinearLaw(_divide(ck.b - cl.b, zb), _divide(ck.c - cl.c, zb))
+
+
+def _divide(a, b: complex):
+    """``a / b`` for a ``complex`` or an array ``a``, rounded alike.
+
+    Arrays take CPython's Smith's method, not numpy's reciprocal product, so
+    that a law of arrays equals the one-line laws bit for bit: the hybrid
+    quadratic's off-axis residual would turn one bit into a change near 1e-8.
+    """
+    if isinstance(a, complex):
+        return a / b
+    if abs(b.real) >= abs(b.imag):
+        ratio = b.imag / b.real
+        denom = b.real + b.imag * ratio
+        real, imag = a.real + a.imag * ratio, a.imag - a.real * ratio
+    else:
+        ratio = b.real / b.imag
+        denom = b.real * ratio + b.imag
+        real, imag = a.real * ratio + a.imag, a.imag * ratio - a.real
+    out = (real / denom).astype(complex)
+    out.imag = imag / denom
+    return out
 
 
 def fault_point_coefficients(

@@ -1,0 +1,22 @@
+"""The public surface: what the package exports, and how much of it there is."""
+from __future__ import annotations
+
+import faultloc
+from faultloc import cli, faultsim, locator, netmodel, seqmatrix
+
+#: Public names over the five modules' ``__all__``.  The surface may shrink;
+#: lower this bound when it does, never raise it.
+MAX_PUBLIC_NAMES = 54
+
+
+def test_package_reexports_every_library_name():
+    for module in (netmodel, seqmatrix, faultsim, locator):
+        for name in module.__all__:
+            assert getattr(faultloc, name, None) is getattr(module, name), (
+                f"faultloc does not re-export {module.__name__}.{name}"
+            )
+
+
+def test_public_name_count_does_not_grow():
+    modules = (netmodel, seqmatrix, faultsim, locator, cli)
+    assert sum(len(module.__all__) for module in modules) <= MAX_PUBLIC_NAMES

@@ -317,6 +317,8 @@ def test_unknown_branch_token_exits_one(capsys):
         {"distort": [1]},
         {"case": 5},
         {"out": ["report.csv"]},
+        {"buses": [1.9, 2.2]},
+        {"buses": [True, 2]},
     ],
 )
 def test_sweep_spec_with_wrong_json_types_exits_one(tmp_path, capsys, overrides):

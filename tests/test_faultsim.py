@@ -418,6 +418,7 @@ def test_measurements_csv_rejects_garbage():
         ("branchI,T1,fault,0,0.5,-inf", "not finite"),
         ("busV,1,fault,3,0.1,0", "sequence"),
         ("branchI,T1,fault,-1,0.1,0", "sequence"),
+        ("busV,1,pre,0,0.5,0", "pre row must be sequence 1"),
         ("busV,1,during,1,0.1,0", "stage"),
         ("branchI,T1,Fault,1,0.1,0", "stage"),
         ("busV,1,fault,1,0.1", "expected 6 fields, got 5"),

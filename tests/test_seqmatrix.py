@@ -5,6 +5,7 @@ import pytest
 
 from faultloc import (
     IllConditionedNetworkError,
+    SequenceZbus,
     UngroundedNetworkError,
     branch_coefficients,
     build_ybus,
@@ -153,6 +154,33 @@ def test_parallel_healthy_branch_beta_varies_with_m(parallel_pair):
     rec = parallel_pair.line("P2")
     dv = -(zt[idx[rec.from_bus], idx[r]] - zt[idx[rec.to_bus], idx[r]])
     assert abs(-bc.at(m) - dv / rec.z1) < 1e-9
+
+
+def test_all_lines_laws_equal_one_line_laws_bit_for_bit(ieee14):
+    zb = build_zbus(ieee14, 1)
+    order = list(reversed(range(ieee14.n)))
+    permuted = SequenceZbus(
+        sequence=1,
+        z=zb.z[np.ix_(order, order)],
+        bus_order=tuple(ieee14.buses[i] for i in order),
+        condition=zb.condition,
+    )
+    for z in (zb, permuted):
+        ends = tuple(
+            np.array([z.index(getattr(rec, end)) for rec in ieee14.lines])
+            for end in ("from_bus", "to_bus")
+        )
+        for law_of, source in (
+            (transfer_coefficients, 14),
+            (branch_coefficients, ieee14.line("13-14")),
+        ):
+            every = law_of(z, ends, source)
+            for i, line in enumerate(ieee14.lines):
+                one = law_of(z, line, source)
+                assert type(one.b) is complex and type(one.c) is complex
+                # repr round-trips every bit of a float, the sign of zero too
+                assert repr(complex(every.b[i])) == repr(one.b)
+                assert repr(complex(every.c[i])) == repr(one.c)
 
 
 def test_branch_coefficients_zero_impedance_rejected(fourbus):
