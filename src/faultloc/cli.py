@@ -1,19 +1,22 @@
-"""Command-line front end: single locate runs, scenario sweeps, reports.
+"""Command-line front end: scenario sweeps, of which a single run is one.
 
 A run simulates the requested fault(s) on a case, feeds the synthetic
 measurements to the selected estimators, and emits one report row per
-(scenario, method).  Only the channels the selected methods read, plus the
-distorted ones, are simulated; each is computed as it would be with every
-channel tapped, so reports and error messages do not depend on this.
-Reports are deterministic: rows are sorted by
-(line, type, m, rf, method) and identical inputs produce byte-identical
-files; timing is printed to stderr, never into the report.
+(scenario, method); a single run is the sweep of one scenario.  Inputs are
+checked before the first scenario runs, bar unknown lines, buses and
+channels and infeasible placements.  Only the channels the selected
+methods read, plus the distorted ones, are simulated; each is computed as
+it would be with every channel tapped, so reports and error messages do
+not depend on this.  Reports are deterministic: rows are sorted by (line,
+type, m, rf, method) and identical inputs produce byte-identical files;
+timing is printed to stderr, never into the report.
 
 Exit codes: 0 success, 1 parse/validation failure, 2 infeasible placement.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import product
 
 import argparse
 import json
@@ -37,7 +40,7 @@ from .locator import (
 )
 from .netmodel import CaseError, Network, load_case
 
-__all__ = ["main", "SweepSpec", "run_locate", "run_sweep"]
+__all__ = ["main", "SweepSpec", "run_sweep"]
 
 CSV_COLUMNS = "line,type,m_true,rf_ohm,method,m_est,residual,pct_error,feasible"
 
@@ -50,10 +53,10 @@ class PlacementError(Exception):
 class SweepSpec:
     """Cross-product scenario sweep: lines x types x m values x rf values.
 
-    ``buses``/``branches`` feed the same placement rules as the single-run
-    flags: the voltage method uses the first two buses, the current method
-    the first two branches, and the hybrid methods pair the first branch
-    with the last bus.
+    ``buses``/``branches`` feed the placements: the voltage method uses the
+    first two buses, the current method the first two branches, and the
+    hybrid methods pair the first branch with the last bus.  Each m and rf
+    value is checked by the :class:`FaultScenario` it builds.
     """
 
     case: str
@@ -72,12 +75,6 @@ class SweepSpec:
         for name in ("lines", "types", "m_values", "rf_ohm", "methods"):
             if not getattr(self, name):
                 raise ValueError(f"sweep spec field {name!r} must be a non-empty list")
-        for m in self.m_values:
-            if not 0.0 <= m <= 1.0:
-                raise ValueError(f"sweep m value {m} outside [0, 1]")
-        for rf in self.rf_ohm:
-            if not rf >= 0.0:  # rejects NaN too
-                raise ValueError(f"sweep fault resistance {rf} is negative or NaN")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown report format {self.format!r}")
 
@@ -127,7 +124,6 @@ def load_sweep_spec(path: str, default_case: str | None = None) -> SweepSpec:
         raise ValueError(f"bad sweep spec {path!r}: {exc}") from None
     if not spec.case:
         raise ValueError(f"sweep spec {path!r} names no case file")
-    spec.validate()
     return spec
 
 
@@ -146,28 +142,6 @@ def parse_distortion(token: str) -> Distortion:
     if op == "clamp":
         return Distortion(kind=kind, channel=channel, clamp_pu=float(parts[3]))
     raise ValueError(f"bad distortion op {op!r} (expected gain or clamp)")
-
-
-def _resolve_branch(net: Network, token: str) -> str:
-    """Map a branch flag token to a measurement channel id.
-
-    Accepts a line id, an ``a-b`` endpoint pair, and an optional ``@from`` /
-    ``@to`` suffix selecting a terminal current of that line.
-    """
-    base, sep, suffix = token.partition("@")
-    if suffix not in ("", "from", "to"):
-        raise ValueError(f"bad branch terminal suffix in {token!r}")
-    try:
-        line_id = net.line(base).id
-    except CaseError:
-        a_s, dash, b_s = base.partition("-")
-        if not dash:
-            raise ValueError(f"unknown branch {token!r}") from None
-        try:
-            line_id = net.line_between(int(a_s), int(b_s)).id
-        except (ValueError, CaseError):
-            raise ValueError(f"unknown branch {token!r}") from None
-    return line_id + sep + suffix
 
 
 def _placement_for(
@@ -214,30 +188,27 @@ def _taps(
     A channel that tapping every channel would not produce either (an
     unknown bus or line, the faulted line's own id, a terminal of a line
     that is not faulted) is left out, so that the check that rejects it
-    raises just as it would with every channel tapped.
+    raises just as it would with every channel tapped.  An ``a-b`` pair
+    taps its line, which the check on the pair's own id does not read.
     """
-    segments = (f"{line_id}@from", f"{line_id}@to")
     channels = [ch for p in placements.values() for ch in p.channels]
-    for d in distortions:
-        try:
-            channels.append((d.kind, int(d.channel) if d.kind == "busV" else d.channel))
-        except ValueError:
-            pass  # apply_distortion raises this again
+    channels.extend((d.kind, d.channel) for d in distortions)
     buses: dict[int, None] = {}
     branches: dict[str, None] = {}
     segmented = False
     for kind, ident in channels:
         try:
             if kind == "busV":
-                net.bus_index(ident)
-                buses[ident] = None
-            elif ident in segments:
-                segmented = True
-            elif ident != line_id:
-                net.line(ident)
-                branches[ident] = None
-        except CaseError:
-            pass
+                net.bus_index(int(ident))
+                buses[int(ident)] = None
+                continue
+            line, end = net.channel(ident)
+        except ValueError:  # CaseError included: the check that rejects it runs later
+            continue
+        if line.id == line_id:
+            segmented = segmented or bool(end)
+        elif not end:
+            branches[line.id] = None
     return MeasurementTaps(tuple(buses), tuple(branches), faulted_segments=segmented)
 
 
@@ -284,40 +255,34 @@ def _evaluate(
     return rows
 
 
-def run_locate(
-    net: Network,
-    scenario: FaultScenario,
-    methods: tuple[Method, ...],
-    buses: tuple[int, ...],
-    branches: tuple[str, ...],
-    distort: tuple[str, ...] = (),
-) -> list[ReportRow]:
-    """Evaluate one scenario with the selected methods."""
-    distortions = tuple(parse_distortion(t) for t in distort)
-    placements = {m: _placement_for(m, buses, branches) for m in methods}
-    study = FaultStudy(net)
-    rows = _evaluate(net, study, scenario, methods, placements, distortions)
-    rows.sort(key=ReportRow.sort_key)
-    return rows
-
-
 def run_sweep(spec: SweepSpec) -> list[ReportRow]:
-    """Evaluate the sweep's full scenario cross-product, deterministically."""
+    """Evaluate the sweep's full scenario cross-product, deterministically.
+
+    Every scenario is built, and so checked, before the first is evaluated,
+    and so is every current channel against every faulted line.
+    """
     spec.validate()
     distortions = tuple(parse_distortion(t) for t in spec.distort)
     net = load_case(spec.case)
-    branches = tuple(_resolve_branch(net, b) for b in spec.branches)
+    # Measurement sets name a line by its id, never by an a-b pair.
+    branches = tuple(
+        f"{line.id}@{end}" if end else line.id for line, end in map(net.channel, spec.branches)
+    )
     placements = {m: _placement_for(m, spec.buses, branches) for m in spec.methods}
+    scenarios = [
+        FaultScenario(line_id, m, ftype, rf)
+        for line_id, ftype, m, rf in product(spec.lines, spec.types, spec.m_values, spec.rf_ohm)
+    ]
+    currents = {i for p in placements.values() for kind, i in p.channels if kind == "branchI"}
+    for line_id in spec.lines:
+        if line_id in currents:
+            # Its law does not hold while the line is faulted, and no
+            # measurement set holds it: only its terminals measure it.
+            raise ValueError(f"current channel {line_id!r} measures faulted line {line_id!r}")
     study = FaultStudy(net)
     rows: list[ReportRow] = []
-    for line_id in spec.lines:
-        for ftype in spec.types:
-            for m in spec.m_values:
-                for rf in spec.rf_ohm:
-                    scenario = FaultScenario(line_id, m, ftype, rf)
-                    rows.extend(
-                        _evaluate(net, study, scenario, spec.methods, placements, distortions)
-                    )
+    for scenario in scenarios:
+        rows.extend(_evaluate(net, study, scenario, spec.methods, placements, distortions))
     rows.sort(key=ReportRow.sort_key)
     return rows
 
@@ -436,26 +401,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.sweep:
             spec = load_sweep_spec(args.sweep, default_case=args.case)
-            rows = run_sweep(spec)
-            fmt = spec.format
-            out = args.out if args.out is not None else spec.out
+        elif not args.line or not args.type or args.m is None:
+            raise ValueError("single runs need --line, --type and --m")
         else:
-            net = load_case(args.case)
-            if not args.line or not args.type or args.m is None:
-                raise ValueError("single runs need --line, --type and --m")
-            methods = (
-                tuple(Method) if args.method == "all" else (Method(args.method),)
+            spec = SweepSpec(
+                case=args.case,
+                lines=(args.line,),
+                types=(FaultType(args.type),),
+                m_values=(args.m,),
+                rf_ohm=(args.rf_ohm,),
+                methods=tuple(Method) if args.method == "all" else (Method(args.method),),
+                buses=tuple(int(b) for b in args.buses.split(",") if b),
+                branches=tuple(b for b in args.branches.split(",") if b),
+                distort=tuple(args.distort),
+                format=args.format,
             )
-            buses = tuple(int(b) for b in args.buses.split(",") if b)
-            branches = tuple(
-                _resolve_branch(net, b) for b in args.branches.split(",") if b
-            )
-            scenario = FaultScenario(args.line, args.m, FaultType(args.type), args.rf_ohm)
-            rows = run_locate(net, scenario, methods, buses, branches, tuple(args.distort))
-            fmt = args.format
-            out = args.out
-        text = render_csv(rows) if fmt == "csv" else render_json(rows)
-        write_report(text, out)
+        rows = run_sweep(spec)
+        text = render_csv(rows) if spec.format == "csv" else render_json(rows)
+        write_report(text, args.out if args.out is not None else spec.out)
     except PlacementError as exc:
         print(f"faultloc: infeasible placement: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,8 @@ Given a fault scenario the simulator returns exact pre-fault and during-fault
 sequence voltages and branch currents, the same quantities a set of
 synchronized phasor measurement units would report.  The fault is resolved by
 interconnecting the three sequence networks at the fault point according to
-the fault type; bus and branch quantities then follow from the
-fault-position coefficient laws.
+the fault type; every bus voltage and branch current, the faulted line's
+terminals included, then follows from a fault-position coefficient law.
 
 Sign conventions: branch currents flow from-bus -> to-bus; fault current
 flows out of the network at the fault point.
@@ -22,6 +22,7 @@ import numpy as np
 
 from .netmodel import LineRecord, Network
 from .seqmatrix import (
+    LinearLaw,
     SequenceZbus,
     branch_coefficients,
     build_ybus,
@@ -245,12 +246,7 @@ class FaultStudy:
         return self._prefault
 
     def fault_currents(self, scenario: FaultScenario) -> SequenceFaultCurrents:
-        return self._fault_point(scenario)[2]
-
-    def _fault_point(
-        self, scenario: FaultScenario
-    ) -> tuple[SequenceTriple, complex, SequenceFaultCurrents]:
-        """Driving-point impedances, pre-fault voltage and currents at the fault."""
+        """Sequence currents at the fault point."""
         line = self.net.line(scenario.line_id)
         m = scenario.m
         bus_v, _ = self.prefault
@@ -258,10 +254,9 @@ class FaultStudy:
             fault_point_coefficients(self.zbus(s), line).z_at(m) for s in (0, 1, 2)
         )
         e_r = (1.0 - m) * bus_v[line.from_bus] + m * bus_v[line.to_bus]
-        cur = fault_sequence_currents(
+        return fault_sequence_currents(
             scenario.fault_type, z_rr, e_r, scenario.rf_ohm / self.net.z_base_ohm
         )
-        return z_rr, e_r, cur
 
     def measurements(
         self, scenario: FaultScenario, taps: MeasurementTaps | None = None
@@ -271,7 +266,7 @@ class FaultStudy:
         line = net.line(scenario.line_id)
         m = scenario.m
         bus_v0, branch_i0 = self.prefault
-        z_rr, e_r, cur = self._fault_point(scenario)
+        cur = self.fault_currents(scenario)
 
         buses = taps.buses if taps.buses is not None else net.buses
         if taps.branches is not None:
@@ -279,17 +274,14 @@ class FaultStudy:
         else:
             branch_ids = tuple(r.id for r in net.lines if r.id != line.id)
 
-        def bus_triple(b: int) -> SequenceTriple:
-            zkr = [transfer_coefficients(self.zbus(s), line, b).at(m) for s in (0, 1, 2)]
-            return _during_fault(zkr, bus_v0[b], cur)
-
         prefault_bus_v: dict[int, complex] = {}
         fault_bus_v: dict[int, SequenceTriple] = {}
         for b in buses:
             if b not in bus_v0:
                 raise KeyError(f"tap references unknown bus {b}")
+            zkr = [transfer_coefficients(self.zbus(s), line, b).at(m) for s in (0, 1, 2)]
             prefault_bus_v[b] = bus_v0[b]
-            fault_bus_v[b] = bus_triple(b)
+            fault_bus_v[b] = _during_fault(zkr, bus_v0[b], cur)
 
         prefault_branch_i: dict[str, complex] = {}
         fault_branch_i: dict[str, SequenceTriple] = {}
@@ -307,17 +299,11 @@ class FaultStudy:
             fault_branch_i[bid] = _during_fault(beta, branch_i0[bid], cur)
 
         if taps.faulted_segments:
-            e_fault = _during_fault(z_rr, e_r, cur)
-            e_p, e_q = (
-                fault_bus_v[b] if b in fault_bus_v else bus_triple(b)
-                for b in (line.from_bus, line.to_bus)
-            )
-            seg_from, seg_to = _segment_currents(line, m, cur, e_fault, e_p, e_q)
             i0_through = branch_i0[line.id]
-            prefault_branch_i[f"{line.id}@from"] = i0_through
-            prefault_branch_i[f"{line.id}@to"] = -i0_through
-            fault_branch_i[f"{line.id}@from"] = seg_from
-            fault_branch_i[f"{line.id}@to"] = seg_to
+            for end, pre in (("from", i0_through), ("to", -i0_through)):
+                law = [_terminal_law(self.zbus(s), line, end).at(m) for s in (0, 1, 2)]
+                prefault_branch_i[f"{line.id}@{end}"] = pre
+                fault_branch_i[f"{line.id}@{end}"] = _during_fault(law, pre, cur)
 
         token = f"{scenario.line_id}:{scenario.fault_type.value}:m={m:g}:rf={scenario.rf_ohm:g}"
         return PhasorMeasurementSet(
@@ -335,38 +321,19 @@ def _during_fault(k, pre: complex, cur: SequenceFaultCurrents) -> SequenceTriple
     return (-k[0] * cur.i0, pre - k[1] * cur.i1, -k[2] * cur.i2)
 
 
-def _segment_currents(
-    line: LineRecord,
-    m: float,
-    cur: SequenceFaultCurrents,
-    e_r: SequenceTriple,
-    e_p: SequenceTriple,
-    e_q: SequenceTriple,
-) -> tuple[SequenceTriple, SequenceTriple]:
-    """Terminal currents of the faulted line, fed toward the fault.
+def _terminal_law(zbus: SequenceZbus, line: LineRecord, end: str) -> LinearLaw:
+    """Law of the current the faulted ``line``'s ``end`` terminal ("from" or
+    "to") feeds toward the fault, in the sense of :func:`branch_coefficients`.
 
-    ``e_r``, ``e_p`` and ``e_q`` are the during-fault sequence voltages at
-    the fault point and at the line's from- and to-bus.
+    The from-terminal feeds the line's through current, whose law ``t`` is
+    the line's own branch law, plus ``1 - m`` of the fault current; the
+    to-terminal feeds ``m`` of it less the through current.  Neither law,
+    ``t - (1 - m)`` or ``-t - m``, divides by a segment's vanishing length.
     """
-    i_fault = cur.triple()
-    seg_from: list[complex] = []
-    seg_to: list[complex] = []
-    for s in (0, 1, 2):
-        zl = line.z(s)
-        if 0.0 < m < 1.0:
-            i_from = (e_p[s] - e_r[s]) / (m * zl)
-            i_to = (e_q[s] - e_r[s]) / ((1.0 - m) * zl)
-        elif m == 0.0:
-            # Fault sits at the from-bus; its segment has zero length, so
-            # get its current from the balance at the fault point.
-            i_to = (e_q[s] - e_r[s]) / zl
-            i_from = i_fault[s] - i_to
-        else:
-            i_from = (e_p[s] - e_r[s]) / zl
-            i_to = i_fault[s] - i_from
-        seg_from.append(i_from)
-        seg_to.append(i_to)
-    return tuple(seg_from), tuple(seg_to)
+    t = branch_coefficients(zbus, line, line)
+    if end == "from":
+        return LinearLaw(t.b - 1.0, t.c + 1.0)
+    return LinearLaw(-t.b, -t.c - 1.0)
 
 
 def simulate_measurements(

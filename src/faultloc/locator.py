@@ -356,9 +356,10 @@ Placement = VoltagePlacement | CurrentPlacement | HybridPlacement
 def _source(net: Network, kind: str, ident: int | str) -> int | LineRecord:
     """What a channel measures: its bus, or the line its current flows on.
 
-    A current channel id may name a terminal of a line (``T2@from``).
+    A current channel id may name a terminal of a line (``T2@from``); a
+    malformed one raises :class:`~faultloc.netmodel.CaseError`.
     """
-    return net.line(ident.partition("@")[0]) if kind == "branchI" else ident
+    return net.channel(ident)[0] if kind == "branchI" else ident
 
 
 def _law(zbus: SequenceZbus, line: Lines, source: int | LineRecord) -> LinearLaw:
@@ -456,10 +457,11 @@ def percent_error(actual_km: float, estimated_km: float, line_length_km: float) 
 
 def _consumed(
     net: Network, ms: PhasorMeasurementSet, placement: Placement, method: Method
-) -> list[tuple[Channel, int | LineRecord]]:
-    """The placement's two channels read from ``ms``, each with its source.
+) -> list[tuple[int | LineRecord, Channel]]:
+    """The placement's two sources, each with its channel read from ``ms``.
 
-    Both come from one measurement set, so their tokens match.
+    Both come from one measurement set, so their tokens match.  Sources come
+    first, so a malformed channel id is not reported as one ``ms`` lacks.
     """
     kinds = tuple(kind for kind, _ in placement.channels)
     if kinds != _KINDS[method]:
@@ -467,12 +469,10 @@ def _consumed(
             f"{method.value} needs channel kinds {_KINDS[method]}, the placement"
             f" has {kinds}"
         )
+    sources = [_source(net, kind, ident) for kind, ident in placement.channels]
     return [
-        (
-            voltage_channel(ms, ident) if kind == "busV" else current_channel(ms, ident),
-            _source(net, kind, ident),
-        )
-        for kind, ident in placement.channels
+        (src, voltage_channel(ms, ident) if kind == "busV" else current_channel(ms, ident))
+        for (kind, ident), src in zip(placement.channels, sources)
     ]
 
 
@@ -492,7 +492,7 @@ def estimate_for_placement(
     method divides.
     """
     line = net.line(faulted_line_id)
-    (numer, numer_src), (denom, denom_src) = _consumed(net, ms, placement, method)
+    (numer_src, numer), (denom_src, denom) = _consumed(net, ms, placement, method)
     return locate(
         method, numer, denom, _law(zbus, line, numer_src), _law(zbus, line, denom_src)
     )
@@ -521,7 +521,7 @@ def rank_line_hypotheses(
     when it is not known a priori.
     """
     zbus = zbus if zbus is not None else build_zbus(net, 1)
-    (numer, numer_src), (denom, denom_src) = _consumed(net, ms, placement, method)
+    (numer_src, numer), (denom_src, denom) = _consumed(net, ms, placement, method)
     ends = _line_ends(net, zbus)
     numer_law, denom_law = _law(zbus, ends, numer_src), _law(zbus, ends, denom_src)
     measured = {src.id for src in (numer_src, denom_src) if isinstance(src, LineRecord)}

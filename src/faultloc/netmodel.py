@@ -148,6 +148,26 @@ class Network:
         except KeyError:
             raise CaseError(f"unknown line {line_id!r}") from None
 
+    def channel(self, token: str) -> tuple[LineRecord, str]:
+        """Parse a current channel id into its line and terminal.
+
+        ``token`` is ``<line>``, the line's current, or ``<line>@from`` or
+        ``<line>@to``, the current that end's terminal feeds into the line
+        (terminal ``""``, ``"from"`` or ``"to"``).  ``<line>`` is a line id
+        or, when no id matches, the ``a-b`` pair of the line's end buses.
+        Raises :class:`CaseError` when ``token`` fits none of these.
+        """
+        name, sep, end = token.partition("@")
+        if sep and end not in ("from", "to"):
+            raise CaseError(f"bad terminal suffix in current channel {token!r}")
+        if name in self._lines_by_id:
+            return self._lines_by_id[name], end
+        try:
+            a, b = (int(label) for label in name.split("-"))
+        except ValueError:
+            raise CaseError(f"unknown line in current channel {token!r}") from None
+        return self.line_between(a, b), end
+
     def line_end_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Bus indices of every line's from- and to-bus, in ``lines`` order.
 

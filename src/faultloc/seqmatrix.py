@@ -7,11 +7,11 @@ line p-q, two law types describe how the network responds without ever
 rebuilding the matrix:
 
 * :class:`LinearLaw` ``b + c*m``: the transfer impedance from any bus k to
-  the fault point, and the current-division sensitivity of any healthy
-  branch (the difference of its end buses' transfer laws over its
-  impedance).  Every estimator solves a ratio of two of these, and only
-  :func:`transfer_coefficients` and :func:`branch_coefficients` build them,
-  for one faulted line or for many (:data:`Lines`).
+  the fault point, and the current-division sensitivity of any branch (the
+  difference of its end buses' transfer laws over its impedance; on the
+  faulted line, of its through current).  Every estimator solves a ratio of
+  two of these, and only :func:`transfer_coefficients` and
+  :func:`branch_coefficients` build them, for one line or many (:data:`Lines`).
 * :class:`FaultPointCoefficients` ``a0 + a1*m + a2*m**2``: the
   driving-point impedance at the fault point, which sets the fault current.
 
@@ -194,10 +194,10 @@ def branch_coefficients(
     from-bus -> to-bus) sheds: the during-fault branch current is the
     pre-fault current minus ``at(m)`` times the fault current.
 
-    The law only models branches whose current is the voltage difference of
-    their terminals over their impedance; it therefore does not describe the
-    faulted line itself during the fault, though the coefficients remain
-    computable for it (callers doing location must not use them that way).
+    The law models a branch's current as the voltage difference of its
+    terminals over its impedance.  On the faulted line itself that is the
+    through current, which neither terminal feeds while the fault draws
+    current, so location must not use it as a terminal's law.
     """
     zb = branch.z(zbus.sequence)
     if abs(zb) == 0.0:

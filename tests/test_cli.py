@@ -10,6 +10,7 @@ from faultloc.cli import main
 from faultloc import FaultStudy
 
 from importlib import resources
+from pathlib import Path
 
 CASE_PATH = str(resources.files("faultloc").joinpath("cases", "fourbus.case"))
 CASE14_PATH = str(resources.files("faultloc").joinpath("cases", "ieee14.case"))
@@ -177,7 +178,7 @@ def test_nan_fault_resistance_exits_one(tmp_path, capsys):
     ],
 )
 def test_non_finite_case_number_exits_one(tmp_path, capsys, old, new):
-    text = open(CASE_PATH, encoding="utf-8").read()
+    text = Path(CASE_PATH).read_text(encoding="utf-8")
     assert old in text
     case = tmp_path / "bad.case"
     case.write_text(text.replace(old, new), encoding="utf-8")
@@ -289,6 +290,21 @@ def test_bad_sweep_distortion_exits_before_any_scenario(tmp_path, capsys, monkey
     assert run_cli(["--case", CASE_PATH, "--sweep", spec]) == 1
     assert evaluated == []
     assert "wobble" in capsys.readouterr().err
+
+
+def test_current_channel_on_faulted_line_exits_before_any_scenario(
+    tmp_path, capsys, monkeypatch
+):
+    evaluated = []
+    monkeypatch.setattr(cli, "_evaluate", lambda *args: evaluated.append(args) or [])
+    spec = _ieee14_sweep(tmp_path, "faulted.json", lines=["2-3"], methods=["sscm"])
+    assert run_cli(["--case", CASE14_PATH, "--sweep", spec]) == 1
+    single = ["--case", CASE14_PATH, "--line", "2-3", "--type", "LG", "--m", "0.5",
+              "--method", "sscm", "--branches", "3-2,13-14"]
+    assert run_cli(single) == 1
+    assert evaluated == []
+    message = "faultloc: error: current channel '2-3' measures faulted line '2-3'\n"
+    assert capsys.readouterr().err == 2 * message
 
 
 def test_unknown_branch_token_exits_one(capsys):

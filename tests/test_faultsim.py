@@ -305,6 +305,24 @@ def test_segment_currents_balance_fault_current(fourbus_study, m):
         assert abs(total - cur[s]) < 1e-9
 
 
+@pytest.mark.parametrize("case", ["fourbus", "ieee14"])
+def test_terminal_currents_are_continuous_at_both_line_ends(request, case):
+    # At m = 0 and m = 1 one segment has no length: the terminal currents
+    # there must be the limits of their interior values.
+    net = request.getfixturevalue(case)
+    study = request.getfixturevalue(f"{case}_study")
+    taps = MeasurementTaps(buses=(), branches=(), faulted_segments=True)
+    for line, ftype in ((line, ftype) for line in net.lines for ftype in FaultType):
+        for end, near in ((0.0, 1e-12), (1.0, 1.0 - 1e-12)):
+            at, by = (FaultScenario(line.id, m, ftype, 1.0) for m in (end, near))
+            ms_at, ms_by = study.measurements(at, taps), study.measurements(by, taps)
+            tol = 1e-6 * abs(study.fault_currents(at).i1)
+            for channel in (f"{line.id}@from", f"{line.id}@to"):
+                for s in (0, 1, 2):
+                    diff = ms_at.fault_branch_i[channel][s] - ms_by.fault_branch_i[channel][s]
+                    assert abs(diff) <= tol, (channel, ftype, end, s)
+
+
 def test_taps_select_channels_and_reject_unknown(fourbus_study):
     sc = FaultScenario("T2", 0.5, FaultType.LG, 1.0)
     ms = fourbus_study.measurements(sc, MeasurementTaps(buses=(1, 2), branches=("T1",)))

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from faultloc import (
+    CaseError,
     Channel,
     CurrentPlacement,
     DegenerateChannelError,
@@ -398,6 +399,21 @@ def test_feasibility_infeasible_voltage_pair_same_side(fourbus):
     # them is the direct line T1.
     ok, reason = feasibility_check(fourbus, "T2", VoltagePlacement(3, 1))
     assert not ok
+
+
+def test_bad_terminal_suffix_is_rejected_by_every_entry_point(fourbus, fourbus_study):
+    placement = CurrentPlacement("T1@bogus", "T3")
+    ms = fourbus_study.measurements(FaultScenario("T2", 0.4, FaultType.LG, 1.0))
+    calls = [
+        lambda: feasibility_check(fourbus, "T2", placement),
+        lambda: estimate_for_placement(
+            fourbus, fourbus_study.zbus(1), "T2", placement, ms, Method.SSCM
+        ),
+        lambda: rank_line_hypotheses(fourbus, ms, placement, Method.SSCM),
+    ]
+    for call in calls:
+        with pytest.raises(CaseError, match="'T1@bogus'"):
+            call()
 
 
 def test_feasibility_unknown_measurement_bus(fourbus):

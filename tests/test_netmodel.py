@@ -134,6 +134,27 @@ def test_unknown_line_lookup(fourbus):
         fourbus.line("T9")
 
 
+def test_current_channel_ids(fourbus, ieee14, parallel_pair):
+    t1, t2 = fourbus.line("T1"), fourbus.line("T2")
+    assert fourbus.channel("T2") == (t2, "")
+    assert fourbus.channel("T2@from") == (t2, "from")
+    assert fourbus.channel("T2@to") == (t2, "to")
+    assert fourbus.channel("3-1") == (t1, "")  # T1 joins buses 3 and 1
+    assert fourbus.channel("1-3@to") == (t1, "to")
+    assert ieee14.channel("2-3") == (ieee14.line("2-3"), "")
+    assert ieee14.channel("3-2@from") == (ieee14.line("2-3"), "from")
+    for token in ("T1@bogus", "T1@", "T1@from@to"):
+        with pytest.raises(CaseError, match=f"suffix in current channel {token!r}"):
+            fourbus.channel(token)
+    for token in ("T9", "T9@from", "1-2-3", "x-1", ""):
+        with pytest.raises(CaseError, match=f"unknown line in current channel {token!r}"):
+            fourbus.channel(token)
+    with pytest.raises(CaseError, match="no line between buses 1 and 4"):
+        fourbus.channel("1-4")
+    with pytest.raises(CaseError, match="parallel"):
+        parallel_pair.channel("1-2@from")
+
+
 @pytest.mark.parametrize(
     "record",
     [
