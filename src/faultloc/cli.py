@@ -216,12 +216,12 @@ def _evaluate(
     net: Network,
     study: FaultStudy,
     scenario: FaultScenario,
+    taps: dict[str, MeasurementTaps],
     methods: tuple[Method, ...],
     placements: dict[Method, Placement],
     distortions: tuple[Distortion, ...],
 ) -> list[ReportRow]:
-    taps = _taps(net, scenario.line_id, placements, distortions)
-    ms = study.measurements(scenario, taps)
+    ms = study.measurements(scenario, taps[scenario.line_id])
     if distortions:
         ms = apply_distortion(ms, distortions)
     length = net.line(scenario.line_id).length_km
@@ -259,7 +259,8 @@ def run_sweep(spec: SweepSpec) -> list[ReportRow]:
     """Evaluate the sweep's full scenario cross-product, deterministically.
 
     Every scenario is built, and so checked, before the first is evaluated,
-    and so is every current channel against every faulted line.
+    and so is every current channel against every faulted line: a plain
+    channel may not measure it, a terminal channel must be one of its ends.
     """
     spec.validate()
     distortions = tuple(parse_distortion(t) for t in spec.distort)
@@ -273,16 +274,25 @@ def run_sweep(spec: SweepSpec) -> list[ReportRow]:
         FaultScenario(line_id, m, ftype, rf)
         for line_id, ftype, m, rf in product(spec.lines, spec.types, spec.m_values, spec.rf_ohm)
     ]
-    currents = {i for p in placements.values() for kind, i in p.channels if kind == "branchI"}
+    currents = {i: None for p in placements.values() for kind, i in p.channels if kind == "branchI"}
     for line_id in spec.lines:
         if line_id in currents:
             # Its law does not hold while the line is faulted, and no
             # measurement set holds it: only its terminals measure it.
             raise ValueError(f"current channel {line_id!r} measures faulted line {line_id!r}")
+    known = {rec.id for rec in net.lines}  # an unknown line fails at its first scenario
+    for line_id, channel in product(spec.lines, currents):
+        line, end = net.channel(channel)
+        if end and line_id in known and line.id != line_id:
+            raise ValueError(
+                f"current channel {channel!r} is a terminal of line {line.id!r},"
+                f" not of faulted line {line_id!r}"
+            )
+    taps = {line_id: _taps(net, line_id, placements, distortions) for line_id in spec.lines}
     study = FaultStudy(net)
     rows: list[ReportRow] = []
     for scenario in scenarios:
-        rows.extend(_evaluate(net, study, scenario, spec.methods, placements, distortions))
+        rows.extend(_evaluate(net, study, scenario, taps, spec.methods, placements, distortions))
     rows.sort(key=ReportRow.sort_key)
     return rows
 
@@ -375,18 +385,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=float, help="normalized fault position in [0,1]")
     p.add_argument("--rf-ohm", type=float, default=0.0, help="fault resistance in ohms")
     p.add_argument(
-        "--method",
-        default="all",
-        choices=[m.value for m in Method] + ["all"],
+        "--method", default="all", choices=[m.value for m in Method] + ["all"],
         help="estimator to run (default: all)",
     )
     p.add_argument("--buses", default="", help="comma-separated bus labels")
     p.add_argument("--branches", default="", help="comma-separated branch channels")
     p.add_argument(
-        "--distort",
-        action="append",
-        default=[],
-        metavar="SPEC",
+        "--distort", action="append", default=[], metavar="SPEC",
         help="channel distortion kind:channel:gain:MAG[:PHASE_DEG] or"
         " kind:channel:clamp:PU (repeatable)",
     )

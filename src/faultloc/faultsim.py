@@ -87,9 +87,6 @@ class SequenceFaultCurrents:
     i1: complex
     i2: complex
 
-    def triple(self) -> SequenceTriple:
-        return (self.i0, self.i1, self.i2)
-
 
 @dataclass(frozen=True)
 class MeasurementTaps:
@@ -126,10 +123,6 @@ class PhasorMeasurementSet:
     prefault_branch_i: dict[str, complex]
     fault_branch_i: dict[str, SequenceTriple]
     token: str = ""
-
-    def delta_v(self, bus: int) -> complex:
-        """Positive-sequence voltage change at a bus."""
-        return self.fault_bus_v[bus][1] - self.prefault_bus_v[bus]
 
 
 def prefault_solve(net: Network) -> tuple[dict[int, complex], dict[str, complex]]:
@@ -269,9 +262,8 @@ class FaultStudy:
         cur = self.fault_currents(scenario)
 
         buses = taps.buses if taps.buses is not None else net.buses
-        if taps.branches is not None:
-            branch_ids = taps.branches
-        else:
+        branch_ids = taps.branches
+        if branch_ids is None:
             branch_ids = tuple(r.id for r in net.lines if r.id != line.id)
 
         prefault_bus_v: dict[int, complex] = {}
@@ -307,11 +299,7 @@ class FaultStudy:
 
         token = f"{scenario.line_id}:{scenario.fault_type.value}:m={m:g}:rf={scenario.rf_ohm:g}"
         return PhasorMeasurementSet(
-            prefault_bus_v=prefault_bus_v,
-            fault_bus_v=fault_bus_v,
-            prefault_branch_i=prefault_branch_i,
-            fault_branch_i=fault_branch_i,
-            token=token,
+            prefault_bus_v, fault_bus_v, prefault_branch_i, fault_branch_i, token
         )
 
 

@@ -115,24 +115,13 @@ class Channel:
 
 def voltage_channel(ms: PhasorMeasurementSet, bus: int) -> Channel:
     """Positive-sequence voltage channel of one bus from a measurement set."""
-    return Channel(
-        kind="busV",
-        ident=str(bus),
-        pre=ms.prefault_bus_v[bus],
-        fault=ms.fault_bus_v[bus][1],
-        token=ms.token,
-    )
+    return Channel("busV", str(bus), ms.prefault_bus_v[bus], ms.fault_bus_v[bus][1], ms.token)
 
 
 def current_channel(ms: PhasorMeasurementSet, channel_id: str) -> Channel:
     """Positive-sequence current channel of one branch (or terminal segment)."""
-    return Channel(
-        kind="branchI",
-        ident=channel_id,
-        pre=ms.prefault_branch_i[channel_id],
-        fault=ms.fault_branch_i[channel_id][1],
-        token=ms.token,
-    )
+    pre, fault = ms.prefault_branch_i[channel_id], ms.fault_branch_i[channel_id][1]
+    return Channel("branchI", channel_id, pre, fault, ms.token)
 
 
 @dataclass(frozen=True)
@@ -382,12 +371,13 @@ def feasibility_check(
     of its endpoints), and for placements with a current channel the two
     channels' coefficient laws must not be proportional (numerical rank
     test).  Returns (feasible, reason).
+
+    Such a path exists exactly when the faulted line's block lies between
+    two distinct locations in :meth:`Network.block_forest`, which is built
+    once per network: a check takes linear time.
     """
     line = net.line(faulted_line_id)
     sources = [_source(net, kind, ident) for kind, ident in placement.channels]
-    locs_a, locs_b = (
-        [s.from_bus, s.to_bus] if isinstance(s, LineRecord) else [s] for s in sources
-    )
 
     # The rank test is the decisive physical condition for placements with a
     # current channel, so its verdict names the reason when both tests fail.
@@ -396,7 +386,14 @@ def feasibility_check(
         if _dependent(*(_law(zbus, line, s) for s in sources)):
             return False, _DEPENDENT
 
-    if not _path_through_line(net, line, locs_a, locs_b):
+    index = net.bus_index  # raises CaseError on unknown measurement buses
+    starts, goals = (
+        [index(s.from_bus), index(s.to_bus)] if isinstance(s, LineRecord) else [index(s)]
+        for s in sources
+    )
+    parent, depth, line_block = net.block_forest()
+    block = line_block[line.id]
+    if not any(_on_tree_path(parent, depth, block, a, b) for a in starts for b in goals):
         return (
             False,
             f"no simple path through line {faulted_line_id!r} joins the"
@@ -405,42 +402,18 @@ def feasibility_check(
     return True, "ok"
 
 
-def _path_through_line(
-    net: Network, line: LineRecord, starts: list[int], goals: list[int]
-) -> bool:
-    """Is there a simple path from some start to some goal crossing ``line``?
-
-    The faulted line is split by a synthetic node so that "crossing" means
-    visiting the fault point itself; paths may not repeat buses.
-    """
-    for b in (*starts, *goals):
-        net.bus_index(b)  # raises CaseError on unknown measurement buses
-
-    via = object()  # synthetic fault node, distinct from every label
-    adj: dict[object, list[object]] = {
-        b: [via if lid == line.id else nb for nb, lid in nbrs]
-        for b, nbrs in net.adjacency().items()
-    }
-    adj[via] = [line.from_bus, line.to_bus]
-
-    goal_set = set(goals)
-
-    def dfs(node: object, visited: set[object], seen_via: bool) -> bool:
-        if node in goal_set and seen_via:
-            return True
-        for nb in adj[node]:
-            if nb in visited:
-                continue
-            if dfs(nb, visited | {nb}, seen_via or nb is via):
-                return True
-        return False
-
-    for start in starts:
-        if start in goal_set and len(goal_set) == 1:
-            continue  # identical locations cannot bracket the fault
-        if dfs(start, {start}, False):
-            return True
-    return False
+def _on_tree_path(parent: list[int], depth: list[int], node: int, a: int, b: int) -> bool:
+    """Whether block ``node`` lies on the path between buses ``a`` and ``b``
+    in the block-cut forest (never, when a == b): walk up from the deeper
+    end until both ends meet."""
+    crossed = False
+    while a != b:
+        a, b = (a, b) if depth[a] >= depth[b] else (b, a)
+        crossed = crossed or a == node
+        a = parent[a]
+        if a < 0:
+            return False  # a and b lie in different trees
+    return crossed or a == node
 
 
 def percent_error(actual_km: float, estimated_km: float, line_length_km: float) -> float:

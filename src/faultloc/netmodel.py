@@ -117,6 +117,9 @@ class Network:
     _line_ends: tuple[np.ndarray, np.ndarray] | None = field(
         init=False, repr=False, compare=False, default=None
     )
+    _forest: tuple[list[int], list[int], dict[str, int]] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -195,13 +198,48 @@ class Network:
             )
         return hits[0]
 
-    def adjacency(self) -> dict[int, list[tuple[int, str]]]:
-        """Bus label -> list of (neighbour label, line id)."""
-        adj: dict[int, list[tuple[int, str]]] = {b: [] for b in self.buses}
-        for rec in self.lines:
-            adj[rec.from_bus].append((rec.to_bus, rec.id))
-            adj[rec.to_bus].append((rec.from_bus, rec.id))
-        return adj
+    def block_forest(self) -> tuple[list[int], list[int], dict[str, int]]:
+        """Block-cut forest ``(parent, depth, line_block)``, cached on first use.
+
+        Nodes are the buses, by index, then the blocks (biconnected
+        components; a bridge is a block of one line).  A bus's parent is the
+        block of the DFS tree line that reached it, a block's the bus it hangs
+        from, a root's ``-1``.  ``line_block`` maps line ids to blocks, ``-1``
+        for a line joining a bus to itself.  An iterative Hopcroft-Tarjan pass.
+        """
+        if self._forest is None:
+            p, q = (ends.tolist() for ends in self.line_end_indices())
+            adj: list[list[int]] = [[] for _ in self.buses]
+            for a, b in zip(p, q):
+                adj[a].append(b)
+                adj[b].append(a)
+            disc, low, up, order = [-1] * self.n, [0] * self.n, [-1] * self.n, []
+            for root in range(self.n):
+                stack = [(root, -1)]  # (bus, its DFS parent)
+                while stack:  # a DFS: every line joins a bus and its ancestor
+                    v, u = stack.pop()
+                    if disc[v] < 0:
+                        disc[v], up[v] = len(order), u
+                        order.append(v)
+                        back = [disc[w] for w in adj[v] if disc[w] >= 0]  # ancestors
+                        low[v] = min(back, default=disc[v])
+                        stack.extend((w, v) for w in adj[v] if disc[w] < 0)
+            for v in reversed(order):  # every bus after its DFS subtree
+                if up[v] >= 0:
+                    low[up[v]] = min(low[up[v]], low[v])
+            parent, depth = [-1] * self.n, [0] * self.n
+            for v, u in ((v, up[v]) for v in order if up[v] >= 0):  # after its DFS parent
+                if low[v] >= disc[u]:  # u cuts v's block off
+                    parent.append(u)
+                    depth.append(depth[u] + 1)
+                parent[v] = len(parent) - 1 if low[v] >= disc[u] else parent[u]
+                depth[v] = depth[parent[v]] + 1
+            line_block = {  # the block of the tree line into its deeper end
+                rec.id: parent[max(a, b, key=disc.__getitem__)] if a != b else -1
+                for rec, a, b in reversed(list(zip(self.lines, p, q)))  # first id wins
+            }
+            object.__setattr__(self, "_forest", (parent, depth, line_block))
+        return self._forest
 
 
 def _parse_float(token: str, lineno: int, what: str) -> float:
@@ -301,14 +339,8 @@ def parse_case(text: str) -> Network:
             z1 = complex(nums[0], nums[1])
             if abs(z1) == 0.0:
                 raise CaseError(f"line {lineno}: source at bus {bus} has zero impedance")
-            z0 = z2 = None
-            emf = 1.0 + 0.0j
-            if len(nums) >= 6:
-                z0 = complex(nums[2], nums[3])
-                z2 = complex(nums[4], nums[5])
-            if len(nums) in (4, 8):
-                mag, deg = nums[-2], nums[-1]
-                emf = cmath.rect(mag, math.radians(deg))
+            z0, z2 = (complex(*nums[2:4]), complex(*nums[4:6])) if len(nums) >= 6 else (None, None)
+            emf = cmath.rect(nums[-2], math.radians(nums[-1])) if len(nums) in (4, 8) else 1.0 + 0.0j
             sources.append(SourceRecord(bus=bus, z1=z1, z2=z2, z0=z0, emf=emf))
 
         else:
@@ -352,15 +384,10 @@ def serialize_case(net: Network) -> str:
         )
     for src in net.sources:
         parts = [f"source {src.bus} {_fmt(src.z1.real)} {_fmt(src.z1.imag)}"]
-        has_seq = src.z0 is not None or src.z2 is not None
-        has_emf = src.emf != 1.0 + 0.0j
-        if has_seq:
-            z0 = src.z(0)
-            z2 = src.z(2)
-            parts.append(
-                f"{_fmt(z0.real)} {_fmt(z0.imag)} {_fmt(z2.real)} {_fmt(z2.imag)}"
-            )
-        if has_emf:
+        if src.z0 is not None or src.z2 is not None:
+            z0, z2 = src.z(0), src.z(2)
+            parts.append(f"{_fmt(z0.real)} {_fmt(z0.imag)} {_fmt(z2.real)} {_fmt(z2.imag)}")
+        if src.emf != 1.0 + 0.0j:
             mag, rad = cmath.polar(src.emf)
             parts.append(f"{_fmt(mag)} {_fmt(math.degrees(rad))}")
         out.append(" ".join(parts))
@@ -403,12 +430,15 @@ def validate(net: Network) -> list[str]:
     # driving-point impedance is infinite.
     source_buses = {s.bus for s in net.sources if s.bus in seen}
     if source_buses:
-        reach = set(source_buses)
-        frontier = list(source_buses)
-        adj = net.adjacency()
+        reach, frontier = set(source_buses), list(source_buses)
+        adj: dict[int, list[int]] = {b: [] for b in seen}
+        for rec in net.lines:
+            if rec.from_bus in seen and rec.to_bus in seen:  # else diagnosed above
+                adj[rec.from_bus].append(rec.to_bus)
+                adj[rec.to_bus].append(rec.from_bus)
         while frontier:
             b = frontier.pop()
-            for nb, _ in adj.get(b, []):
+            for nb in adj[b]:
                 if nb not in reach:
                     reach.add(nb)
                     frontier.append(nb)

@@ -179,6 +179,32 @@ def all_simple_paths(
     return paths
 
 
+def path_crosses_line(
+    net: Network, line_id: str, starts: list[int], goals: list[int]
+) -> bool:
+    """Whether a simple path from some start to a different goal crosses
+    line ``line_id``, by enumerating every simple path of the graph in which
+    a synthetic node splits that line: crossing it means visiting the node.
+    """
+    via = ("via", line_id)
+    adj: dict[object, list[object]] = {b: [] for b in net.buses}
+    adj[via] = []
+    for rec in net.lines:
+        ends = [rec.from_bus, rec.to_bus]
+        if rec.id == line_id:
+            ends.insert(1, via)
+        for a, b in zip(ends, ends[1:]):
+            adj[a].append(b)
+            adj[b].append(a)
+    return any(
+        via in path
+        for a in starts
+        for b in goals
+        if a != b
+        for path in all_simple_paths(adj, a, b)
+    )
+
+
 def bus_adjacency(net: Network) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {b: [] for b in net.buses}
     for rec in net.lines:

@@ -307,6 +307,23 @@ def test_current_channel_on_faulted_line_exits_before_any_scenario(
     assert capsys.readouterr().err == 2 * message
 
 
+def test_terminal_of_unfaulted_line_exits_before_any_scenario(tmp_path, capsys, monkeypatch):
+    evaluated = []
+    monkeypatch.setattr(cli, "_evaluate", lambda *args: evaluated.append(args) or [])
+    single = ["--case", CASE14_PATH, "--line", "4-5", "--type", "LG", "--m", "0.5",
+              "--method", "sscm", "--branches", "2-3@from,13-14"]
+    assert run_cli(single) == 1
+    spec = _ieee14_sweep(tmp_path, "terminal.json", branches=["13-14", "2-3@to"])
+    assert run_cli(["--case", CASE14_PATH, "--sweep", spec]) == 1
+    assert evaluated == []
+    assert capsys.readouterr().err == (
+        "faultloc: error: current channel '2-3@from' is a terminal of line '2-3',"
+        " not of faulted line '4-5'\n"
+        "faultloc: error: current channel '2-3@to' is a terminal of line '2-3',"
+        " not of faulted line '1-2'\n"
+    )
+
+
 def test_unknown_branch_token_exits_one(capsys):
     rc = run_cli(
         [

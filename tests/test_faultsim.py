@@ -111,7 +111,7 @@ def test_fault_currents_llg_open_ground_limit_recovers_ll():
 def test_fault_currents_infinite_rf_means_no_fault():
     for t in (FaultType.LG, FaultType.LL, FaultType.LLL):
         cur = fault_sequence_currents(t, (0.1j, 0.1j, 0.1j), 1.0 + 0j, math.inf)
-        assert cur.triple() == (0j, 0j, 0j)
+        assert (cur.i0, cur.i1, cur.i2) == (0j, 0j, 0j)
 
 
 def test_fault_currents_zero_loop_rejected():
@@ -254,6 +254,11 @@ def test_lg_wiring_identity(fourbus, fourbus_study):
         assert ms.fault_bus_v[b][1] == ms.prefault_bus_v[b] - zkr * cur.i1
 
 
+def _delta_v(ms, bus):
+    """Positive-sequence voltage change at a bus."""
+    return ms.fault_bus_v[bus][1] - ms.prefault_bus_v[bus]
+
+
 def test_voltage_change_ratio_identity(fourbus, fourbus_study):
     from faultloc.seqmatrix import transfer_coefficients
 
@@ -263,7 +268,7 @@ def test_voltage_change_ratio_identity(fourbus, fourbus_study):
     zb = fourbus_study.zbus(1)
     zk = transfer_coefficients(zb, line, 1).at(sc.m)
     zl = transfer_coefficients(zb, line, 2).at(sc.m)
-    assert abs(ms.delta_v(1) / ms.delta_v(2) - zk / zl) < 1e-12
+    assert abs(_delta_v(ms, 1) / _delta_v(ms, 2) - zk / zl) < 1e-12
 
 
 def test_superposition_changes_scale_with_fault_current(fourbus_study):
@@ -272,7 +277,7 @@ def test_superposition_changes_scale_with_fault_current(fourbus_study):
     i_a = fourbus_study.fault_currents(FaultScenario("T2", 0.4, FaultType.LLL, 1.0)).i1
     i_b = fourbus_study.fault_currents(FaultScenario("T2", 0.4, FaultType.LLL, 25.0)).i1
     for b in fourbus_study.net.buses:
-        assert abs(ms_a.delta_v(b) / i_a - ms_b.delta_v(b) / i_b) < 1e-12
+        assert abs(_delta_v(ms_a, b) / i_a - _delta_v(ms_b, b) / i_b) < 1e-12
 
 
 def test_superposition_halved_loop_doubles_every_change():
@@ -287,7 +292,7 @@ def test_superposition_halved_loop_doubles_every_change():
     ms_a = study.measurements(FaultScenario("L", 0.5, FaultType.LLL, 0.3 * z_base), taps)
     ms_b = study.measurements(FaultScenario("L", 0.5, FaultType.LLL, 0.1 * z_base), taps)
     for b in net.buses:
-        assert abs(ms_b.delta_v(b) - 2.0 * ms_a.delta_v(b)) < 1e-12
+        assert abs(_delta_v(ms_b, b) - 2.0 * _delta_v(ms_a, b)) < 1e-12
     for ch in ("L@from", "L@to"):
         delta_a, delta_b = (
             ms.fault_branch_i[ch][1] - ms.prefault_branch_i[ch] for ms in (ms_a, ms_b)
@@ -299,7 +304,8 @@ def test_superposition_halved_loop_doubles_every_change():
 def test_segment_currents_balance_fault_current(fourbus_study, m):
     sc = FaultScenario("T2", m, FaultType.LG, rf_ohm=1.0)
     ms = fourbus_study.measurements(sc, MeasurementTaps(faulted_segments=True))
-    cur = fourbus_study.fault_currents(sc).triple()
+    i = fourbus_study.fault_currents(sc)
+    cur = (i.i0, i.i1, i.i2)
     for s in (0, 1, 2):
         total = ms.fault_branch_i["T2@from"][s] + ms.fault_branch_i["T2@to"][s]
         assert abs(total - cur[s]) < 1e-9

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultloc import (
     CaseError,
@@ -19,6 +21,7 @@ from faultloc import (
     Method,
     VoltagePlacement,
     branch_coefficients,
+    build_zbus,
     current_channel,
     estimate_for_placement,
     feasibility_check,
@@ -28,8 +31,9 @@ from faultloc import (
     transfer_coefficients,
     voltage_channel,
 )
+from faultloc.netmodel import LineRecord, Network, SourceRecord
 
-from oracles import all_simple_paths
+from oracles import all_simple_paths, path_crosses_line
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +425,104 @@ def test_feasibility_unknown_measurement_bus(fourbus):
 
     with pytest.raises(CaseError, match="unknown bus"):
         feasibility_check(fourbus, "T2", VoltagePlacement(99, 2))
+
+
+def _network(n_buses, edges):
+    """Buses 1..n joined by lines ``L0``, ``L1``, ... along ``edges``, each
+    line with its own impedance, grounded at bus 1."""
+    lines = tuple(
+        LineRecord(f"L{k}", a, b, 1.0 + k, complex(0.01, 0.1 + 0.01 * k), complex(0.03, 0.3))
+        for k, (a, b) in enumerate(edges)
+    )
+    return Network(tuple(range(1, n_buses + 1)), lines, (SourceRecord(1, 0.05j),))
+
+
+def _path_verdicts_match(net, zbus, line_id, placement):
+    """Compare the path verdict of a placement with the enumeration oracle,
+    unless the rank test decides the placement first."""
+    ok, reason = feasibility_check(net, line_id, placement, zbus)
+    if "dependent" in reason:
+        return True
+    locations = [
+        [net.line(i).from_bus, net.line(i).to_bus] if kind == "branchI" else [i]
+        for kind, i in placement.channels
+    ]
+    return ok == path_crosses_line(net, line_id, *locations)
+
+
+@st.composite
+def _multigraphs(draw):
+    """Connected multigraphs of 2 to 8 buses: a random spanning tree, whose
+    lines are bridges until more lines close cycles, some of them parallel
+    to tree lines and some self-loops."""
+    n = draw(st.integers(2, 8))
+    tree = [(b, draw(st.integers(1, b - 1))) for b in range(2, n + 1)]
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=5))
+    parallel = draw(st.lists(st.sampled_from(tree), max_size=2))
+    return _network(n, tree + extra + parallel)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(net=_multigraphs(), data=st.data())
+def test_feasibility_path_verdict_matches_enumeration(net, data):
+    zbus = build_zbus(net, 1)
+    line_id = data.draw(st.sampled_from([rec.id for rec in net.lines]))
+    bus = st.sampled_from(net.buses)
+    branch = st.sampled_from([rec.id for rec in net.lines])
+    placements = [
+        VoltagePlacement(data.draw(bus), data.draw(bus)),
+        HybridPlacement(data.draw(branch), data.draw(bus)),
+    ]
+    for placement in placements:
+        assert _path_verdicts_match(net, zbus, line_id, placement), placement
+
+
+def test_feasibility_path_verdict_on_every_fourbus_pair(fourbus, fourbus_study):
+    zbus = fourbus_study.zbus(1)
+    for rec in fourbus.lines:
+        for a in fourbus.buses:
+            for b in fourbus.buses:
+                assert _path_verdicts_match(fourbus, zbus, rec.id, VoltagePlacement(a, b))
+            for branch in fourbus.lines:
+                placement = HybridPlacement(branch.id, a)
+                assert _path_verdicts_match(fourbus, zbus, rec.id, placement)
+
+
+@pytest.mark.parametrize("n", [7, 30])
+def test_feasibility_on_meshes_is_fast(n):
+    # An n x n mesh with a tail: bus n*n + 1 hangs off bus 1 by a bridge.
+    edges = [(k, k + 1) for k in range(1, n * n + 1) if k % n]
+    edges += [(k, k + n) for k in range(1, n * n - n + 1)]
+    net = _network(n * n + 1, edges + [(1, n * n + 1)])
+    tail = net.lines[-1].id
+    started = time.perf_counter()
+    across = [feasibility_check(net, rec.id, VoltagePlacement(1, n * n))[0] for rec in net.lines]
+    on_tail = [feasibility_check(net, rec.id, VoltagePlacement(n * n + 1, 1))[0] for rec in net.lines]
+    elapsed = time.perf_counter() - started
+    assert across == [rec.id != tail for rec in net.lines]
+    assert on_tail == [rec.id == tail for rec in net.lines]
+    assert elapsed < 1.0
+
+
+def test_feasibility_on_a_long_chain_does_not_recurse():
+    n = 3000  # deeper than Python's default recursion limit
+    net = _network(n, [(k, k + 1) for k in range(1, n)])
+    middle = net.line_between(1500, 1501).id
+    assert feasibility_check(net, middle, VoltagePlacement(1, n))[0]
+    assert not feasibility_check(net, middle, VoltagePlacement(1, 1500))[0]
+
+
+def test_feasibility_edge_cases():
+    # Two triangles with no line between them, and a self-loop at bus 2.
+    edges = [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (2, 2)]
+    net = _network(6, edges)
+    ok, reason = feasibility_check(net, "L0", VoltagePlacement(1, 4))
+    assert not ok and "simple path" in reason  # locations in different islands
+    assert feasibility_check(net, "L0", VoltagePlacement(1, 3))[0]
+    assert not feasibility_check(net, "L6", VoltagePlacement(1, 3))[0]  # a self-loop
+    assert not feasibility_check(net, "L0", VoltagePlacement(1, 1))[0]
+    with pytest.raises(CaseError, match="unknown bus 9"):
+        feasibility_check(net, "L0", VoltagePlacement(1, 9))
 
 
 # ---------------------------------------------------------------------------

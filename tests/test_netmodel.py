@@ -112,6 +112,18 @@ def test_validate_bad_line_records():
     assert any("non-positive length" in d for d in diags)
 
 
+def test_validate_reports_a_line_to_an_unknown_bus():
+    net = Network(
+        buses=(1, 2),
+        lines=(
+            LineRecord("L", 1, 2, 1.0, complex(0.01, 0.1), complex(0.03, 0.3)),
+            LineRecord("X", 2, 99, 1.0, complex(0.01, 0.1), complex(0.03, 0.3)),
+        ),
+        sources=(SourceRecord(bus=1, z1=0.1j),),
+    )
+    assert validate(net) == ["line X: unknown bus 99"]
+
+
 def test_validate_unreachable_island():
     lonely = Network(
         buses=(1, 2, 3),
