@@ -4,8 +4,9 @@ Current-transformer saturation and which estimators survive it
 
 A heavy close-in fault can drive the faulted line's current transformer
 into saturation, so the reported current magnitude is clamped.  Estimators
-that never consume that channel are untouched bit for bit; a current-pair
-estimator that (wrongly) reads the faulted line's terminal current drifts.
+that never consume that channel are untouched bit for bit.  A current pair
+that reads the terminal current (T2@from with T1) is exact on clean data,
+like every other pair here, and drifts once the CT saturates.
 
 Run:  python demos/ct_saturation.py
 """
@@ -16,7 +17,7 @@ study = fl.FaultStudy(net)
 zbus = study.zbus(1)
 
 scenario = fl.FaultScenario("T2", m=0.56, fault_type=fl.FaultType.LLL, rf_ohm=1.0)
-taps = fl.MeasurementTaps(faulted_segments=True)
+taps = fl.MeasurementTaps()
 clean = study.measurements(scenario, taps)
 
 # Saturate the CT at the bus-2 terminal of the faulted line: clamp the
@@ -33,8 +34,8 @@ runs = [
     ("voltage pair (1, 2)", fl.Method.SSVM, fl.VoltagePlacement(1, 2)),
     ("healthy current pair (T1, T3)", fl.Method.SSCM, fl.CurrentPlacement("T1", "T3")),
     ("hybrid: current T1 + voltage 2", fl.Method.HYBRID_DIRECT, fl.HybridPlacement("T1", 2)),
-    ("current pair reading the faulted line", fl.Method.SSCM,
-     fl.CurrentPlacement("T2@from", "T3")),
+    ("current pair reading the CT (T2@from, T1)", fl.Method.SSCM,
+     fl.CurrentPlacement("T2@from", "T1")),
 ]
 
 print(f"{'placement':42s} {'clean m':>12s} {'saturated m':>12s}")

@@ -46,7 +46,7 @@ print(f"fault point: z(m) = {fp.a0:.4f} + ({fp.a1:.4f})*m + ({fp.a2:.4f})*m^2")
 # phasor measurement units would report: pre-fault and during-fault
 # positive-sequence phasors at every bus and healthy branch.
 scenario = fl.FaultScenario("T2", m=100.0 / 178.6, fault_type=fl.FaultType.LG, rf_ohm=1.0)
-measurements = fl.simulate_measurements(net, scenario)
+measurements = fl.FaultStudy(net).measurements(scenario)
 print(f"\nScenario: {scenario.fault_type.value} fault on T2 at m = {scenario.m:.4f}")
 for b in net.buses:
     print(f"  bus {b}: |E| pre {abs(measurements.prefault_bus_v[b]):.4f}"

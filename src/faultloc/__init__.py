@@ -43,7 +43,6 @@ from .faultsim import (
     measurements_to_csv,
     prefault_solve,
     sequence_transform,
-    simulate_measurements,
 )
 from .locator import (
     Channel,

@@ -2,12 +2,14 @@
 
 A run simulates the requested fault(s) on a case, feeds the synthetic
 measurements to the selected estimators, and emits one report row per
-(scenario, method); a single run is the sweep of one scenario.  Inputs are
-checked before the first scenario runs, bar unknown lines, buses and
-channels and infeasible placements.  Only the channels the selected
-methods read, plus the distorted ones, are simulated; each is computed as
-it would be with every channel tapped, so reports and error messages do
-not depend on this.  Reports are deterministic: rows are sorted by (line,
+(scenario, method); a single run is the sweep of one scenario.  Current
+channels are line ids, ``a-b`` pairs or terminals of any line
+(``T2@from``), whichever line is faulted; only a faulted line's own
+current is refused.  Inputs are checked before the first scenario runs,
+bar unknown lines, buses and channels and infeasible placements.  Only
+the channels the selected methods read, plus the distorted ones, are
+simulated; each is computed as it would be with every channel tapped, so
+reports and error messages do not depend on this.  Reports are deterministic: rows are sorted by (line,
 type, m, rf, method) and identical inputs produce byte-identical files;
 timing is printed to stderr, never into the report.
 
@@ -183,19 +185,17 @@ def _taps(
     distortions: tuple[Distortion, ...],
 ) -> MeasurementTaps:
     """The channels a scenario on ``line_id`` reads: the placements' own
-    and the distorted ones.
+    and the distorted ones, under their canonical ids.
 
-    A channel that tapping every channel would not produce either (an
-    unknown bus or line, the faulted line's own id, a terminal of a line
-    that is not faulted) is left out, so that the check that rejects it
-    raises just as it would with every channel tapped.  An ``a-b`` pair
-    taps its line, which the check on the pair's own id does not read.
+    A channel that no tap set holds (an unknown bus or line, the faulted
+    line's own id) is left out, so that the check that rejects it raises
+    just as it would with every channel tapped.  An ``a-b`` pair taps its
+    line, which the check on the pair's own id does not read.
     """
     channels = [ch for p in placements.values() for ch in p.channels]
     channels.extend((d.kind, d.channel) for d in distortions)
     buses: dict[int, None] = {}
     branches: dict[str, None] = {}
-    segmented = False
     for kind, ident in channels:
         try:
             if kind == "busV":
@@ -205,11 +205,9 @@ def _taps(
             line, end = net.channel(ident)
         except ValueError:  # CaseError included: the check that rejects it runs later
             continue
-        if line.id == line_id:
-            segmented = segmented or bool(end)
-        elif not end:
-            branches[line.id] = None
-    return MeasurementTaps(tuple(buses), tuple(branches), faulted_segments=segmented)
+        if end or line.id != line_id:
+            branches[f"{line.id}@{end}" if end else line.id] = None
+    return MeasurementTaps(tuple(buses), tuple(branches))
 
 
 def _evaluate(
@@ -259,8 +257,8 @@ def run_sweep(spec: SweepSpec) -> list[ReportRow]:
     """Evaluate the sweep's full scenario cross-product, deterministically.
 
     Every scenario is built, and so checked, before the first is evaluated,
-    and so is every current channel against every faulted line: a plain
-    channel may not measure it, a terminal channel must be one of its ends.
+    and so is every current channel against every faulted line: a line's
+    own current may not be read while it is faulted, only its terminals.
     """
     spec.validate()
     distortions = tuple(parse_distortion(t) for t in spec.distort)
@@ -274,20 +272,10 @@ def run_sweep(spec: SweepSpec) -> list[ReportRow]:
         FaultScenario(line_id, m, ftype, rf)
         for line_id, ftype, m, rf in product(spec.lines, spec.types, spec.m_values, spec.rf_ohm)
     ]
-    currents = {i: None for p in placements.values() for kind, i in p.channels if kind == "branchI"}
+    currents = {i for p in placements.values() for kind, i in p.channels if kind == "branchI"}
     for line_id in spec.lines:
         if line_id in currents:
-            # Its law does not hold while the line is faulted, and no
-            # measurement set holds it: only its terminals measure it.
             raise ValueError(f"current channel {line_id!r} measures faulted line {line_id!r}")
-    known = {rec.id for rec in net.lines}  # an unknown line fails at its first scenario
-    for line_id, channel in product(spec.lines, currents):
-        line, end = net.channel(channel)
-        if end and line_id in known and line.id != line_id:
-            raise ValueError(
-                f"current channel {channel!r} is a terminal of line {line.id!r},"
-                f" not of faulted line {line_id!r}"
-            )
     taps = {line_id: _taps(net, line_id, placements, distortions) for line_id in spec.lines}
     study = FaultStudy(net)
     rows: list[ReportRow] = []
@@ -375,7 +363,7 @@ def _build_parser() -> _Parser:
             " the voltage method, --branches a,b the current method, and the"
             " hybrid methods pair the first branch with the last bus."
             "  Branches may be line ids, from-to pairs (1-5), or terminal"
-            " channels (T2@from)."
+            " channels of any line (T2@from)."
         ),
     )
     p.add_argument("--case", required=True, help="case file path")

@@ -7,8 +7,9 @@ interconnecting the three sequence networks at the fault point according to
 the fault type; every bus voltage and branch current, the faulted line's
 terminals included, then follows from a fault-position coefficient law.
 
-Sign conventions: branch currents flow from-bus -> to-bus; fault current
-flows out of the network at the fault point.
+Sign conventions: a line's current flows from-bus -> to-bus, a terminal's
+from its bus into the line; fault current flows out of the network at the
+fault point.
 """
 from __future__ import annotations
 
@@ -20,9 +21,8 @@ import math
 
 import numpy as np
 
-from .netmodel import LineRecord, Network
+from .netmodel import Network
 from .seqmatrix import (
-    LinearLaw,
     SequenceZbus,
     branch_coefficients,
     build_ybus,
@@ -41,7 +41,6 @@ __all__ = [
     "FaultStudy",
     "prefault_solve",
     "fault_sequence_currents",
-    "simulate_measurements",
     "apply_distortion",
     "sequence_transform",
     "inverse_sequence_transform",
@@ -92,21 +91,22 @@ class SequenceFaultCurrents:
 class MeasurementTaps:
     """Which channels a measurement set should report.
 
-    ``None`` for buses or branches means "all" (branches: all except the
-    faulted line).  ``faulted_segments`` adds the two terminal currents of
-    the faulted line itself, channel ids ``<line>@from`` and ``<line>@to``,
-    defined as the current each terminal feeds toward the fault point; that
-    is what a current transformer at the terminal reads.
+    ``branches`` names current channels as :meth:`Network.channel` reads
+    them: a line's current (``T1``) or the current one of its terminals
+    feeds into it (``T1@from``, ``T1@to``), which is what a current
+    transformer at that terminal reads.  The faulted line's own current is
+    no channel: only its terminals measure it.  ``None`` means "all": every
+    bus, and every line but the faulted one plus the faulted line's two
+    terminals.
 
     Each tapped channel is computed the same way whatever else is tapped,
     so a caller that needs only a few channels (the CLI taps the ones its
     methods read plus the distorted ones) gets the same values for them as
-    from the all-tap set.
+    from any other tap set.
     """
 
     buses: tuple[int, ...] | None = None
     branches: tuple[str, ...] | None = None
-    faulted_segments: bool = False
 
 
 @dataclass(frozen=True)
@@ -265,6 +265,7 @@ class FaultStudy:
         branch_ids = taps.branches
         if branch_ids is None:
             branch_ids = tuple(r.id for r in net.lines if r.id != line.id)
+            branch_ids += (f"{line.id}@from", f"{line.id}@to")
 
         prefault_bus_v: dict[int, complex] = {}
         fault_bus_v: dict[int, SequenceTriple] = {}
@@ -278,24 +279,16 @@ class FaultStudy:
         prefault_branch_i: dict[str, complex] = {}
         fault_branch_i: dict[str, SequenceTriple] = {}
         for bid in branch_ids:
-            if bid == line.id:
+            rec, end = net.channel(bid)
+            if rec.id == line.id and not end:
                 raise KeyError(
-                    f"branch {bid!r} is the faulted line; request its terminal"
-                    " currents via faulted_segments instead"
+                    f"branch {bid!r} is the faulted line; tap its terminals"
+                    f" {line.id}@from and {line.id}@to instead"
                 )
-            rec = net.line(bid)
-            beta = [
-                branch_coefficients(self.zbus(s), line, rec).at(m) for s in (0, 1, 2)
-            ]
-            prefault_branch_i[bid] = branch_i0[bid]
-            fault_branch_i[bid] = _during_fault(beta, branch_i0[bid], cur)
-
-        if taps.faulted_segments:
-            i0_through = branch_i0[line.id]
-            for end, pre in (("from", i0_through), ("to", -i0_through)):
-                law = [_terminal_law(self.zbus(s), line, end).at(m) for s in (0, 1, 2)]
-                prefault_branch_i[f"{line.id}@{end}"] = pre
-                fault_branch_i[f"{line.id}@{end}"] = _during_fault(law, pre, cur)
+            law = [branch_coefficients(self.zbus(s), line, (rec, end)).at(m) for s in (0, 1, 2)]
+            pre = -branch_i0[rec.id] if end == "to" else branch_i0[rec.id]
+            prefault_branch_i[bid] = pre
+            fault_branch_i[bid] = _during_fault(law, pre, cur)
 
         token = f"{scenario.line_id}:{scenario.fault_type.value}:m={m:g}:rf={scenario.rf_ohm:g}"
         return PhasorMeasurementSet(
@@ -307,28 +300,6 @@ def _during_fault(k, pre: complex, cur: SequenceFaultCurrents) -> SequenceTriple
     """Sequence values of a quantity that changes by ``-k[s]`` per unit fault
     current in sequence s, on top of the positive-sequence value ``pre``."""
     return (-k[0] * cur.i0, pre - k[1] * cur.i1, -k[2] * cur.i2)
-
-
-def _terminal_law(zbus: SequenceZbus, line: LineRecord, end: str) -> LinearLaw:
-    """Law of the current the faulted ``line``'s ``end`` terminal ("from" or
-    "to") feeds toward the fault, in the sense of :func:`branch_coefficients`.
-
-    The from-terminal feeds the line's through current, whose law ``t`` is
-    the line's own branch law, plus ``1 - m`` of the fault current; the
-    to-terminal feeds ``m`` of it less the through current.  Neither law,
-    ``t - (1 - m)`` or ``-t - m``, divides by a segment's vanishing length.
-    """
-    t = branch_coefficients(zbus, line, line)
-    if end == "from":
-        return LinearLaw(t.b - 1.0, t.c + 1.0)
-    return LinearLaw(-t.b, -t.c - 1.0)
-
-
-def simulate_measurements(
-    net: Network, scenario: FaultScenario, taps: MeasurementTaps | None = None
-) -> PhasorMeasurementSet:
-    """One-shot convenience wrapper around :class:`FaultStudy`."""
-    return FaultStudy(net).measurements(scenario, taps)
 
 
 @dataclass(frozen=True)

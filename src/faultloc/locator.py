@@ -119,7 +119,7 @@ def voltage_channel(ms: PhasorMeasurementSet, bus: int) -> Channel:
 
 
 def current_channel(ms: PhasorMeasurementSet, channel_id: str) -> Channel:
-    """Positive-sequence current channel of one branch (or terminal segment)."""
+    """Positive-sequence current channel of one line or line terminal."""
     pre, fault = ms.prefault_branch_i[channel_id], ms.fault_branch_i[channel_id][1]
     return Channel("branchI", channel_id, pre, fault, ms.token)
 
@@ -160,8 +160,8 @@ def locate(
     ``numer.delta / denom.delta == numer_law.at(m) / denom_law.at(m)``.
     The channels' kinds must be those the method divides (two voltages for
     ssvm, two currents for sscm, current over voltage for the hybrids) and
-    their tokens must match.  A current channel must measure a line other
-    than the faulted one; the branch law does not hold on the faulted line.
+    their tokens must match.  A current channel on the faulted line must be
+    one of its terminals: the line's own current is no channel there.
 
     Raises :class:`LinearDependenceError` when the two laws are
     proportional and :class:`DegenerateChannelError` when the denominator
@@ -342,18 +342,20 @@ class HybridPlacement:
 Placement = VoltagePlacement | CurrentPlacement | HybridPlacement
 
 
-def _source(net: Network, kind: str, ident: int | str) -> int | LineRecord:
-    """What a channel measures: its bus, or the line its current flows on.
-
-    A current channel id may name a terminal of a line (``T2@from``); a
-    malformed one raises :class:`~faultloc.netmodel.CaseError`.
-    """
-    return net.channel(ident)[0] if kind == "branchI" else ident
+#: What a channel measures: a bus, or a current channel's line and terminal.
+_Source = int | tuple[LineRecord, str]
 
 
-def _law(zbus: SequenceZbus, line: Lines, source: int | LineRecord) -> LinearLaw:
+def _source(net: Network, kind: str, ident: int | str) -> _Source:
+    """What a channel measures; :meth:`Network.channel` parses a current
+    channel id and raises :class:`~faultloc.netmodel.CaseError` on a
+    malformed one."""
+    return net.channel(ident) if kind == "branchI" else ident
+
+
+def _law(zbus: SequenceZbus, line: Lines, source: _Source) -> LinearLaw:
     """The law of a channel measuring ``source`` under a fault on ``line``."""
-    if isinstance(source, LineRecord):
+    if isinstance(source, tuple):
         return branch_coefficients(zbus, line, source)
     return transfer_coefficients(zbus, line, source)
 
@@ -381,14 +383,14 @@ def feasibility_check(
 
     # The rank test is the decisive physical condition for placements with a
     # current channel, so its verdict names the reason when both tests fail.
-    if any(isinstance(s, LineRecord) for s in sources):
+    if any(isinstance(s, tuple) for s in sources):
         zbus = zbus if zbus is not None else build_zbus(net, 1)
         if _dependent(*(_law(zbus, line, s) for s in sources)):
             return False, _DEPENDENT
 
     index = net.bus_index  # raises CaseError on unknown measurement buses
     starts, goals = (
-        [index(s.from_bus), index(s.to_bus)] if isinstance(s, LineRecord) else [index(s)]
+        [index(s[0].from_bus), index(s[0].to_bus)] if isinstance(s, tuple) else [index(s)]
         for s in sources
     )
     parent, depth, line_block = net.block_forest()
@@ -430,7 +432,7 @@ def percent_error(actual_km: float, estimated_km: float, line_length_km: float) 
 
 def _consumed(
     net: Network, ms: PhasorMeasurementSet, placement: Placement, method: Method
-) -> list[tuple[int | LineRecord, Channel]]:
+) -> list[tuple[_Source, Channel]]:
     """The placement's two sources, each with its channel read from ``ms``.
 
     Both come from one measurement set, so their tokens match.  Sources come
@@ -485,9 +487,9 @@ def rank_line_hypotheses(
     expressions, with the checks of :func:`locate`.
     Hypotheses that those checks reject are skipped: all of them when the
     denominator channel is degenerate, one line when its two laws are
-    dependent or its ratio does not depend on m.  So are the lines a
-    current channel measures, whose branch law does not hold while they
-    are faulted.
+    dependent or its ratio does not depend on m.  So is the line whose own
+    current a channel reads, which is no channel while that line is
+    faulted; a terminal channel takes its terminal law there instead.
 
     Hypotheses yielding an in-range estimate sort ahead of out-of-range
     ones, then by residual.  A convenience for identifying the faulted line
@@ -497,7 +499,7 @@ def rank_line_hypotheses(
     (numer_src, numer), (denom_src, denom) = _consumed(net, ms, placement, method)
     ends = _line_ends(net, zbus)
     numer_law, denom_law = _law(zbus, ends, numer_src), _law(zbus, ends, denom_src)
-    measured = {src.id for src in (numer_src, denom_src) if isinstance(src, LineRecord)}
+    measured = {s[0].id for s in (numer_src, denom_src) if isinstance(s, tuple) and not s[1]}
     try:
         ratio = _ratio(numer, denom)
     except DegenerateChannelError:
@@ -522,11 +524,12 @@ def rank_line_hypotheses(
     return results
 
 
-def _line_ends(net: Network, zbus: SequenceZbus) -> tuple[np.ndarray, np.ndarray]:
-    """Z indices of every line's from- and to-bus, in ``net.lines`` order."""
+def _line_ends(net: Network, zbus: SequenceZbus) -> Lines:
+    """Every line of ``net`` as the faulted line of a law of arrays: the Z
+    indices of its from- and to-bus, and its record, in ``net.lines`` order."""
     p, q = net.line_end_indices()
     if zbus.bus_order != net.buses:
         order = np.array([zbus.index(b) for b in net.buses], dtype=np.intp)
         p, q = order[p], order[q]
-    return p, q
+    return p, q, net.lines
 

@@ -7,11 +7,13 @@ line p-q, two law types describe how the network responds without ever
 rebuilding the matrix:
 
 * :class:`LinearLaw` ``b + c*m``: the transfer impedance from any bus k to
-  the fault point, and the current-division sensitivity of any branch (the
-  difference of its end buses' transfer laws over its impedance; on the
-  faulted line, of its through current).  Every estimator solves a ratio of
-  two of these, and only :func:`transfer_coefficients` and
-  :func:`branch_coefficients` build them, for one line or many (:data:`Lines`).
+  the fault point, and the current-division sensitivity of any current
+  channel, a line's current or the current one of its terminals feeds into
+  it (the difference of its end buses' transfer laws over its impedance,
+  shifted by the fault's share at a terminal of the faulted line).  Every
+  estimator solves a ratio of two of these, and only
+  :func:`transfer_coefficients` and :func:`branch_coefficients` build them,
+  for one line or many (:data:`Lines`).
 * :class:`FaultPointCoefficients` ``a0 + a1*m + a2*m**2``: the
   driving-point impedance at the fault point, which sets the fault current.
 
@@ -45,8 +47,9 @@ __all__ = [
 CONDITION_LIMIT = 1e12
 
 #: A law's faulted line: one :class:`LineRecord`, for a law of two ``complex``,
-#: or the Z indices ``(p, q)`` of many lines' ends, for a law of arrays.
-Lines = LineRecord | tuple[np.ndarray, np.ndarray]
+#: or many lines, as the Z indices ``(p, q)`` of their ends and their
+#: records, for a law of arrays.
+Lines = LineRecord | tuple[np.ndarray, np.ndarray, tuple[LineRecord, ...]]
 
 
 class UngroundedNetworkError(ValueError):
@@ -186,25 +189,42 @@ def transfer_coefficients(zbus: SequenceZbus, line: Lines, bus: int) -> LinearLa
 
 
 def branch_coefficients(
-    zbus: SequenceZbus, faulted_line: Lines, branch: LineRecord
+    zbus: SequenceZbus, faulted_line: Lines, branch: LineRecord | tuple[LineRecord, str]
 ) -> LinearLaw:
-    """Current-change law for ``branch`` under a fault on ``faulted_line``.
+    """Current-change law for a current channel under a fault on ``faulted_line``.
 
-    ``at(m)`` gives the share of the fault current that the branch (oriented
-    from-bus -> to-bus) sheds: the during-fault branch current is the
-    pre-fault current minus ``at(m)`` times the fault current.
+    ``branch`` is a channel as :meth:`Network.channel` returns it: a line
+    and a terminal, ``""`` for the line's current or ``"from"``/``"to"``
+    for the current that end's terminal feeds into the line.  A bare line
+    stands for its current.  ``at(m)`` gives the share of the fault current
+    that the channel sheds: its during-fault current is the pre-fault
+    current minus ``at(m)`` times the fault current.  A line's current
+    flows from-bus -> to-bus, and its law ``t`` is the voltage difference
+    of its ends over its impedance; a ``@to`` terminal feeds ``-t``.
 
-    The law models a branch's current as the voltage difference of its
-    terminals over its impedance.  On the faulted line itself that is the
-    through current, which neither terminal feeds while the fault draws
-    current, so location must not use it as a terminal's law.
+    On the faulted line itself ``t`` is the through current, which neither
+    terminal feeds while the fault draws current: the ``@from`` terminal
+    feeds ``t - (1 - m)`` and the ``@to`` terminal ``-t - m``, neither of
+    which divides by a segment's vanishing length.  For many lines that
+    shift goes to the channel's own line only.  The line's current keeps
+    ``t``, which no instrument reads; callers refuse it or skip that line.
     """
-    zb = branch.z(zbus.sequence)
+    rec, end = (branch, "") if isinstance(branch, LineRecord) else branch
+    zb = rec.z(zbus.sequence)
     if abs(zb) == 0.0:
-        raise ValueError(f"branch {branch.id!r} has zero impedance")
-    ck = transfer_coefficients(zbus, faulted_line, branch.from_bus)
-    cl = transfer_coefficients(zbus, faulted_line, branch.to_bus)
-    return LinearLaw(_divide(ck.b - cl.b, zb), _divide(ck.c - cl.c, zb))
+        raise ValueError(f"branch {rec.id!r} has zero impedance")
+    ck = transfer_coefficients(zbus, faulted_line, rec.from_bus)
+    cl = transfer_coefficients(zbus, faulted_line, rec.to_bus)
+    b, c = _divide(ck.b - cl.b, zb), _divide(ck.c - cl.c, zb)
+    if not end:
+        return LinearLaw(b, c)
+    if isinstance(faulted_line, LineRecord):
+        own = float(faulted_line.id == rec.id)
+    else:
+        own = np.array([line.id == rec.id for line in faulted_line[2]], dtype=float)
+    if end == "from":
+        return LinearLaw(b - own, c + own)
+    return LinearLaw(-b, -c - own)
 
 
 def _divide(a, b: complex):

@@ -219,7 +219,7 @@ def test_current_clamp_immunity(fourbus, fourbus_study):
     net = fourbus
     zbus = fourbus_study.zbus(1)
     sc = FaultScenario("T2", 0.56, FaultType.LLL, 1.0)
-    taps = MeasurementTaps(faulted_segments=True)
+    taps = MeasurementTaps()
     ms = fourbus_study.measurements(sc, taps)
     clamp = 0.5 * abs(ms.fault_branch_i["T2@from"][1])
     saturated = apply_distortion(
@@ -237,7 +237,7 @@ def test_current_clamp_immunity(fourbus, fourbus_study):
         == estimate_for_placement(net, zbus, "T2", p, saturated, meth)
         for meth, p in untouched
     )
-    consuming = CurrentPlacement("T2@from", "T3")
+    consuming = CurrentPlacement("T2@from", "T1")
     clean = estimate_for_placement(net, zbus, "T2", consuming, ms, Method.SSCM)
     degraded = estimate_for_placement(net, zbus, "T2", consuming, saturated, Method.SSCM)
     moved = clean.m != degraded.m

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from faultloc import FaultScenario, FaultType, MeasurementTaps, bundled_case
+from faultloc import (
+    CurrentPlacement,
+    FaultScenario,
+    FaultType,
+    MeasurementTaps,
+    bundled_case,
+    feasibility_check,
+)
 from faultloc import cli
 from faultloc.cli import main
 from faultloc import FaultStudy
@@ -225,7 +232,7 @@ def _segment_clamp(fraction=0.5):
     net = bundled_case("fourbus")
     ms = FaultStudy(net).measurements(
         FaultScenario("T2", 0.56, FaultType.LLL, 1.0),
-        MeasurementTaps(faulted_segments=True),
+        MeasurementTaps(),
     )
     return fraction * abs(ms.fault_branch_i["T2@from"][1])
 
@@ -248,7 +255,7 @@ def test_ct_saturation_degrades_consuming_sscm(tmp_path):
     clamp = _segment_clamp()
     base = dict(
         types=["LLL"], m_values=[0.56], rf_ohm=[1.0],
-        methods=["sscm"], branches=["T2@from", "T3"],
+        methods=["sscm"], branches=["T2@from", "T1"],
     )
     spec_clean = _write_sweep(tmp_path, "clean.json", **base)
     spec_sat = _write_sweep(
@@ -307,20 +314,41 @@ def test_current_channel_on_faulted_line_exits_before_any_scenario(
     assert capsys.readouterr().err == 2 * message
 
 
-def test_terminal_of_unfaulted_line_exits_before_any_scenario(tmp_path, capsys, monkeypatch):
-    evaluated = []
-    monkeypatch.setattr(cli, "_evaluate", lambda *args: evaluated.append(args) or [])
+def test_terminal_of_unfaulted_line_runs_and_recovers(tmp_path, capsys):
+    # A CT at 2-3@from reads a current whatever line is faulted.
     single = ["--case", CASE14_PATH, "--line", "4-5", "--type", "LG", "--m", "0.5",
               "--method", "sscm", "--branches", "2-3@from,13-14"]
-    assert run_cli(single) == 1
-    spec = _ieee14_sweep(tmp_path, "terminal.json", branches=["13-14", "2-3@to"])
-    assert run_cli(["--case", CASE14_PATH, "--sweep", spec]) == 1
-    assert evaluated == []
+    assert run_cli(single) == 0
+    rows = parse_csv(capsys.readouterr().out)
+    assert len(rows) == 1 and float(rows[0]["pct_error"]) <= 1e-6
+    spec = _ieee14_sweep(tmp_path, "terminal.json", methods=["sscm", "hybrid"],
+                         branches=["2-3@to", "13-14"])
+    out = tmp_path / "terminal.csv"
+    assert run_cli(["--case", CASE14_PATH, "--sweep", spec, "--out", str(out)]) == 0
+    rows = parse_csv(out.read_text())
+    assert len(rows) == 4 * 3 * 3 * 2 * 2
+    assert {r["line"] for r in rows} == {"1-2", "4-5", "6-11", "9-14"}
+    assert max(float(r["pct_error"]) for r in rows) <= 1e-6
+    # Distorting such a channel, which ssvm does not read, changes nothing.
+    fourbus = _SINGLE + ["--method", "ssvm", "--buses", "1,2"]
+    capsys.readouterr()
+    assert run_cli(fourbus) == 0
+    clean = capsys.readouterr().out
+    assert run_cli(fourbus + ["--distort", "branchI:T1@to:gain:1.01"]) == 0
+    assert capsys.readouterr().out == clean
+
+
+def test_terminal_pair_dependent_under_its_own_line_exits_two(fourbus, capsys):
+    # On the chain 3-T1-1-T2-2-T3-4 the current bus 2 feeds into T2 is the
+    # current T3 brings to bus 2: the pair cannot pin m, while the terminal
+    # over T1, on the other side of the fault, recovers it.
+    ok, reason = feasibility_check(fourbus, "T2", CurrentPlacement("T2@from", "T3"))
+    assert not ok and reason.endswith("dependent")
+    assert feasibility_check(fourbus, "T2", CurrentPlacement("T2@from", "T1")) == (True, "ok")
+    assert run_cli(_SINGLE + ["--method", "sscm", "--branches", "T2@from,T3"]) == 2
     assert capsys.readouterr().err == (
-        "faultloc: error: current channel '2-3@from' is a terminal of line '2-3',"
-        " not of faulted line '4-5'\n"
-        "faultloc: error: current channel '2-3@to' is a terminal of line '2-3',"
-        " not of faulted line '1-2'\n"
+        "faultloc: infeasible placement: sscm placement infeasible for line T2:"
+        " channel fault responses are linearly dependent\n"
     )
 
 
@@ -375,7 +403,12 @@ def test_sweep_spec_that_is_not_an_object_exits_one(tmp_path, capsys):
 
 
 def _all_taps(net, line_id, placements, distortions):
-    return MeasurementTaps(faulted_segments=True)
+    """Every channel: every bus, every line but the faulted one, and both
+    terminals of every line."""
+    terminals = tuple(f"{rec.id}@{end}" for rec in net.lines for end in ("from", "to"))
+    return MeasurementTaps(
+        branches=tuple(rec.id for rec in net.lines if rec.id != line_id) + terminals
+    )
 
 
 def _ieee14_sweep(tmp_path, name, **overrides):
@@ -406,8 +439,8 @@ def _sweep_specs(tmp_path):
                      "branchI:T2@from:clamp:0.2", "branchI:T2@to:gain:1.2"],
         ),
         _write_sweep(
-            tmp_path, "segment.json", methods=["sscm", "hybrid"],
-            branches=["T2@from", "T3"], distort=["branchI:T2@from:clamp:0.2"],
+            tmp_path, "segment.json", methods=["sscm", "hybrid"], buses=[2, 1],
+            branches=["T2@from", "T1"], distort=["branchI:T2@from:clamp:0.2"],
         ),
         _ieee14_sweep(
             tmp_path, "ieee14.json",
@@ -426,8 +459,8 @@ _SINGLE = ["--case", CASE_PATH, "--line", "T2", "--type", "LG", "--m", "0.5"]
 _REJECTED = [
     (_SINGLE + ["--method", "ssvm", "--buses", "1,2", "--distort", "busV:77:gain:1.01"],
      "unknown voltage channel '77'"),
-    (_SINGLE + ["--method", "ssvm", "--buses", "1,2", "--distort", "branchI:T1@to:gain:1.01"],
-     "unknown current channel 'T1@to'"),
+    (_SINGLE + ["--method", "ssvm", "--buses", "1,2", "--distort", "branchI:T2:gain:1.01"],
+     "unknown current channel 'T2'"),
     (_SINGLE + ["--method", "all", "--buses", "1,2", "--branches", "T2,T3"], "'T2'"),
     (_SINGLE + ["--method", "ssvm", "--buses", "1,9"], "unknown bus 9"),
 ]
@@ -472,7 +505,7 @@ def test_measurements_hold_exactly_the_read_channels(tmp_path, monkeypatch):
     assert len(taken) == 16
     # ssvm reads buses 1 and 4, hybrid bus 2; sscm reads T1 and T3.
     assert {(line, frozenset(v), frozenset(i)) for line, v, i in taken} == {
-        ("T2", frozenset({1, 2, 3, 4}), frozenset({"T1", "T3", "T2@from", "T2@to"}))
+        ("T2", frozenset({1, 2, 3, 4}), frozenset({"T1", "T3", "T2@to"}))
     }
 
     taken.clear()

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultloc import (
     Distortion,
@@ -22,8 +23,9 @@ from faultloc import (
     parse_case,
     prefault_solve,
     sequence_transform,
-    simulate_measurements,
 )
+
+from faultloc.netmodel import LineRecord, Network, SourceRecord
 
 from oracles import DirectFaultSolve
 from test_ranking import mesh_text
@@ -158,7 +160,7 @@ def test_phase_domain_boundary_conditions(fourbus_study, ftype):
 @pytest.mark.parametrize("ftype", list(FaultType))
 def test_measurements_match_direct_solve_fourbus(fourbus, fourbus_study, ftype):
     sc = FaultScenario("T2", 0.56, ftype, rf_ohm=1.0)
-    ms = fourbus_study.measurements(sc, MeasurementTaps(faulted_segments=True))
+    ms = fourbus_study.measurements(sc, MeasurementTaps())
     oracle = DirectFaultSolve(fourbus, "T2", sc.m, ftype, sc.rf_ohm)
     for b in fourbus.buses:
         assert abs(ms.prefault_bus_v[b] - oracle.prefault_v(b)) < 1e-9
@@ -207,7 +209,7 @@ def test_measurements_match_direct_solve_with_loaded_prefault():
     """
     net = parse_case(text)
     sc = FaultScenario("T2", 0.64, FaultType.LLG, rf_ohm=5.0)
-    ms = FaultStudy(net).measurements(sc, MeasurementTaps(faulted_segments=True))
+    ms = FaultStudy(net).measurements(sc, MeasurementTaps())
     oracle = DirectFaultSolve(net, "T2", sc.m, sc.fault_type, sc.rf_ohm)
     for b in net.buses:
         assert abs(ms.prefault_bus_v[b] - oracle.prefault_v(b)) < 1e-9
@@ -221,6 +223,70 @@ def test_measurements_match_direct_solve_with_loaded_prefault():
     for end in ("from", "to"):
         for s in (0, 1, 2):
             assert abs(ms.fault_branch_i[f"T2@{end}"][s] - oracle.segment_i(end)[s]) < 1e-9
+
+
+@st.composite
+def _meshes(draw):
+    """Connected meshes of 2 to 8 buses: a random spanning tree plus up to
+    five more lines, parallel ones included, each with its own impedance,
+    and one to three sources with their own EMFs, so that current flows
+    before the fault."""
+    n = draw(st.integers(2, 8))
+    edges = [(b, draw(st.integers(1, b - 1))) for b in range(2, n + 1)]
+    chord = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    edges += draw(st.lists(chord, max_size=5))
+    lines = tuple(
+        LineRecord(
+            f"L{k}", a, b, draw(st.floats(10.0, 100.0)),
+            complex(draw(st.floats(1e-4, 1e-3)), draw(st.floats(1e-3, 5e-3))),
+            complex(draw(st.floats(3e-4, 3e-3)), draw(st.floats(3e-3, 1.5e-2))),
+        )
+        for k, (a, b) in enumerate(edges)
+    )
+    buses = draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True))
+    sources = tuple(
+        SourceRecord(
+            bus, complex(draw(st.floats(1e-3, 1e-2)), draw(st.floats(0.02, 0.1))),
+            emf=cmath.rect(draw(st.floats(0.95, 1.05)), math.radians(draw(st.floats(-15.0, 15.0)))),
+        )
+        for bus in buses
+    )
+    return Network(tuple(range(1, n + 1)), lines, sources)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(net=_meshes(), data=st.data())
+def test_measurements_match_direct_solve_on_random_meshes(net, data):
+    line = data.draw(st.sampled_from(net.lines))
+    m = data.draw(st.floats(0.01, 0.99))
+    ftype = data.draw(st.sampled_from(list(FaultType)))
+    sc = FaultScenario(line.id, m, ftype, data.draw(st.sampled_from([0.0, 1.0, 25.0])))
+    study = FaultStudy(net)
+    ms = study.measurements(sc)
+    oracle = DirectFaultSolve(net, line.id, m, ftype, sc.rf_ohm)
+    terminals = {f"{line.id}@from": oracle.segment_i("from"), f"{line.id}@to": oracle.segment_i("to")}
+    currents = {rec.id: oracle.fault_i(rec) for rec in net.lines if rec is not line}
+    assert set(ms.fault_bus_v) == set(net.buses)
+    assert set(ms.fault_branch_i) == set(currents) | set(terminals)
+    # The terminals of the other lines, which the default set leaves out.
+    far = {f"{i}@{end}": v for i, v in currents.items() for end in ("from", "to")}
+    far_ms = study.measurements(sc, MeasurementTaps(buses=(), branches=tuple(far)))
+    for channel in far:
+        sign = -1.0 if channel.endswith("@to") else 1.0
+        for s in (0, 1, 2):
+            want = sign * currents[channel.partition("@")[0]][s]
+            assert abs(far_ms.fault_branch_i[channel][s] - want) < 1e-9, (channel, s)
+    for b in net.buses:
+        assert abs(ms.prefault_bus_v[b] - oracle.prefault_v(b)) < 1e-9
+        for s in (0, 1, 2):
+            assert abs(ms.fault_bus_v[b][s] - oracle.fault_v(b)[s]) < 1e-9
+    for channel, ref in {**currents, **terminals}.items():
+        rec = net.line(channel.partition("@")[0])
+        through = (oracle.prefault_v(rec.from_bus) - oracle.prefault_v(rec.to_bus)) / rec.z1
+        pre = -through if channel.endswith("@to") else through
+        assert abs(ms.prefault_branch_i[channel] - pre) < 1e-9
+        for s in (0, 1, 2):
+            assert abs(ms.fault_branch_i[channel][s] - ref[s]) < 1e-9, (channel, s)
 
 
 def test_infinite_rf_reproduces_prefault(fourbus_study):
@@ -288,7 +354,7 @@ def test_superposition_halved_loop_doubles_every_change():
     )
     study = FaultStudy(net)
     z_base = net.z_base_ohm
-    taps = MeasurementTaps(faulted_segments=True)
+    taps = MeasurementTaps()
     ms_a = study.measurements(FaultScenario("L", 0.5, FaultType.LLL, 0.3 * z_base), taps)
     ms_b = study.measurements(FaultScenario("L", 0.5, FaultType.LLL, 0.1 * z_base), taps)
     for b in net.buses:
@@ -303,7 +369,7 @@ def test_superposition_halved_loop_doubles_every_change():
 @pytest.mark.parametrize("m", [0.0, 0.35, 1.0])
 def test_segment_currents_balance_fault_current(fourbus_study, m):
     sc = FaultScenario("T2", m, FaultType.LG, rf_ohm=1.0)
-    ms = fourbus_study.measurements(sc, MeasurementTaps(faulted_segments=True))
+    ms = fourbus_study.measurements(sc, MeasurementTaps())
     i = fourbus_study.fault_currents(sc)
     cur = (i.i0, i.i1, i.i2)
     for s in (0, 1, 2):
@@ -317,8 +383,8 @@ def test_terminal_currents_are_continuous_at_both_line_ends(request, case):
     # there must be the limits of their interior values.
     net = request.getfixturevalue(case)
     study = request.getfixturevalue(f"{case}_study")
-    taps = MeasurementTaps(buses=(), branches=(), faulted_segments=True)
     for line, ftype in ((line, ftype) for line in net.lines for ftype in FaultType):
+        taps = MeasurementTaps(buses=(), branches=(f"{line.id}@from", f"{line.id}@to"))
         for end, near in ((0.0, 1e-12), (1.0, 1.0 - 1e-12)):
             at, by = (FaultScenario(line.id, m, ftype, 1.0) for m in (end, near))
             ms_at, ms_by = study.measurements(at, taps), study.measurements(by, taps)
@@ -383,7 +449,7 @@ def test_distortion_empty_spec_is_identity(fourbus_study):
 
 
 def test_distortion_clamp_isolates_channel(fourbus_study):
-    taps = MeasurementTaps(faulted_segments=True)
+    taps = MeasurementTaps()
     ms = fourbus_study.measurements(FaultScenario("T2", 0.56, FaultType.LLL, 1.0), taps)
     mag = abs(ms.fault_branch_i["T2@from"][1])
     out = apply_distortion(
@@ -419,7 +485,7 @@ def test_distortion_unknown_channel(fourbus_study):
 
 
 def test_measurements_csv_roundtrip(fourbus_study):
-    taps = MeasurementTaps(faulted_segments=True)
+    taps = MeasurementTaps()
     ms = fourbus_study.measurements(FaultScenario("T2", 0.56, FaultType.LLG, 10.0), taps)
     text = measurements_to_csv(ms)
     again = measurements_from_csv(text)
@@ -460,7 +526,7 @@ def test_measurements_csv_rejects_bad_values(row, problem):
 
 def test_simulate_one_shot_matches_study(fourbus, fourbus_study):
     sc = FaultScenario("T2", 0.2, FaultType.LL, 1.0)
-    a = simulate_measurements(fourbus, sc)
+    a = FaultStudy(fourbus).measurements(sc)
     b = fourbus_study.measurements(sc)
     assert a.fault_bus_v == b.fault_bus_v
     assert a.fault_branch_i == b.fault_branch_i

@@ -320,7 +320,7 @@ def test_channel_isolation_is_bit_exact(fourbus, fourbus_study):
     from faultloc import Distortion, apply_distortion
 
     zb = fourbus_study.zbus(1)
-    taps = MeasurementTaps(faulted_segments=True)
+    taps = MeasurementTaps()
     ms = fourbus_study.measurements(FaultScenario("T2", 0.56, FaultType.LLL, 1.0), taps)
     noisy = apply_distortion(
         ms,
@@ -565,7 +565,7 @@ def test_percent_error_trivial_and_validation():
 def test_rank_line_hypotheses_finds_true_line(fourbus, fourbus_study, method, placement):
     ms = fourbus_study.measurements(
         FaultScenario("T2", 0.56, FaultType.LG, 1.0),
-        MeasurementTaps(faulted_segments=True),
+        MeasurementTaps(),
     )
     ranked = rank_line_hypotheses(fourbus, ms, placement, method, fourbus_study.zbus(1))
     assert ranked
@@ -573,3 +573,66 @@ def test_rank_line_hypotheses_finds_true_line(fourbus, fourbus_study, method, pl
     assert top_line == "T2"
     assert abs(top_est.m - 0.56) < 1e-9
     assert top_est.in_range
+
+
+# ---------------------------------------------------------------------------
+# Terminal channels
+# ---------------------------------------------------------------------------
+
+
+def _terminal_pairings(net, line, zbus):
+    """Every sscm and hybrid placement reading a terminal of ``line`` that
+    :func:`feasibility_check` accepts for a fault on it: the terminal over or
+    under any other current channel, or over any bus voltage."""
+    terminals = (f"{line.id}@from", f"{line.id}@to")
+    currents = [rec.id for rec in net.lines if rec.id != line.id] + list(terminals)
+    pairs = {
+        pair for t in terminals for other in currents if other != t
+        for pair in ((t, other), (other, t))
+    }
+    pairings = [(Method.SSCM, CurrentPlacement(*pair)) for pair in sorted(pairs)]
+    pairings += [(Method.HYBRID_DIRECT, HybridPlacement(t, bus)) for t in terminals for bus in net.buses]
+    return [(meth, p) for meth, p in pairings if feasibility_check(net, line.id, p, zbus)[0]]
+
+
+@pytest.mark.parametrize("case", ["fourbus", "ieee14"])
+def test_terminal_channels_recover_every_fault_position(request, case):
+    net = request.getfixturevalue(case)
+    study = request.getfixturevalue(f"{case}_study")
+    zbus = study.zbus(1)
+    for line in net.lines:
+        pairings = _terminal_pairings(net, line, zbus)
+        assert {p.channels[0][1] for _, p in pairings} >= {f"{line.id}@from", f"{line.id}@to"}
+        for m in (0.0, 0.01, 0.5, 0.99, 1.0):
+            ms = study.measurements(FaultScenario(line.id, m, FaultType.LG, 1.0))
+            for method, placement in pairings:
+                est = estimate_for_placement(net, zbus, line.id, placement, ms, method)
+                assert abs(est.m - m) <= 1e-6, (line.id, m, placement)
+                if 0.0 < m < 1.0:  # a fault at a bus lies on every line meeting there
+                    top, best = rank_line_hypotheses(net, ms, placement, method, zbus)[0]
+                    assert top == line.id and abs(best.m - m) <= 1e-6, (line.id, m, placement)
+
+
+@pytest.mark.parametrize("case", ["fourbus", "ieee14"])
+def test_ranking_reads_a_terminal_channel_under_a_fault_elsewhere(request, case):
+    # A CT at a terminal reads a current whatever line is faulted; the
+    # faulted line's hypothesis takes the channel's law under that fault.
+    net = request.getfixturevalue(case)
+    study = request.getfixturevalue(f"{case}_study")
+    zbus = study.zbus(1)
+    for line, end, faulted in (
+        (line, end, faulted)
+        for line in net.lines for end in ("from", "to") for faulted in net.lines
+        if faulted is not line
+    ):
+        terminal = f"{line.id}@{end}"
+        other = next(rec for rec in net.lines if rec not in (line, faulted))
+        taps = MeasurementTaps(buses=(faulted.from_bus,), branches=(terminal, other.id))
+        ms = study.measurements(FaultScenario(faulted.id, 0.5, FaultType.LG, 1.0), taps)
+        for method, placement in (
+            (Method.SSCM, CurrentPlacement(terminal, other.id)),
+            (Method.HYBRID_DIRECT, HybridPlacement(terminal, faulted.from_bus)),
+        ):
+            ranked = dict(rank_line_hypotheses(net, ms, placement, method, zbus))
+            if feasibility_check(net, faulted.id, placement, zbus)[0]:
+                assert abs(ranked[faulted.id].m - 0.5) <= 1e-6, (faulted.id, placement)

@@ -169,10 +169,12 @@ def test_all_lines_laws_equal_one_line_laws_bit_for_bit(ieee14):
         ends = tuple(
             np.array([z.index(getattr(rec, end)) for rec in ieee14.lines])
             for end in ("from_bus", "to_bus")
-        )
+        ) + (ieee14.lines,)
         for law_of, source in (
             (transfer_coefficients, 14),
             (branch_coefficients, ieee14.line("13-14")),
+            (branch_coefficients, ieee14.channel("13-14@from")),
+            (branch_coefficients, ieee14.channel("4-5@to")),
         ):
             every = law_of(z, ends, source)
             for i, line in enumerate(ieee14.lines):
@@ -228,3 +230,21 @@ def test_zbus_csv_dump_roundtrips(fourbus):
     assert len(rows) == 5
     cell = rows[1].split(",")[1]
     assert complex(cell) == pytest.approx(zb.at(1, 1), rel=1e-12)
+
+
+def test_channel_laws_on_their_own_line_and_elsewhere(fourbus):
+    """A channel's law is its line's branch law ``t`` (negated at ``@to``)
+    under a fault elsewhere, and ``t - (1 - m)`` at ``@from`` or ``-t - m``
+    at ``@to`` under a fault on its own line; a bare line is its current."""
+    zb = build_zbus(fourbus, 1)
+    t2 = fourbus.line("T2")
+    for faulted in fourbus.lines:
+        t = branch_coefficients(zb, faulted, t2)
+        assert branch_coefficients(zb, faulted, (t2, "")) == t
+        own = faulted is t2
+        for end, want in (
+            ("from", (t.b - 1, t.c + 1) if own else (t.b, t.c)),
+            ("to", (-t.b, -t.c - 1) if own else (-t.b, -t.c)),
+        ):
+            law = branch_coefficients(zb, faulted, fourbus.channel(f"T2@{end}"))
+            assert (law.b, law.c) == want, (faulted.id, end)
