@@ -212,11 +212,11 @@ def _check_loop(z: complex) -> None:
 class FaultStudy:
     """Caches the per-sequence matrices and pre-fault state of one network.
 
-    Building the bus impedance matrices dominates the cost of a simulation,
-    so sweeps over many scenarios on the same network should go through one
-    study object.  Lines carry z2 = z1, so when no source sets its own z2
-    the negative-sequence network equals the positive-sequence one and
-    shares its matrix.
+    The matrices, and the coefficient laws memoised on each of them, are
+    built once per study, so sweeps over many scenarios on one network
+    should share a study.  Lines carry z2 = z1, so when no source sets its
+    own z2 the negative-sequence matrix shares the positive-sequence array;
+    it still memoises its own laws (equality ignores the memo).
     """
 
     def __init__(self, net: Network):
@@ -343,11 +343,8 @@ def apply_distortion(
     Channels not named by any distortion are carried over bit-identical.
     Raises ``KeyError`` for unknown channels.
     """
-    pre_v = dict(ms.prefault_bus_v)
-    fault_v = dict(ms.fault_bus_v)
-    pre_i = dict(ms.prefault_branch_i)
-    fault_i = dict(ms.fault_branch_i)
-
+    pre_v, fault_v = dict(ms.prefault_bus_v), dict(ms.fault_bus_v)
+    pre_i, fault_i = dict(ms.prefault_branch_i), dict(ms.fault_branch_i)
     for d in spec:
         if d.kind == "busV":
             pre, fault, key, name = pre_v, fault_v, int(d.channel), "voltage"
@@ -406,20 +403,13 @@ _CSV_HEADER = "kind,id,stage,seq,re,im"
 def measurements_to_csv(ms: PhasorMeasurementSet) -> str:
     """Export as ``kind,id,stage,seq,re,im`` rows (pre-fault rows are seq 1)."""
     rows = [_CSV_HEADER]
-
-    def add(kind: str, ident: str, stage: str, seq: int, v: complex) -> None:
-        rows.append(f"{kind},{ident},{stage},{seq},{v.real!r},{v.imag!r}")
-
-    for bus in sorted(ms.prefault_bus_v):
-        add("busV", str(bus), "pre", 1, ms.prefault_bus_v[bus])
-    for bus in sorted(ms.fault_bus_v):
-        for seq, v in enumerate(ms.fault_bus_v[bus]):
-            add("busV", str(bus), "fault", seq, v)
-    for bid in sorted(ms.prefault_branch_i):
-        add("branchI", bid, "pre", 1, ms.prefault_branch_i[bid])
-    for bid in sorted(ms.fault_branch_i):
-        for seq, v in enumerate(ms.fault_branch_i[bid]):
-            add("branchI", bid, "fault", seq, v)
+    for kind, pre, fault in (
+        ("busV", ms.prefault_bus_v, ms.fault_bus_v),
+        ("branchI", ms.prefault_branch_i, ms.fault_branch_i),
+    ):
+        cells = [(k, "pre", 1, pre[k]) for k in sorted(pre)]
+        cells += [(k, "fault", seq, v) for k in sorted(fault) for seq, v in enumerate(fault[k])]
+        rows.extend(f"{kind},{k},{stage},{seq},{v.real!r},{v.imag!r}" for k, stage, seq, v in cells)
     return "\n".join(rows) + "\n"
 
 
@@ -431,11 +421,7 @@ def measurements_from_csv(text: str) -> PhasorMeasurementSet:
     number that does not parse, a value that is not finite, a sequence
     other than 0, 1 or 2, or other than 1 on a ``pre`` row.
     """
-    pre_v: dict[int, complex] = {}
-    fault_v: dict[int, list[complex]] = {}
-    pre_i: dict[str, complex] = {}
-    fault_i: dict[str, list[complex]] = {}
-
+    sets: dict[str, tuple[dict, dict]] = {"busV": ({}, {}), "branchI": ({}, {})}  # (pre, fault)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != _CSV_HEADER:
         raise ValueError("measurement CSV must start with the standard header")
@@ -444,12 +430,9 @@ def measurements_from_csv(text: str) -> PhasorMeasurementSet:
         if len(fields) != 6:
             raise ValueError(f"measurement CSV row {ln!r}: expected 6 fields, got {len(fields)}")
         kind, ident, stage, seq_s, re_s, im_s = fields
-        if kind == "busV":
-            pre, fault = pre_v, fault_v
-        elif kind == "branchI":
-            pre, fault = pre_i, fault_i
-        else:
+        if kind not in sets:
             raise ValueError(f"measurement CSV row {ln!r}: unknown channel kind {kind!r}")
+        pre, fault = sets[kind]
         if stage not in ("pre", "fault"):
             raise ValueError(f"measurement CSV row {ln!r}: stage must be pre or fault")
         try:
@@ -468,10 +451,7 @@ def measurements_from_csv(text: str) -> PhasorMeasurementSet:
             pre[key] = v
         else:
             fault.setdefault(key, [0j, 0j, 0j])[seq] = v
-
-    return PhasorMeasurementSet(
-        prefault_bus_v=pre_v,
-        fault_bus_v={b: tuple(t) for b, t in fault_v.items()},
-        prefault_branch_i=pre_i,
-        fault_branch_i={k: tuple(t) for k, t in fault_i.items()},
+    (pre_v, fault_v), (pre_i, fault_i) = (
+        (pre, {k: tuple(t) for k, t in fault.items()}) for pre, fault in sets.values()
     )
+    return PhasorMeasurementSet(pre_v, fault_v, pre_i, fault_i)

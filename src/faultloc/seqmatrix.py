@@ -17,7 +17,9 @@ rebuilding the matrix:
 * :class:`FaultPointCoefficients` ``a0 + a1*m + a2*m**2``: the
   driving-point impedance at the fault point, which sets the fault current.
 
-No other module reads :attr:`SequenceZbus.z`.
+A one-line law is the many-lines law of that line alone, memoised on the
+:class:`SequenceZbus` it is read from (equality ignores the memo), so each
+is built once per matrix.  No other module reads :attr:`SequenceZbus.z`.
 """
 from __future__ import annotations
 
@@ -68,7 +70,10 @@ class SequenceZbus:
     injected at bus ``bus_order[k]``, reference node implicit.  ``z`` is
     made read-only, because studies share one array between sequences whose
     admittance matrices are equal.  ``condition`` is the admittance matrix's
-    1-norm condition number, the one :func:`build_zbus` checks.
+    1-norm condition number, the one :func:`build_zbus` checks.  One-line
+    laws read from it are memoised in a field that equality and ``repr``
+    ignore; every instance starts with its own, empty memo, so a Z2 that
+    ``dataclasses.replace`` makes from Z1 shares its array, not its laws.
     """
 
     sequence: int
@@ -76,12 +81,14 @@ class SequenceZbus:
     bus_order: tuple[int, ...]
     condition: float
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
+    _laws: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.z.setflags(write=False)
         object.__setattr__(
             self, "_index", {label: i for i, label in enumerate(self.bus_order)}
         )
+        object.__setattr__(self, "_laws", {})
 
     def index(self, bus: int) -> int:
         try:
@@ -177,14 +184,30 @@ def build_zbus(net: Network, sequence: int) -> SequenceZbus:
     return SequenceZbus(sequence=sequence, z=z, bus_order=net.buses, condition=float(cond))
 
 
+def _memo(zbus: SequenceZbus, key: tuple, build, *args):
+    """``build(zbus, *args)``, built once per matrix and ``key``.  The key names
+    everything the law reads besides the matrix, each record by its ``id``; the
+    entry keeps ``args``, so no other record can take one of those ids."""
+    hit = zbus._laws.get(key)
+    if hit is None:
+        hit = zbus._laws[key] = (build(zbus, *args), args)
+    return hit[0]
+
+
+def _one_line(zbus: SequenceZbus, law_of, line: LineRecord, source) -> LinearLaw:
+    """The many-lines law of ``line`` alone, as a law of two ``complex``."""
+    ends = (np.array([zbus.index(line.from_bus)]), np.array([zbus.index(line.to_bus)]), (line,))
+    law = law_of(zbus, ends, source)
+    return LinearLaw(complex(law.b[0]), complex(law.c[0]))
+
+
 def transfer_coefficients(zbus: SequenceZbus, line: Lines, bus: int) -> LinearLaw:
     """Transfer impedance law from ``bus`` to a fault anywhere on ``line``."""
-    k = zbus.index(bus)
     if isinstance(line, LineRecord):
-        zp = complex(zbus.z[zbus.index(line.from_bus), k])
-        zq = complex(zbus.z[zbus.index(line.to_bus), k])
-    else:
-        zp, zq = zbus.z[line[0], k], zbus.z[line[1], k]
+        key = (transfer_coefficients, id(line), bus)
+        return _memo(zbus, key, _one_line, transfer_coefficients, line, bus)
+    k = zbus.index(bus)
+    zp, zq = zbus.z[line[0], k], zbus.z[line[1], k]
     return LinearLaw(zp, zq - zp)
 
 
@@ -210,6 +233,9 @@ def branch_coefficients(
     ``t``, which no instrument reads; callers refuse it or skip that line.
     """
     rec, end = (branch, "") if isinstance(branch, LineRecord) else branch
+    if isinstance(faulted_line, LineRecord):
+        key = (branch_coefficients, id(faulted_line), id(rec), end)
+        return _memo(zbus, key, _one_line, branch_coefficients, faulted_line, (rec, end))
     zb = rec.z(zbus.sequence)
     if abs(zb) == 0.0:
         raise ValueError(f"branch {rec.id!r} has zero impedance")
@@ -218,24 +244,18 @@ def branch_coefficients(
     b, c = _divide(ck.b - cl.b, zb), _divide(ck.c - cl.c, zb)
     if not end:
         return LinearLaw(b, c)
-    if isinstance(faulted_line, LineRecord):
-        own = float(faulted_line.id == rec.id)
-    else:
-        own = np.array([line.id == rec.id for line in faulted_line[2]], dtype=float)
+    own = np.array([line.id == rec.id for line in faulted_line[2]], dtype=float)
     if end == "from":
         return LinearLaw(b - own, c + own)
     return LinearLaw(-b, -c - own)
 
 
-def _divide(a, b: complex):
-    """``a / b`` for a ``complex`` or an array ``a``, rounded alike.
-
-    Arrays take CPython's Smith's method, not numpy's reciprocal product, so
-    that a law of arrays equals the one-line laws bit for bit: the hybrid
-    quadratic's off-axis residual would turn one bit into a change near 1e-8.
+def _divide(a: np.ndarray, b: complex) -> np.ndarray:
+    """``a / b`` rounded as Python's complex division (Smith's method), not as
+    numpy's reciprocal product, so that laws keep the bits of ``complex``
+    arithmetic: the hybrid quadratic's off-axis residual would turn one bit
+    into a change near 1e-8.
     """
-    if isinstance(a, complex):
-        return a / b
     if abs(b.real) >= abs(b.imag):
         ratio = b.imag / b.real
         denom = b.real + b.imag * ratio
@@ -249,9 +269,7 @@ def _divide(a, b: complex):
     return out
 
 
-def fault_point_coefficients(
-    zbus: SequenceZbus, line: LineRecord
-) -> FaultPointCoefficients:
+def fault_point_coefficients(zbus: SequenceZbus, line: LineRecord) -> FaultPointCoefficients:
     """Driving-point impedance law at a fault anywhere on ``line``.
 
     This is the unique quadratic that matches an explicit tap-bus rebuild of
@@ -259,6 +277,10 @@ def fault_point_coefficients(
     loop, so the m=0/m=1 diagonal entries pin the ends and the line's own
     impedance fixes the curvature.
     """
+    return _memo(zbus, (fault_point_coefficients, id(line)), _fault_point, line)
+
+
+def _fault_point(zbus: SequenceZbus, line: LineRecord) -> FaultPointCoefficients:
     zpp = zbus.at(line.from_bus, line.from_bus)
     zqq = zbus.at(line.to_bus, line.to_bus)
     zpq = zbus.at(line.from_bus, line.to_bus)

@@ -9,10 +9,11 @@ from faultloc import (
     FaultScenario,
     FaultType,
     MeasurementTaps,
+    Method,
     bundled_case,
     feasibility_check,
 )
-from faultloc import cli
+from faultloc import cli, seqmatrix
 from faultloc.cli import main
 from faultloc import FaultStudy
 
@@ -517,3 +518,28 @@ def test_measurements_hold_exactly_the_read_channels(tmp_path, monkeypatch):
     for _, buses, branches in taken:
         assert buses == {7, 14}
         assert branches == {"2-3", "13-14"}
+
+
+def test_law_builds_do_not_grow_with_the_scenario_count(tmp_path, monkeypatch):
+    """Laws depend on (matrix, faulted line, channel) only, so nine m values
+    build no more of them than one."""
+    built = []
+    law = seqmatrix.LinearLaw
+
+    def counted_law(b, c):
+        built.append(None)
+        return law(b, c)
+
+    monkeypatch.setattr(seqmatrix, "LinearLaw", counted_law)
+    counts = []
+    for m_values in ([0.37], [0.1 * k for k in range(1, 10)]):
+        built.clear()
+        spec = cli.SweepSpec(
+            case=CASE14_PATH, lines=("1-2", "4-5", "9-14"), types=(FaultType.LG, FaultType.LLL),
+            m_values=tuple(m_values), rf_ohm=(2.0,), methods=tuple(Method),
+            buses=(1, 14), branches=("2-3", "13-14"),
+        )
+        assert len(cli.run_sweep(spec)) == 3 * 2 * len(m_values) * 4
+        counts.append(len(built))
+    assert counts[0] > 0
+    assert counts[1] == counts[0]

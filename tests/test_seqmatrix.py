@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from faultloc import (
+    FaultStudy,
     IllConditionedNetworkError,
     SequenceZbus,
     UngroundedNetworkError,
@@ -248,3 +251,71 @@ def test_channel_laws_on_their_own_line_and_elsewhere(fourbus):
         ):
             law = branch_coefficients(zb, faulted, fourbus.channel(f"T2@{end}"))
             assert (law.b, law.c) == want, (faulted.id, end)
+
+
+def _bits(law):
+    """Every coefficient of a law as its repr, which keeps every bit."""
+    return tuple(repr(v) for v in vars(law).values())
+
+
+@pytest.mark.parametrize("name", ["fourbus", "ieee14"])
+def test_memoised_laws_equal_fresh_laws_bit_for_bit(request, name):
+    net = request.getfixturevalue(name)
+    study = FaultStudy(net)
+    channels = [(transfer_coefficients, bus) for bus in net.buses] + [
+        (branch_coefficients, net.channel(f"{rec.id}{end}"))
+        for rec in net.lines
+        for end in ("", "@from", "@to")
+    ]
+    for seq in (0, 1, 2):
+        zb = study.zbus(seq)
+        for _ in range(2):  # the second pass reads the memo only
+            for line in net.lines:
+                fresh = replace(zb)  # the same matrix with an empty memo
+                want = _bits(fault_point_coefficients(fresh, line))
+                assert _bits(fault_point_coefficients(zb, line)) == want
+                for law_of, source in channels:
+                    want = _bits(law_of(fresh, line, source))
+                    assert _bits(law_of(zb, line, source)) == want, (seq, line.id, source)
+
+
+def test_sequence_two_copy_keeps_its_own_laws(fourbus):
+    study = FaultStudy(fourbus)
+    matrices = [study.zbus(1), study.zbus(2), study.zbus(0)]
+    assert matrices[1].z is matrices[0].z
+    t2, t1_to = fourbus.line("T2"), fourbus.channel("T1@to")
+
+    def laws(z):
+        return (
+            transfer_coefficients(z, t2, 3),
+            branch_coefficients(z, t2, t1_to),
+            fault_point_coefficients(z, t2),
+        )
+
+    first = [laws(z) for z in matrices]
+    for z, own in zip(matrices, first):
+        assert all(a is b for a, b in zip(laws(z), own))  # memo hits
+        for other in first:
+            if other is not own:
+                assert all(a is not b for a, b in zip(other, own))
+    assert first[2] != first[0]  # Z0 differs from Z1
+    # The memo is invisible to equality and repr.
+    z1 = matrices[0]
+    assert replace(z1) == z1 and repr(replace(z1)) == repr(z1)
+
+
+def test_records_sharing_an_id_get_their_own_laws(fourbus):
+    zb = build_zbus(fourbus, 1)
+    t2, t1 = fourbus.line("T2"), fourbus.line("T1")
+    swapped = replace(t2, from_bus=t2.to_bus, to_bus=t2.from_bus)
+    longer = replace(t2, length_km=2.0 * t2.length_km)
+    for law_of, other in (
+        (lambda z, line: transfer_coefficients(z, line, 4), swapped),
+        (fault_point_coefficients, longer),
+        (lambda z, line: branch_coefficients(z, t1, line), longer),
+        (lambda z, line: branch_coefficients(z, line, (t2, "from")), swapped),
+    ):
+        mine, theirs = law_of(zb, t2), law_of(zb, other)
+        assert mine != theirs
+        assert law_of(zb, t2) is mine and law_of(zb, other) is theirs
+        assert _bits(theirs) == _bits(law_of(replace(zb), other))
