@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 from itertools import product
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -146,17 +147,20 @@ def parse_distortion(token: str) -> Distortion:
     raise ValueError(f"bad distortion op {op!r} (expected gain or clamp)")
 
 
-#: Each method's placement on a spec's buses ``v`` and branches ``i``, and
-#: the error when it lacks one of them.
-_PLACEMENTS = {
-    Method.SSVM: (lambda v, i: VoltagePlacement(v[0], v[1]),
-                  "voltage method needs two buses (--buses a,b)"),
-    Method.SSCM: (lambda v, i: CurrentPlacement(i[0], i[1]),
-                  "current method needs two branches (--branches a,b)"),
-    Method.HYBRID_DIRECT: (lambda v, i: HybridPlacement(i[0], v[-1]),
-                           "hybrid methods need a branch and a bus"),
-}
-_PLACEMENTS[Method.HYBRID_QUAD] = _PLACEMENTS[Method.HYBRID_DIRECT]
+def _placement_for(
+    method: Method, buses: tuple[int, ...], branches: tuple[str, ...]
+) -> Placement:
+    if method is Method.SSVM:
+        if len(buses) < 2:
+            raise ValueError("voltage method needs two buses (--buses a,b)")
+        return VoltagePlacement(buses[0], buses[1])
+    if method is Method.SSCM:
+        if len(branches) < 2:
+            raise ValueError("current method needs two branches (--branches a,b)")
+        return CurrentPlacement(branches[0], branches[1])
+    if not branches or not buses:
+        raise ValueError("hybrid methods need a branch and a bus")
+    return HybridPlacement(branches[0], buses[-1])
 
 
 @dataclass
@@ -264,13 +268,7 @@ def run_sweep(spec: SweepSpec) -> list[ReportRow]:
     branches = tuple(
         f"{line.id}@{end}" if end else line.id for line, end in map(net.channel, spec.branches)
     )
-    placements: dict[Method, Placement] = {}
-    for method in spec.methods:
-        place, lacking = _PLACEMENTS[method]
-        try:
-            placements[method] = place(spec.buses, branches)
-        except IndexError:
-            raise ValueError(lacking) from None
+    placements = {m: _placement_for(m, spec.buses, branches) for m in spec.methods}
     scenarios = [
         FaultScenario(line_id, m, ftype, rf)
         for line_id, ftype, m, rf in product(spec.lines, spec.types, spec.m_values, spec.rf_ohm)
@@ -340,10 +338,8 @@ def write_report(text: str, out: str | None) -> None:
             fh.write(text)
         os.replace(tmp, out)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 

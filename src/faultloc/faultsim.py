@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import cmath
 import math
@@ -212,17 +213,16 @@ def _check_loop(z: complex) -> None:
 class FaultStudy:
     """Caches the per-sequence matrices and pre-fault state of one network.
 
-    The matrices, and the coefficient laws memoised on each of them, are
-    built once per study, so sweeps over many scenarios on one network
-    should share a study.  Lines carry z2 = z1, so when no source sets its
-    own z2 the negative-sequence matrix shares the positive-sequence array;
-    it still memoises its own laws (equality ignores the memo).
+    The matrices are built once per study, each memoising the coefficient
+    laws of the faulted line last asked about, so sweeps should share a study
+    and take their scenarios line by line.  Lines carry z2 = z1, so unless a
+    source sets its own z2 the negative-sequence matrix shares the
+    positive-sequence array, not its memo (equality ignores the memo).
     """
 
     def __init__(self, net: Network):
         self.net = net
         self._zbus: dict[int, SequenceZbus] = {}
-        self._prefault: tuple[dict[int, complex], dict[str, complex]] | None = None
 
     def zbus(self, sequence: int) -> SequenceZbus:
         if sequence not in self._zbus:
@@ -232,11 +232,9 @@ class FaultStudy:
                 self._zbus[sequence] = build_zbus(self.net, sequence)
         return self._zbus[sequence]
 
-    @property
+    @cached_property
     def prefault(self) -> tuple[dict[int, complex], dict[str, complex]]:
-        if self._prefault is None:
-            self._prefault = prefault_solve(self.net)
-        return self._prefault
+        return prefault_solve(self.net)
 
     def fault_currents(self, scenario: FaultScenario) -> SequenceFaultCurrents:
         """Sequence currents at the fault point."""
@@ -331,9 +329,6 @@ class Distortion:
                 " a positive finite number"
             )
 
-    def factor(self) -> complex:
-        return cmath.rect(self.gain, math.radians(self.phase_deg))
-
 
 def apply_distortion(
     ms: PhasorMeasurementSet, spec: list[Distortion] | tuple[Distortion, ...]
@@ -343,8 +338,11 @@ def apply_distortion(
     Channels not named by any distortion are carried over bit-identical.
     Raises ``KeyError`` for unknown channels.
     """
-    pre_v, fault_v = dict(ms.prefault_bus_v), dict(ms.fault_bus_v)
-    pre_i, fault_i = dict(ms.prefault_branch_i), dict(ms.fault_branch_i)
+    pre_v = dict(ms.prefault_bus_v)
+    fault_v = dict(ms.fault_bus_v)
+    pre_i = dict(ms.prefault_branch_i)
+    fault_i = dict(ms.fault_branch_i)
+
     for d in spec:
         if d.kind == "busV":
             pre, fault, key, name = pre_v, fault_v, int(d.channel), "voltage"
@@ -368,15 +366,12 @@ def apply_distortion(
 def _distort(
     d: Distortion, pre: complex, fault: SequenceTriple
 ) -> tuple[complex, SequenceTriple]:
-    g = d.factor()
-    pre_out = pre * g
+    g = cmath.rect(d.gain, math.radians(d.phase_deg))
     out = tuple(v * g for v in fault)
-    if d.clamp_pu is not None:
-        mag = abs(out[1])
-        if mag > d.clamp_pu:
-            scale = d.clamp_pu / mag
-            out = tuple(v * scale for v in out)
-    return pre_out, out
+    if d.clamp_pu is not None and abs(out[1]) > d.clamp_pu:
+        scale = d.clamp_pu / abs(out[1])
+        out = tuple(v * scale for v in out)
+    return pre * g, out
 
 
 def sequence_transform(a: complex, b: complex, c: complex) -> SequenceTriple:
@@ -407,9 +402,11 @@ def measurements_to_csv(ms: PhasorMeasurementSet) -> str:
         ("busV", ms.prefault_bus_v, ms.fault_bus_v),
         ("branchI", ms.prefault_branch_i, ms.fault_branch_i),
     ):
-        cells = [(k, "pre", 1, pre[k]) for k in sorted(pre)]
-        cells += [(k, "fault", seq, v) for k in sorted(fault) for seq, v in enumerate(fault[k])]
-        rows.extend(f"{kind},{k},{stage},{seq},{v.real!r},{v.imag!r}" for k, stage, seq, v in cells)
+        for key in sorted(pre):
+            rows.append(f"{kind},{key},pre,1,{pre[key].real!r},{pre[key].imag!r}")
+        for key in sorted(fault):
+            for seq, v in enumerate(fault[key]):
+                rows.append(f"{kind},{key},fault,{seq},{v.real!r},{v.imag!r}")
     return "\n".join(rows) + "\n"
 
 
@@ -421,7 +418,11 @@ def measurements_from_csv(text: str) -> PhasorMeasurementSet:
     number that does not parse, a value that is not finite, a sequence
     other than 0, 1 or 2, or other than 1 on a ``pre`` row.
     """
-    sets: dict[str, tuple[dict, dict]] = {"busV": ({}, {}), "branchI": ({}, {})}  # (pre, fault)
+    pre_v: dict[int, complex] = {}
+    fault_v: dict[int, list[complex]] = {}
+    pre_i: dict[str, complex] = {}
+    fault_i: dict[str, list[complex]] = {}
+
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != _CSV_HEADER:
         raise ValueError("measurement CSV must start with the standard header")
@@ -430,9 +431,12 @@ def measurements_from_csv(text: str) -> PhasorMeasurementSet:
         if len(fields) != 6:
             raise ValueError(f"measurement CSV row {ln!r}: expected 6 fields, got {len(fields)}")
         kind, ident, stage, seq_s, re_s, im_s = fields
-        if kind not in sets:
+        if kind == "busV":
+            pre, fault = pre_v, fault_v
+        elif kind == "branchI":
+            pre, fault = pre_i, fault_i
+        else:
             raise ValueError(f"measurement CSV row {ln!r}: unknown channel kind {kind!r}")
-        pre, fault = sets[kind]
         if stage not in ("pre", "fault"):
             raise ValueError(f"measurement CSV row {ln!r}: stage must be pre or fault")
         try:
@@ -451,7 +455,10 @@ def measurements_from_csv(text: str) -> PhasorMeasurementSet:
             pre[key] = v
         else:
             fault.setdefault(key, [0j, 0j, 0j])[seq] = v
-    (pre_v, fault_v), (pre_i, fault_i) = (
-        (pre, {k: tuple(t) for k, t in fault.items()}) for pre, fault in sets.values()
+
+    return PhasorMeasurementSet(
+        prefault_bus_v=pre_v,
+        fault_bus_v={b: tuple(t) for b, t in fault_v.items()},
+        prefault_branch_i=pre_i,
+        fault_branch_i={k: tuple(t) for k, t in fault_i.items()},
     )
-    return PhasorMeasurementSet(pre_v, fault_v, pre_i, fault_i)

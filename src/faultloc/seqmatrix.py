@@ -17,15 +17,13 @@ rebuilding the matrix:
 * :class:`FaultPointCoefficients` ``a0 + a1*m + a2*m**2``: the
   driving-point impedance at the fault point, which sets the fault current.
 
-A one-line law is the many-lines law of that line alone, memoised on the
-:class:`SequenceZbus` it is read from (equality ignores the memo), so each
-is built once per matrix.  No other module reads :attr:`SequenceZbus.z`.
+A one-line law is the many-lines law of that line alone, memoised on its
+:class:`SequenceZbus` for one faulted line at a time.  No other module
+reads :attr:`SequenceZbus.z`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import io
 
 import numpy as np
 
@@ -71,9 +69,8 @@ class SequenceZbus:
     made read-only, because studies share one array between sequences whose
     admittance matrices are equal.  ``condition`` is the admittance matrix's
     1-norm condition number, the one :func:`build_zbus` checks.  One-line
-    laws read from it are memoised in a field that equality and ``repr``
-    ignore; every instance starts with its own, empty memo, so a Z2 that
-    ``dataclasses.replace`` makes from Z1 shares its array, not its laws.
+    laws are memoised in a field that equality and ``repr`` ignore; every
+    instance, a ``dataclasses.replace`` copy too, starts with its own.
     """
 
     sequence: int
@@ -81,14 +78,13 @@ class SequenceZbus:
     bus_order: tuple[int, ...]
     condition: float
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
-    _laws: dict = field(init=False, repr=False, compare=False)
+    _laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.z.setflags(write=False)
         object.__setattr__(
             self, "_index", {label: i for i, label in enumerate(self.bus_order)}
         )
-        object.__setattr__(self, "_laws", {})
 
     def index(self, bus: int) -> int:
         try:
@@ -184,17 +180,22 @@ def build_zbus(net: Network, sequence: int) -> SequenceZbus:
     return SequenceZbus(sequence=sequence, z=z, bus_order=net.buses, condition=float(cond))
 
 
-def _memo(zbus: SequenceZbus, key: tuple, build, *args):
-    """``build(zbus, *args)``, built once per matrix and ``key``.  The key names
-    everything the law reads besides the matrix, each record by its ``id``; the
-    entry keeps ``args``, so no other record can take one of those ids."""
-    hit = zbus._laws.get(key)
+def _memo(zbus: SequenceZbus, line: LineRecord, key: tuple, build, *args):
+    """``build(zbus, line, *args)``, built once per matrix, ``line`` and ``key``
+    while ``line`` is the last faulted line asked about.  The key names what
+    else the law reads, each record by its ``id``; the memo keeps ``line``
+    and each entry its ``args``, so those ids stay taken."""
+    laws = zbus._laws
+    if laws.get(None) is not line:
+        laws.clear()
+        laws[None] = line
+    hit = laws.get(key)
     if hit is None:
-        hit = zbus._laws[key] = (build(zbus, *args), args)
+        hit = laws[key] = (build(zbus, line, *args), args)
     return hit[0]
 
 
-def _one_line(zbus: SequenceZbus, law_of, line: LineRecord, source) -> LinearLaw:
+def _one_line(zbus: SequenceZbus, line: LineRecord, law_of, source) -> LinearLaw:
     """The many-lines law of ``line`` alone, as a law of two ``complex``."""
     ends = (np.array([zbus.index(line.from_bus)]), np.array([zbus.index(line.to_bus)]), (line,))
     law = law_of(zbus, ends, source)
@@ -204,8 +205,8 @@ def _one_line(zbus: SequenceZbus, law_of, line: LineRecord, source) -> LinearLaw
 def transfer_coefficients(zbus: SequenceZbus, line: Lines, bus: int) -> LinearLaw:
     """Transfer impedance law from ``bus`` to a fault anywhere on ``line``."""
     if isinstance(line, LineRecord):
-        key = (transfer_coefficients, id(line), bus)
-        return _memo(zbus, key, _one_line, transfer_coefficients, line, bus)
+        key = (transfer_coefficients, bus)
+        return _memo(zbus, line, key, _one_line, transfer_coefficients, bus)
     k = zbus.index(bus)
     zp, zq = zbus.z[line[0], k], zbus.z[line[1], k]
     return LinearLaw(zp, zq - zp)
@@ -234,8 +235,8 @@ def branch_coefficients(
     """
     rec, end = (branch, "") if isinstance(branch, LineRecord) else branch
     if isinstance(faulted_line, LineRecord):
-        key = (branch_coefficients, id(faulted_line), id(rec), end)
-        return _memo(zbus, key, _one_line, branch_coefficients, faulted_line, (rec, end))
+        key = (branch_coefficients, id(rec), end)
+        return _memo(zbus, faulted_line, key, _one_line, branch_coefficients, (rec, end))
     zb = rec.z(zbus.sequence)
     if abs(zb) == 0.0:
         raise ValueError(f"branch {rec.id!r} has zero impedance")
@@ -277,7 +278,7 @@ def fault_point_coefficients(zbus: SequenceZbus, line: LineRecord) -> FaultPoint
     loop, so the m=0/m=1 diagonal entries pin the ends and the line's own
     impedance fixes the curvature.
     """
-    return _memo(zbus, (fault_point_coefficients, id(line)), _fault_point, line)
+    return _memo(zbus, line, (fault_point_coefficients,), _fault_point)
 
 
 def _fault_point(zbus: SequenceZbus, line: LineRecord) -> FaultPointCoefficients:
@@ -294,11 +295,7 @@ def _fault_point(zbus: SequenceZbus, line: LineRecord) -> FaultPointCoefficients
 
 def zbus_to_csv(zbus: SequenceZbus) -> str:
     """Row-major CSV dump with ``re+imj`` cells, for external inspection."""
-    buf = io.StringIO()
-    buf.write("bus," + ",".join(str(b) for b in zbus.bus_order) + "\n")
-    for j, label in enumerate(zbus.bus_order):
-        cells = (
-            format(zbus.z[j, k], ".15g") for k in range(len(zbus.bus_order))
-        )
-        buf.write(f"{label}," + ",".join(cells) + "\n")
-    return buf.getvalue()
+    rows = ["bus," + ",".join(str(b) for b in zbus.bus_order)]
+    for label, row in zip(zbus.bus_order, zbus.z):
+        rows.append(f"{label}," + ",".join(format(v, ".15g") for v in row))
+    return "\n".join(rows) + "\n"

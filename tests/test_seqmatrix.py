@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from faultloc import (
+    FaultPointCoefficients,
     FaultStudy,
     IllConditionedNetworkError,
+    LinearLaw,
     SequenceZbus,
     UngroundedNetworkError,
     branch_coefficients,
@@ -183,9 +185,9 @@ def test_all_lines_laws_equal_one_line_laws_bit_for_bit(ieee14):
             for i, line in enumerate(ieee14.lines):
                 one = law_of(z, line, source)
                 assert type(one.b) is complex and type(one.c) is complex
-                # repr round-trips every bit of a float, the sign of zero too
-                assert repr(complex(every.b[i])) == repr(one.b)
-                assert repr(complex(every.c[i])) == repr(one.c)
+                want = _bits(_reference_law(z, line, source))
+                assert _bits(one) == want
+                assert _bits(LinearLaw(complex(every.b[i]), complex(every.c[i]))) == want
 
 
 def test_branch_coefficients_zero_impedance_rejected(fourbus):
@@ -254,29 +256,81 @@ def test_channel_laws_on_their_own_line_and_elsewhere(fourbus):
 
 
 def _bits(law):
-    """Every coefficient of a law as its repr, which keeps every bit."""
+    """Every coefficient of a law as its repr, which keeps every bit of a
+    float, the sign of zero too."""
     return tuple(repr(v) for v in vars(law).values())
 
 
+def _reference_law(zb, line, source):
+    """The law of a channel measuring ``source`` (a bus, or a line and
+    terminal) under a fault on ``line``, in plain ``complex`` arithmetic:
+    the rounding that keeps reports bit-identical, kept apart from the
+    engine's arrays."""
+    if source == "fault point":
+        zpp, zqq, zpq = (
+            complex(zb.z[zb.index(a), zb.index(b)])
+            for a, b in ((line.from_bus,) * 2, (line.to_bus,) * 2, (line.from_bus, line.to_bus))
+        )
+        zl = line.z(zb.sequence)
+        return FaultPointCoefficients(zpp, 2.0 * (zpq - zpp) + zl, zpp + zqq - 2.0 * zpq - zl)
+    if isinstance(source, int):
+        k = zb.index(source)
+        zp = complex(zb.z[zb.index(line.from_bus), k])
+        zq = complex(zb.z[zb.index(line.to_bus), k])
+        return LinearLaw(zp, zq - zp)
+    rec, end = source if isinstance(source, tuple) else (source, "")
+    ck, cl = (_reference_law(zb, line, bus) for bus in (rec.from_bus, rec.to_bus))
+    zl = rec.z(zb.sequence)
+    b, c = (ck.b - cl.b) / zl, (ck.c - cl.c) / zl
+    own = float(line.id == rec.id)
+    return {
+        "": LinearLaw(b, c),
+        "from": LinearLaw(b - own, c + own),
+        "to": LinearLaw(-b, -c - own),
+    }[end]
+
+
+def _law(zb, line, source):
+    if source == "fault point":
+        return fault_point_coefficients(zb, line)
+    law_of = transfer_coefficients if isinstance(source, int) else branch_coefficients
+    return law_of(zb, line, source)
+
+
 @pytest.mark.parametrize("name", ["fourbus", "ieee14"])
-def test_memoised_laws_equal_fresh_laws_bit_for_bit(request, name):
+def test_memoised_laws_equal_reference_laws_bit_for_bit(request, name):
+    """Every law of every faulted line, asked for twice, against the plain
+    ``complex`` reference: the first ask builds it, the second reads the memo."""
     net = request.getfixturevalue(name)
     study = FaultStudy(net)
-    channels = [(transfer_coefficients, bus) for bus in net.buses] + [
-        (branch_coefficients, net.channel(f"{rec.id}{end}"))
-        for rec in net.lines
-        for end in ("", "@from", "@to")
+    sources = ["fault point", *net.buses] + [
+        net.channel(f"{rec.id}{end}") for rec in net.lines for end in ("", "@from", "@to")
     ]
     for seq in (0, 1, 2):
         zb = study.zbus(seq)
-        for _ in range(2):  # the second pass reads the memo only
-            for line in net.lines:
-                fresh = replace(zb)  # the same matrix with an empty memo
-                want = _bits(fault_point_coefficients(fresh, line))
-                assert _bits(fault_point_coefficients(zb, line)) == want
-                for law_of, source in channels:
-                    want = _bits(law_of(fresh, line, source))
-                    assert _bits(law_of(zb, line, source)) == want, (seq, line.id, source)
+        for line in net.lines:
+            for source in sources:
+                want = _bits(_reference_law(zb, line, source))
+                law = _law(zb, line, source)
+                assert _bits(law) == want, (seq, line.id, source)
+                assert _law(zb, line, source) is law, (seq, line.id, source)
+
+
+def test_memo_holds_one_faulted_line(ieee14):
+    """Asking about another faulted line empties the memo, so a sweep over
+    every line keeps one line's laws; a line asked about again is rebuilt
+    to the same bits."""
+    zb = build_zbus(ieee14, 1)
+    first, second = ieee14.lines[:2]
+    channels = [(rec, end) for rec in ieee14.lines for end in ("", "from", "to")]
+    kept = [branch_coefficients(zb, first, ch) for ch in channels]
+    kept += [transfer_coefficients(zb, first, bus) for bus in ieee14.buses]
+    size = len(zb._laws)
+    assert size <= len(channels) + ieee14.n + 1
+    transfer_coefficients(zb, second, 14)
+    assert len(zb._laws) <= 2
+    again = transfer_coefficients(zb, first, 14)
+    assert again is not kept[-1] and _bits(again) == _bits(kept[-1])
 
 
 def test_sequence_two_copy_keeps_its_own_laws(fourbus):
@@ -315,7 +369,9 @@ def test_records_sharing_an_id_get_their_own_laws(fourbus):
         (lambda z, line: branch_coefficients(z, t1, line), longer),
         (lambda z, line: branch_coefficients(z, line, (t2, "from")), swapped),
     ):
-        mine, theirs = law_of(zb, t2), law_of(zb, other)
+        mine = law_of(zb, t2)
+        assert law_of(zb, t2) is mine
+        theirs = law_of(zb, other)
+        assert law_of(zb, other) is theirs
         assert mine != theirs
-        assert law_of(zb, t2) is mine and law_of(zb, other) is theirs
         assert _bits(theirs) == _bits(law_of(replace(zb), other))
