@@ -38,11 +38,9 @@ from .faultsim import (
     SequenceFaultCurrents,
     apply_distortion,
     fault_sequence_currents,
-    inverse_sequence_transform,
     measurements_from_csv,
     measurements_to_csv,
     prefault_solve,
-    sequence_transform,
 )
 from .locator import (
     Channel,

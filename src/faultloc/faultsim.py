@@ -43,13 +43,9 @@ __all__ = [
     "prefault_solve",
     "fault_sequence_currents",
     "apply_distortion",
-    "sequence_transform",
-    "inverse_sequence_transform",
     "measurements_to_csv",
     "measurements_from_csv",
 ]
-
-_ALPHA = cmath.exp(2j * math.pi / 3.0)
 
 SequenceTriple = tuple[complex, complex, complex]
 
@@ -372,24 +368,6 @@ def _distort(
         scale = d.clamp_pu / abs(out[1])
         out = tuple(v * scale for v in out)
     return pre * g, out
-
-
-def sequence_transform(a: complex, b: complex, c: complex) -> SequenceTriple:
-    """Phase phasors (a, b, c) -> symmetrical components (zero, pos, neg)."""
-    s0 = (a + b + c) / 3.0
-    s1 = (a + _ALPHA * b + _ALPHA**2 * c) / 3.0
-    s2 = (a + _ALPHA**2 * b + _ALPHA * c) / 3.0
-    return (s0, s1, s2)
-
-
-def inverse_sequence_transform(
-    s0: complex, s1: complex, s2: complex
-) -> tuple[complex, complex, complex]:
-    """Symmetrical components (zero, pos, neg) -> phase phasors (a, b, c)."""
-    a = s0 + s1 + s2
-    b = s0 + _ALPHA**2 * s1 + _ALPHA * s2
-    c = s0 + _ALPHA * s1 + _ALPHA**2 * s2
-    return (a, b, c)
 
 
 _CSV_HEADER = "kind,id,stage,seq,re,im"

@@ -15,13 +15,16 @@ The methods differ only in which two channels feed that ratio:
 :func:`locate` solves one ratio; placements name the two channels they
 measure, and :func:`estimate_for_placement` and
 :func:`rank_line_hypotheses` read those channels and take their laws,
-for one line or for all, from :mod:`faultloc.seqmatrix`.
+for one line or for all, from :mod:`faultloc.seqmatrix`.  Ranking solves
+and orders as arrays, builds an entry only when it is read, and refuses
+``hybrid-quad``.
 All estimators consume positive-sequence phasors only and need no
 fault-type or phase-selection information.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import math
@@ -227,14 +230,10 @@ def _dependent(a: LinearLaw, b: LinearLaw):
 
 
 def _estimate(m_complex: complex, method: Method) -> LocationEstimate:
-    m = m_complex.real
-    out = not (-RANGE_SLACK <= m <= 1.0 + RANGE_SLACK)
-    return LocationEstimate(
-        m=m,
-        method=method,
-        residual=abs(m_complex.imag),
-        notes="solution outside [0, 1]; wrong faulted-line hypothesis?" if out else "",
-    )
+    est = LocationEstimate(m=m_complex.real, method=method, residual=abs(m_complex.imag))
+    if est.in_range:
+        return est
+    return replace(est, notes="solution outside [0, 1]; wrong faulted-line hypothesis?")
 
 
 def _quadratic_solve(
@@ -479,7 +478,7 @@ def rank_line_hypotheses(
     placement: Placement,
     method: Method,
     zbus: SequenceZbus | None = None,
-) -> list[tuple[str, LocationEstimate]]:
+) -> Sequence[tuple[str, LocationEstimate]]:
     """Run the estimator against every line hypothesis, best first.
 
     Every hypothesis is solved in one pass: the two channel laws of all
@@ -492,44 +491,65 @@ def rank_line_hypotheses(
     faulted; a terminal channel takes its terminal law there instead.
 
     Hypotheses yielding an in-range estimate sort ahead of out-of-range
-    ones, then by residual.  A convenience for identifying the faulted line
-    when it is not known a priori.
+    ones, then by residual, ties in ``net.lines`` order.  Returns a read-only
+    sequence of ``(line_id, LocationEstimate)``, each built when it is read,
+    equal to the list of its entries.  ``hybrid-quad`` raises ``ValueError``:
+    its magnitude-only quadratic solves to residual 0 on most wrong lines.
     """
+    if method == Method.HYBRID_QUAD:
+        raise ValueError(
+            "hybrid-quad cannot rank lines: its magnitude-only quadratic solves"
+            " to residual 0 on most wrong lines, so it ranks a wrong line first"
+        )
     zbus = zbus if zbus is not None else build_zbus(net, 1)
     (numer_src, numer), (denom_src, denom) = _consumed(net, ms, placement, method)
     ends = _line_ends(net, zbus)
     numer_law, denom_law = _law(zbus, ends, numer_src), _law(zbus, ends, denom_src)
-    measured = {s[0].id for s in (numer_src, denom_src) if isinstance(s, tuple) and not s[1]}
     try:
         ratio = _ratio(numer, denom)
     except DegenerateChannelError:
-        return []
+        return _Ranking(method, (), ())
 
-    skip = _dependent(numer_law, denom_law) | [rec.id in measured for rec in net.lines]
-    results: list[tuple[str, LocationEstimate]] = []
-    if method is Method.HYBRID_QUAD:
-        for i in np.flatnonzero(~skip).tolist():
-            laws = (LinearLaw(complex(w.b[i]), complex(w.c[i])) for w in (numer_law, denom_law))
-            try:
-                results.append((net.lines[i].id, _quadratic_solve(*laws, ratio)))
-            except LinearDependenceError:
-                continue
-    else:
-        num, den, singular = _ratio_terms(numer_law, denom_law, ratio)
-        keep = np.flatnonzero(~(skip | singular))
-        m = num[keep] / den[keep]
-        for i, m_complex in zip(keep.tolist(), m.tolist()):
-            results.append((net.lines[i].id, _estimate(m_complex, method)))
-    results.sort(key=lambda item: (not item[1].in_range, item[1].residual))
-    return results
+    num, den, singular = _ratio_terms(numer_law, denom_law, ratio)
+    skip = singular | _dependent(numer_law, denom_law)
+    for src in (numer_src, denom_src):
+        if isinstance(src, tuple) and not src[1]:
+            skip |= ends[2] == src[0].id
+    keep = np.flatnonzero(~skip)
+    m_complex = num[keep] / den[keep]
+    m = m_complex.real
+    out = ~((-RANGE_SLACK <= m) & (m <= 1.0 + RANGE_SLACK))
+    order = np.lexsort((np.abs(m_complex.imag), out))
+    return _Ranking(method, ends[2][keep[order]], m_complex[order])
+
+
+class _Ranking(Sequence):
+    """Ranked hypotheses held as arrays, best first: their line ids and
+    complex solutions for m.  An entry is built when it is read."""
+
+    def __init__(self, method: Method, ids: np.ndarray, m_complex: np.ndarray):
+        self._method, self._ids, self._m_complex = method, ids, m_complex
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Ranking(self._method, self._ids[i], self._m_complex[i])
+        return str(self._ids[i]), _estimate(complex(self._m_complex[i]), self._method)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _Ranking)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def _line_ends(net: Network, zbus: SequenceZbus) -> Lines:
     """Every line of ``net`` as the faulted line of a law of arrays: the Z
-    indices of its from- and to-bus, and its record, in ``net.lines`` order."""
-    p, q = net.line_end_indices()
+    indices of its from- and to-bus, and its id, in ``net.lines`` order."""
+    p, q, ids = net.line_end_indices()
     if zbus.bus_order != net.buses:
         order = np.array([zbus.index(b) for b in net.buses], dtype=np.intp)
         p, q = order[p], order[q]
-    return p, q, net.lines
+    return p, q, ids
 

@@ -114,7 +114,7 @@ class Network:
     frequency_hz: float = 50.0
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
     _lines_by_id: dict[str, LineRecord] = field(init=False, repr=False, compare=False)
-    _line_ends: tuple[np.ndarray, np.ndarray] | None = field(
+    _line_ends: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         init=False, repr=False, compare=False, default=None
     )
     _forest: tuple[list[int], list[int], dict[str, int]] | None = field(
@@ -171,8 +171,8 @@ class Network:
             raise CaseError(f"unknown line in current channel {token!r}") from None
         return self.line_between(a, b), end
 
-    def line_end_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bus indices of every line's from- and to-bus, in ``lines`` order.
+    def line_end_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every line's from- and to-bus index and its id, in ``lines`` order.
 
         Built on first use and cached; the arrays are read-only.
         """
@@ -180,8 +180,10 @@ class Network:
             index = self.bus_index
             pairs = [(index(r.from_bus), index(r.to_bus)) for r in self.lines]
             ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-            ends.setflags(write=False)
-            object.__setattr__(self, "_line_ends", (ends[:, 0], ends[:, 1]))
+            ids = np.array([r.id for r in self.lines], dtype=str)
+            for a in (ends, ids):
+                a.setflags(write=False)
+            object.__setattr__(self, "_line_ends", (ends[:, 0], ends[:, 1], ids))
         return self._line_ends
 
     def line_between(self, a: int, b: int) -> LineRecord:
@@ -208,7 +210,7 @@ class Network:
         for a line joining a bus to itself.  An iterative Hopcroft-Tarjan pass.
         """
         if self._forest is None:
-            p, q = (ends.tolist() for ends in self.line_end_indices())
+            p, q = (ends.tolist() for ends in self.line_end_indices()[:2])
             adj: list[list[int]] = [[] for _ in self.buses]
             for a, b in zip(p, q):
                 adj[a].append(b)

@@ -47,9 +47,9 @@ __all__ = [
 CONDITION_LIMIT = 1e12
 
 #: A law's faulted line: one :class:`LineRecord`, for a law of two ``complex``,
-#: or many lines, as the Z indices ``(p, q)`` of their ends and their
-#: records, for a law of arrays.
-Lines = LineRecord | tuple[np.ndarray, np.ndarray, tuple[LineRecord, ...]]
+#: or many lines, as the Z indices ``(p, q)`` of their ends and their ids,
+#: for a law of arrays.
+Lines = LineRecord | tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class UngroundedNetworkError(ValueError):
@@ -197,8 +197,8 @@ def _memo(zbus: SequenceZbus, line: LineRecord, key: tuple, build, *args):
 
 def _one_line(zbus: SequenceZbus, line: LineRecord, law_of, source) -> LinearLaw:
     """The many-lines law of ``line`` alone, as a law of two ``complex``."""
-    ends = (np.array([zbus.index(line.from_bus)]), np.array([zbus.index(line.to_bus)]), (line,))
-    law = law_of(zbus, ends, source)
+    p, q = zbus.index(line.from_bus), zbus.index(line.to_bus)
+    law = law_of(zbus, (np.array([p]), np.array([q]), np.array([line.id])), source)
     return LinearLaw(complex(law.b[0]), complex(law.c[0]))
 
 
@@ -245,7 +245,7 @@ def branch_coefficients(
     b, c = _divide(ck.b - cl.b, zb), _divide(ck.c - cl.c, zb)
     if not end:
         return LinearLaw(b, c)
-    own = np.array([line.id == rec.id for line in faulted_line[2]], dtype=float)
+    own = (faulted_line[2] == rec.id).astype(float)
     if end == "from":
         return LinearLaw(b - own, c + own)
     return LinearLaw(-b, -c - own)

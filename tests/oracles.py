@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import cmath
+import math
+
 import numpy as np
 
 from faultloc.netmodel import LineRecord, Network
@@ -35,6 +38,27 @@ def assemble_y(net: Network, seq: int) -> np.ndarray:
 
 def invert_y(net: Network, seq: int) -> np.ndarray:
     return np.linalg.inv(assemble_y(net, seq))
+
+
+_ALPHA = cmath.exp(2j * math.pi / 3.0)
+
+
+def sequence_transform(a: complex, b: complex, c: complex) -> tuple[complex, complex, complex]:
+    """Phase phasors (a, b, c) -> symmetrical components (zero, pos, neg)."""
+    s0 = (a + b + c) / 3.0
+    s1 = (a + _ALPHA * b + _ALPHA**2 * c) / 3.0
+    s2 = (a + _ALPHA**2 * b + _ALPHA * c) / 3.0
+    return (s0, s1, s2)
+
+
+def inverse_sequence_transform(
+    s0: complex, s1: complex, s2: complex
+) -> tuple[complex, complex, complex]:
+    """Symmetrical components (zero, pos, neg) -> phase phasors (a, b, c)."""
+    a = s0 + s1 + s2
+    b = s0 + _ALPHA**2 * s1 + _ALPHA * s2
+    c = s0 + _ALPHA * s1 + _ALPHA**2 * s2
+    return (a, b, c)
 
 
 def tap_network(net: Network, line_id: str, m: float) -> tuple[Network, int]:

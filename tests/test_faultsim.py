@@ -17,17 +17,15 @@ from faultloc import (
     build_zbus,
     fault_point_coefficients,
     fault_sequence_currents,
-    inverse_sequence_transform,
     measurements_from_csv,
     measurements_to_csv,
     parse_case,
     prefault_solve,
-    sequence_transform,
 )
 
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
-from oracles import DirectFaultSolve
+from oracles import DirectFaultSolve, inverse_sequence_transform, sequence_transform
 from test_ranking import mesh_text
 
 

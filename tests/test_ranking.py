@@ -99,6 +99,10 @@ def case(request, fourbus, ieee14):
     return net, FaultStudy(net), CASES[request.param]
 
 
+#: Every method but hybrid-quad, which ranking refuses.
+RANKING_METHODS = [Method.SSVM, Method.SSCM, Method.HYBRID_DIRECT]
+
+
 def placement_for(method: Method, buses, branches):
     if method is Method.SSVM:
         return VoltagePlacement(*buses)
@@ -139,7 +143,7 @@ def assert_same_ranking(got, want):
         assert (g.method, g.ambiguous, g.notes) == (w.method, w.ambiguous, w.notes)
 
 
-@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("method", RANKING_METHODS)
 def test_ranking_matches_per_line_estimates(case, method):
     net, study, (buses, branches, faults) = case
     placement = placement_for(method, buses, branches)
@@ -150,13 +154,12 @@ def test_ranking_matches_per_line_estimates(case, method):
         assert got, line_id
         assert_same_ranking(got, per_line_ranking(net, zbus, ms, placement, method))
         assert not measured_lines(placement) & {lid for lid, _ in got}
-        if method is not Method.HYBRID_QUAD:
-            top_line, top = got[0]
-            assert top_line == line_id
-            assert abs(top.m - m) < 1e-6
+        top_line, top = got[0]
+        assert top_line == line_id
+        assert abs(top.m - m) < 1e-6
 
 
-@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("method", RANKING_METHODS)
 def test_degenerate_denominator_ranks_nothing(case, method):
     net, study, (buses, branches, faults) = case
     placement = placement_for(method, buses, branches)
@@ -178,11 +181,13 @@ def test_degenerate_denominator_ranks_nothing(case, method):
         fault_v[bus] = (0j, ms.prefault_bus_v[bus], 0j)
         frozen = replace(ms, fault_bus_v=fault_v)
     zbus = study.zbus(1)
-    assert rank_line_hypotheses(net, frozen, placement, method, zbus) == []
+    ranked = rank_line_hypotheses(net, frozen, placement, method, zbus)
+    assert ranked == [] and [] == ranked
+    assert not ranked and len(ranked) == 0 and list(ranked) == []
     assert per_line_ranking(net, zbus, frozen, placement, method) == []
 
 
-@pytest.mark.parametrize("method", [Method.HYBRID_DIRECT, Method.HYBRID_QUAD])
+@pytest.mark.parametrize("method", [Method.HYBRID_DIRECT])
 def test_ranking_skips_measured_branch_fourbus(fourbus, fourbus_study, method):
     ms = fourbus_study.measurements(FaultScenario("T2", 0.1, FaultType.LG, 0.0))
     ranked = rank_line_hypotheses(
@@ -229,7 +234,7 @@ def test_ranking_follows_the_matrix_bus_order(ieee14, ieee14_study):
         condition=zbus.condition,
     )
     ms = ieee14_study.measurements(FaultScenario("9-14", 0.85, FaultType.LL, 0.0))
-    for method in Method:
+    for method in RANKING_METHODS:
         placement = placement_for(method, (1, 14), ("2-3", "13-14"))
         assert rank_line_hypotheses(ieee14, ms, placement, method, permuted) == (
             rank_line_hypotheses(ieee14, ms, placement, method, zbus)
@@ -247,3 +252,75 @@ def test_ranking_skips_dependent_lines_for_voltage_pairs(ieee14, ieee14_study):
     assert "7-8" not in [line_id for line_id, _ in ranked]
     with pytest.raises(LinearDependenceError):
         estimate_for_placement(ieee14, zbus, "7-8", placement, ms, Method.SSVM)
+
+
+def test_ranking_refuses_hybrid_quad(case):
+    # Refused before any other work: a placement of the wrong channel kinds
+    # would otherwise raise TypeError.
+    net, study, (buses, branches, faults) = case
+    ms = study.measurements(FaultScenario(*faults[0]))
+    for placement in (placement_for(Method.HYBRID_QUAD, buses, branches), VoltagePlacement(*buses)):
+        with pytest.raises(ValueError, match="residual 0 on most wrong lines"):
+            rank_line_hypotheses(net, ms, placement, Method.HYBRID_QUAD, study.zbus(1))
+    # A known line keeps hybrid-quad.
+    placement = placement_for(Method.HYBRID_QUAD, buses, branches)
+    est = estimate_for_placement(net, study.zbus(1), faults[0][0], placement, ms, Method.HYBRID_QUAD)
+    assert abs(est.m - faults[0][1]) < 1e-6
+
+
+def test_ranking_is_a_read_only_sequence(ieee14, ieee14_study):
+    zbus = ieee14_study.zbus(1)
+    ms = ieee14_study.measurements(FaultScenario("9-14", 0.85, FaultType.LL, 0.0))
+    placement = VoltagePlacement(1, 14)
+    ranked = rank_line_hypotheses(ieee14, ms, placement, Method.SSVM, zbus)
+    entries = list(ranked)
+    assert len(ranked) == len(entries) > 5 and ranked
+    assert ranked[0] == entries[0] and ranked[0][0] == "9-14"
+    assert ranked[-1] == entries[-1] and ranked[-len(entries)] == entries[0]
+    assert ranked[1:5] == entries[1:5] and list(ranked[::-2]) == entries[::-2]
+    for i in (len(entries), -len(entries) - 1):
+        with pytest.raises(IndexError):
+            ranked[i]
+    with pytest.raises(TypeError):
+        ranked[0] = entries[0]
+    assert [entry for entry in ranked] == entries
+    assert dict(ranked) == dict(entries) and len(dict(ranked)) == len(entries)
+    assert ranked == entries and entries == ranked
+    assert ranked != entries[:-1] and entries[:-1] != ranked
+    assert ranked == rank_line_hypotheses(ieee14, ms, placement, Method.SSVM, zbus)
+
+
+def in_line_order_then_by_key(net, ranked):
+    """The entries of ``ranked`` in ``net.lines`` order, then stably sorted
+    in range first and by residual: the order the ranking documents."""
+    position = {rec.id: i for i, rec in enumerate(net.lines)}
+    entries = sorted(ranked, key=lambda item: position[item[0]])
+    return sorted(entries, key=lambda item: (not item[1].in_range, item[1].residual))
+
+
+@pytest.mark.parametrize("method", RANKING_METHODS)
+def test_ranking_sorts_in_range_first_then_by_residual(case, method):
+    net, study, (buses, branches, faults) = case
+    placement = placement_for(method, buses, branches)
+    for fault in faults:
+        ms = study.measurements(FaultScenario(*fault))
+        ranked = rank_line_hypotheses(net, ms, placement, method, study.zbus(1))
+        assert list(ranked) == in_line_order_then_by_key(net, ranked)
+
+
+def test_ranking_ties_keep_line_order(fourbus):
+    # A twin of T2 beside it has the same laws, so both hypotheses solve to
+    # the same m and residual bit for bit; declaration order breaks the tie.
+    twin = replace(fourbus.line("T2"), id="T2b")
+    for lines in (fourbus.lines + (twin,), (twin,) + fourbus.lines):
+        net = replace(fourbus, lines=lines)
+        study = FaultStudy(net)
+        ms = study.measurements(FaultScenario("T2", 0.56, FaultType.LG, 1.0))
+        for method in RANKING_METHODS:
+            placement = placement_for(method, (3, 4), ("T1", "T3"))
+            ranked = rank_line_hypotheses(net, ms, placement, method, study.zbus(1))
+            assert dict(ranked)["T2"] == dict(ranked)["T2b"]
+            assert list(ranked) == in_line_order_then_by_key(net, ranked)
+            first, second = ("T2b", "T2") if lines[0] is twin else ("T2", "T2b")
+            ids = [line_id for line_id, _ in ranked]
+            assert ids.index(first) + 1 == ids.index(second)

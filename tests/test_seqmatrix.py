@@ -174,7 +174,7 @@ def test_all_lines_laws_equal_one_line_laws_bit_for_bit(ieee14):
         ends = tuple(
             np.array([z.index(getattr(rec, end)) for rec in ieee14.lines])
             for end in ("from_bus", "to_bus")
-        ) + (ieee14.lines,)
+        ) + (np.array([rec.id for rec in ieee14.lines]),)
         for law_of, source in (
             (transfer_coefficients, 14),
             (branch_coefficients, ieee14.line("13-14")),
