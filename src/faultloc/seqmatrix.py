@@ -169,6 +169,7 @@ def build_zbus(net: Network, sequence: int) -> SequenceZbus:
             f"sequence-{sequence} network is singular: {exc}"
         ) from None
     cond = np.linalg.norm(y, 1) * np.linalg.norm(z, 1)
+    del y  # one n x n array less while the symmetrised copy is made
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedNetworkError(
             f"sequence-{sequence} admittance matrix condition {cond:.3e}"
