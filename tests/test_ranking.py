@@ -298,16 +298,6 @@ def in_line_order_then_by_key(net, ranked):
     return sorted(entries, key=lambda item: (not item[1].in_range, item[1].residual))
 
 
-@pytest.mark.parametrize("method", RANKING_METHODS)
-def test_ranking_sorts_in_range_first_then_by_residual(case, method):
-    net, study, (buses, branches, faults) = case
-    placement = placement_for(method, buses, branches)
-    for fault in faults:
-        ms = study.measurements(FaultScenario(*fault))
-        ranked = rank_line_hypotheses(net, ms, placement, method, study.zbus(1))
-        assert list(ranked) == in_line_order_then_by_key(net, ranked)
-
-
 def test_ranking_ties_keep_line_order(fourbus):
     # A twin of T2 beside it has the same laws, so both hypotheses solve to
     # the same m and residual bit for bit; declaration order breaks the tie.
