@@ -35,7 +35,6 @@ from .faultsim import (
     FaultType,
     MeasurementTaps,
     PhasorMeasurementSet,
-    SequenceFaultCurrents,
     apply_distortion,
     fault_sequence_currents,
     measurements_from_csv,

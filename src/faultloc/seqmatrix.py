@@ -183,9 +183,9 @@ def build_zbus(net: Network, sequence: int) -> SequenceZbus:
 
 def _memo(zbus: SequenceZbus, line: LineRecord, key: tuple, build, *args):
     """``build(zbus, line, *args)``, built once per matrix, ``line`` and ``key``
-    while ``line`` is the last faulted line asked about.  The key names what
-    else the law reads, each record by its ``id``; the memo keeps ``line``
-    and each entry its ``args``, so those ids stay taken."""
+    while ``line`` is the last faulted line asked about (a build that raises
+    is not kept).  The key names what else it reads, records and networks by
+    ``id``; those stay taken, as the memo keeps ``line`` and the ``args``."""
     laws = zbus._laws
     if laws.get(None) is not line:
         laws.clear()

@@ -8,7 +8,7 @@ from faultloc import cli, faultsim, locator, netmodel, seqmatrix
 
 #: Public names over the five modules' ``__all__``.  The surface may shrink;
 #: lower this bound when it does, never raise it.
-MAX_PUBLIC_NAMES = 50
+MAX_PUBLIC_NAMES = 49
 
 #: Lines over ``src/faultloc/*.py``, as ``wc -l`` counts them.  The same rule:
 #: lower it when the code shrinks, never raise it.

@@ -10,14 +10,18 @@ from faultloc import (
     FaultType,
     MeasurementTaps,
     Method,
+    apply_distortion,
     bundled_case,
+    estimate_for_placement,
     feasibility_check,
+    percent_error,
 )
 from faultloc import cli, seqmatrix
 from faultloc.cli import main
 from faultloc import FaultStudy
 
 from importlib import resources
+from itertools import product
 from pathlib import Path
 
 CASE_PATH = str(resources.files("faultloc").joinpath("cases", "fourbus.case"))
@@ -543,3 +547,31 @@ def test_law_builds_do_not_grow_with_the_scenario_count(tmp_path, monkeypatch):
         counts.append(len(built))
     assert counts[0] > 0
     assert counts[1] == counts[0]
+
+
+def _bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+def test_sweep_rows_match_a_fresh_study_per_scenario(tmp_path):
+    """A sweep shares one study, verdict and pair of laws over each faulted
+    line; every row matches, bit for bit, an estimate on a study of its own."""
+    for path in _sweep_specs(tmp_path):
+        spec = cli.load_sweep_spec(path, default_case=CASE_PATH)
+        rows = cli.run_sweep(spec)
+        net = cli.load_case(spec.case)
+        distortions = tuple(cli.parse_distortion(t) for t in spec.distort)
+        branches = tuple(f"{r.id}@{e}" if e else r.id for r, e in map(net.channel, spec.branches))
+        want = []
+        for line_id, ftype, m, rf in product(spec.lines, spec.types, spec.m_values, spec.rf_ohm):
+            study = FaultStudy(net)
+            ms = apply_distortion(study.measurements(FaultScenario(line_id, m, ftype, rf)), distortions)
+            length = net.line(line_id).length_km
+            for method in spec.methods:
+                placement = cli._placement_for(method, spec.buses, branches)
+                est = estimate_for_placement(net, study.zbus(1), line_id, placement, ms, method)
+                pct = percent_error(m * length, est.m * length, length)
+                want.append((line_id, ftype.value, m, rf, method.value, _bits(est.m, est.residual, pct)))
+        got = [(r.line, r.type, r.m_true, r.rf_ohm, r.method, _bits(r.m_est, r.residual, r.pct_error))
+               for r in rows]
+        assert sorted(got) == sorted(want), path

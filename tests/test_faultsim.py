@@ -80,38 +80,38 @@ def test_prefault_two_emf_angles_circulate_and_balance(fourbus):
 
 def test_fault_currents_three_phase_ohms_law():
     cur = fault_sequence_currents(FaultType.LLL, (1j, 0.1j, 0.1j), 1.0 + 0j, 0.0)
-    assert cur.i1 == pytest.approx(-10j)
-    assert cur.i0 == 0 and cur.i2 == 0
+    assert cur[1] == pytest.approx(-10j)
+    assert cur[0] == 0 and cur[2] == 0
 
 
 def test_fault_currents_single_line_ground_series():
     cur = fault_sequence_currents(FaultType.LG, (0.1j, 0.1j, 0.1j), 1.0 + 0j, 0.0)
     expected = 1.0 / 0.3j
-    assert cur.i0 == pytest.approx(expected)
-    assert cur.i1 == pytest.approx(expected)
-    assert cur.i2 == pytest.approx(expected)
+    assert cur[0] == pytest.approx(expected)
+    assert cur[1] == pytest.approx(expected)
+    assert cur[2] == pytest.approx(expected)
 
 
 def test_fault_currents_line_line():
     cur = fault_sequence_currents(FaultType.LL, (1j, 0.2j, 0.3j), 1.0 + 0j, 0.0)
-    assert cur.i1 == pytest.approx(1.0 / 0.5j)
-    assert cur.i2 == pytest.approx(-cur.i1)
-    assert cur.i0 == 0
+    assert cur[1] == pytest.approx(1.0 / 0.5j)
+    assert cur[2] == pytest.approx(-cur[1])
+    assert cur[0] == 0
 
 
 def test_fault_currents_llg_open_ground_limit_recovers_ll():
     z = (1e6 + 0j, 0.1j, 0.12j)
     llg = fault_sequence_currents(FaultType.LLG, z, 1.0 + 0j, 0.0)
     ll = fault_sequence_currents(FaultType.LL, z, 1.0 + 0j, 0.0)
-    assert abs(llg.i1 - ll.i1) < 1e-4
-    assert abs(llg.i2 - ll.i2) < 1e-4
-    assert abs(llg.i0) < 1e-4
+    assert abs(llg[1] - ll[1]) < 1e-4
+    assert abs(llg[2] - ll[2]) < 1e-4
+    assert abs(llg[0]) < 1e-4
 
 
 def test_fault_currents_infinite_rf_means_no_fault():
     for t in (FaultType.LG, FaultType.LL, FaultType.LLL):
         cur = fault_sequence_currents(t, (0.1j, 0.1j, 0.1j), 1.0 + 0j, math.inf)
-        assert (cur.i0, cur.i1, cur.i2) == (0j, 0j, 0j)
+        assert cur == (0j, 0j, 0j)
 
 
 def test_fault_currents_zero_loop_rejected():
@@ -131,12 +131,12 @@ def test_phase_domain_boundary_conditions(fourbus_study, ftype):
         fault_point_coefficients(fourbus_study.zbus(s), line).z_at(sc.m)
         for s in (0, 1, 2)
     ]
-    e1_r = 1.0 - z_rr[1] * cur.i1  # flat pre-fault profile
-    e_r = (-z_rr[0] * cur.i0, e1_r, -z_rr[2] * cur.i2)
+    e1_r = 1.0 - z_rr[1] * cur[1]  # flat pre-fault profile
+    e_r = (-z_rr[0] * cur[0], e1_r, -z_rr[2] * cur[2])
     va, vb, vc = inverse_sequence_transform(*e_r)
-    ia, ib, ic = inverse_sequence_transform(cur.i0, cur.i1, cur.i2)
+    ia, ib, ic = inverse_sequence_transform(*cur)
     if ftype is FaultType.LLL:
-        assert abs(e_r[1] - rf * cur.i1) < 1e-12
+        assert abs(e_r[1] - rf * cur[1]) < 1e-12
     elif ftype is FaultType.LG:
         assert abs(va - rf * ia) < 1e-12
         assert abs(ib) < 1e-12 and abs(ic) < 1e-12
@@ -147,7 +147,7 @@ def test_phase_domain_boundary_conditions(fourbus_study, ftype):
     else:  # LLG: common ground leg carries rf
         assert abs(ia) < 1e-12
         assert abs(vb - vc) < 1e-12
-        assert abs(vb - 3.0 * rf * cur.i0) < 1e-12
+        assert abs(vb - 3.0 * rf * cur[0]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def test_lg_wiring_identity(fourbus, fourbus_study):
     line = fourbus.line("T2")
     for b in fourbus.buses:
         zkr = transfer_coefficients(fourbus_study.zbus(1), line, b).at(sc.m)
-        assert ms.fault_bus_v[b][1] == ms.prefault_bus_v[b] - zkr * cur.i1
+        assert ms.fault_bus_v[b][1] == ms.prefault_bus_v[b] - zkr * cur[1]
 
 
 def _delta_v(ms, bus):
@@ -338,8 +338,8 @@ def test_voltage_change_ratio_identity(fourbus, fourbus_study):
 def test_superposition_changes_scale_with_fault_current(fourbus_study):
     ms_a = fourbus_study.measurements(FaultScenario("T2", 0.4, FaultType.LLL, 1.0))
     ms_b = fourbus_study.measurements(FaultScenario("T2", 0.4, FaultType.LLL, 25.0))
-    i_a = fourbus_study.fault_currents(FaultScenario("T2", 0.4, FaultType.LLL, 1.0)).i1
-    i_b = fourbus_study.fault_currents(FaultScenario("T2", 0.4, FaultType.LLL, 25.0)).i1
+    i_a = fourbus_study.fault_currents(FaultScenario("T2", 0.4, FaultType.LLL, 1.0))[1]
+    i_b = fourbus_study.fault_currents(FaultScenario("T2", 0.4, FaultType.LLL, 25.0))[1]
     for b in fourbus_study.net.buses:
         assert abs(_delta_v(ms_a, b) / i_a - _delta_v(ms_b, b) / i_b) < 1e-12
 
@@ -368,8 +368,7 @@ def test_superposition_halved_loop_doubles_every_change():
 def test_segment_currents_balance_fault_current(fourbus_study, m):
     sc = FaultScenario("T2", m, FaultType.LG, rf_ohm=1.0)
     ms = fourbus_study.measurements(sc, MeasurementTaps())
-    i = fourbus_study.fault_currents(sc)
-    cur = (i.i0, i.i1, i.i2)
+    cur = fourbus_study.fault_currents(sc)
     for s in (0, 1, 2):
         total = ms.fault_branch_i["T2@from"][s] + ms.fault_branch_i["T2@to"][s]
         assert abs(total - cur[s]) < 1e-9
@@ -386,7 +385,7 @@ def test_terminal_currents_are_continuous_at_both_line_ends(request, case):
         for end, near in ((0.0, 1e-12), (1.0, 1.0 - 1e-12)):
             at, by = (FaultScenario(line.id, m, ftype, 1.0) for m in (end, near))
             ms_at, ms_by = study.measurements(at, taps), study.measurements(by, taps)
-            tol = 1e-6 * abs(study.fault_currents(at).i1)
+            tol = 1e-6 * abs(study.fault_currents(at)[1])
             for channel in (f"{line.id}@from", f"{line.id}@to"):
                 for s in (0, 1, 2):
                     diff = ms_at.fault_branch_i[channel][s] - ms_by.fault_branch_i[channel][s]
@@ -520,6 +519,28 @@ def test_measurements_csv_rejects_bad_values(row, problem):
     with pytest.raises(ValueError, match=problem) as err:
         measurements_from_csv(f"kind,id,stage,seq,re,im\n{row}\n")
     assert row in str(err.value)
+
+
+def test_study_table_holds_one_faulted_line(ieee14):
+    """The study keeps the laws and pre-fault values of the faulted line last
+    asked about, only for the channels tapped; another line drops them, and
+    a line asked about again is rebuilt to the same bits."""
+    study = FaultStudy(ieee14)
+    first, second = ieee14.lines[:2]
+    scenario = FaultScenario(first.id, 0.3, FaultType.LLG, 2.0)
+    ms = study.measurements(scenario)
+    line, fault_laws, bus_rows, branch_rows = study._line
+    assert line is first and len(fault_laws) == 3
+    assert len(bus_rows) == ieee14.n and len(branch_rows) == len(ieee14.lines) + 1
+    with pytest.raises(KeyError, match="unknown bus"):
+        study.measurements(scenario, MeasurementTaps(buses=(99,)))
+    assert study._line[2] == bus_rows and 99 not in bus_rows
+    study.measurements(FaultScenario(second.id, 0.3, FaultType.LG), MeasurementTaps((14,), ()))
+    line, _, bus_rows, branch_rows = study._line
+    assert line is second and list(bus_rows) == [14] and branch_rows == {}
+    again = study.measurements(scenario)
+    assert study._line[0] is first
+    assert repr(again) == repr(ms)
 
 
 def test_simulate_one_shot_matches_study(fourbus, fourbus_study):

@@ -4,6 +4,8 @@ import cmath
 import math
 import time
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -420,6 +422,56 @@ def test_bad_terminal_suffix_is_rejected_by_every_entry_point(fourbus, fourbus_s
             call()
 
 
+def test_faulted_line_current_is_refused(fourbus, fourbus_study):
+    """The faulted line's own current is no channel: no instrument reads it
+    while the fault draws current, and its law is the through current."""
+    placement = CurrentPlacement("T2", "T1")
+    message = "current channel 'T2' measures faulted line 'T2'"
+    assert feasibility_check(fourbus, "T2", placement) == (False, message)
+    assert feasibility_check(fourbus, "T2", placement, fourbus_study.zbus(1)) == (False, message)
+    ms = fourbus_study.measurements(FaultScenario("T2", 0.56, FaultType.LG, 1.0))
+    renamed = replace(
+        ms,
+        prefault_branch_i={**ms.prefault_branch_i, "T2": ms.prefault_branch_i["T2@from"]},
+        fault_branch_i={**ms.fault_branch_i, "T2": ms.fault_branch_i["T2@from"]},
+    )
+    with pytest.raises(ValueError, match=message):
+        estimate_for_placement(fourbus, fourbus_study.zbus(1), "T2", placement, renamed, Method.SSCM)
+    # Its terminal is a channel: a CT there reads the current it feeds in.
+    assert feasibility_check(fourbus, "T2", CurrentPlacement("T2@from", "T1")) == (True, "ok")
+
+
+def test_memoised_verdicts_equal_unmemoised_checks(ieee14, ieee14_study):
+    """Every (line, placement) pair, asked twice of one matrix, against a
+    check that builds its own: feasible and infeasible verdicts alike.  A
+    check that raises is not memoised and raises again."""
+    zbus = ieee14_study.zbus(1)
+    placements = [
+        VoltagePlacement(1, 14),
+        VoltagePlacement(7, 8),
+        VoltagePlacement(4, 4),
+        CurrentPlacement("2-3", "13-14"),
+        CurrentPlacement("1-2", "1-5"),
+        CurrentPlacement("4-5@from", "4-5@to"),
+        HybridPlacement("7-8", 8),
+        HybridPlacement("2-3@to", 14),
+    ]
+    verdicts = set()
+    for rec in ieee14.lines:
+        for placement in placements:
+            want = feasibility_check(ieee14, rec.id, placement)
+            got = feasibility_check(ieee14, rec.id, placement, zbus)
+            assert got == want, (rec.id, placement)
+            assert feasibility_check(ieee14, rec.id, placement, zbus) is got
+            verdicts.add(got[0])
+        size = len(zbus._laws)
+        for _ in range(2):
+            with pytest.raises(CaseError, match="unknown bus 99"):
+                feasibility_check(ieee14, rec.id, VoltagePlacement(1, 99), zbus)
+        assert len(zbus._laws) == size
+    assert verdicts == {True, False}
+
+
 def test_feasibility_unknown_measurement_bus(fourbus):
     from faultloc import CaseError
 
@@ -468,11 +520,11 @@ def test_feasibility_path_verdict_matches_enumeration(net, data):
     zbus = build_zbus(net, 1)
     line_id = data.draw(st.sampled_from([rec.id for rec in net.lines]))
     bus = st.sampled_from(net.buses)
-    branch = st.sampled_from([rec.id for rec in net.lines])
-    placements = [
-        VoltagePlacement(data.draw(bus), data.draw(bus)),
-        HybridPlacement(data.draw(branch), data.draw(bus)),
-    ]
+    placements = [VoltagePlacement(data.draw(bus), data.draw(bus))]
+    # The faulted line's own current is no channel; feasibility refuses it.
+    others = [rec.id for rec in net.lines if rec.id != line_id]
+    if others:
+        placements.append(HybridPlacement(data.draw(st.sampled_from(others)), data.draw(bus)))
     for placement in placements:
         assert _path_verdicts_match(net, zbus, line_id, placement), placement
 
@@ -484,8 +536,9 @@ def test_feasibility_path_verdict_on_every_fourbus_pair(fourbus, fourbus_study):
             for b in fourbus.buses:
                 assert _path_verdicts_match(fourbus, zbus, rec.id, VoltagePlacement(a, b))
             for branch in fourbus.lines:
-                placement = HybridPlacement(branch.id, a)
-                assert _path_verdicts_match(fourbus, zbus, rec.id, placement)
+                if branch is not rec:
+                    placement = HybridPlacement(branch.id, a)
+                    assert _path_verdicts_match(fourbus, zbus, rec.id, placement)
 
 
 @pytest.mark.parametrize("n", [7, 30])

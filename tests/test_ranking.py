@@ -288,6 +288,7 @@ def test_ranking_is_a_read_only_sequence(ieee14, ieee14_study):
     assert ranked == entries and entries == ranked
     assert ranked != entries[:-1] and entries[:-1] != ranked
     assert ranked == rank_line_hypotheses(ieee14, ms, placement, Method.SSVM, zbus)
+    assert repr(ranked) == repr(entries) and repr(ranked[1:3]) == repr(entries[1:3])
 
 
 def in_line_order_then_by_key(net, ranked):
