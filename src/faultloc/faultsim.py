@@ -26,7 +26,7 @@ from .netmodel import LineRecord, Network
 from .seqmatrix import (
     SequenceZbus,
     branch_coefficients,
-    build_ybus,
+    build_ybus,  # not called here; perfbench traces this import site
     build_zbus,
     fault_point_coefficients,
     transfer_coefficients,
@@ -112,22 +112,21 @@ class PhasorMeasurementSet:
     token: str = ""
 
 
-def prefault_solve(net: Network) -> tuple[dict[int, complex], dict[str, complex]]:
-    """Positive-sequence steady state before the fault.
+def prefault_solve(
+    net: Network, zbus: SequenceZbus
+) -> tuple[dict[int, complex], dict[str, complex]]:
+    """Positive-sequence steady state before the fault: bus voltages ``Z1 @ J``.
 
-    Sources are EMFs behind their internal impedance (solved as Norton
-    injections); branch currents follow from terminal voltage differences.
-    With all EMFs equal the profile is flat and every branch current is zero.
+    Sources are EMFs behind their internal impedance, injected as Norton
+    currents ``J`` into the positive-sequence matrix ``zbus``; branch currents
+    follow from terminal voltage differences.  With all EMFs equal the
+    profile is flat and every branch current is zero.
     """
-    y = build_ybus(net, 1)
-    j = np.zeros(net.n, dtype=complex)
+    j = np.zeros(len(zbus.bus_order), dtype=complex)
     for src in net.sources:
-        j[net.bus_index(src.bus)] += src.emf / src.z(1)
-    try:
-        e = np.linalg.solve(y, j)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular pre-fault system: {exc}") from None
-    bus_v = {b: complex(e[net.bus_index(b)]) for b in net.buses}
+        j[zbus.index(src.bus)] += src.emf / src.z(1)
+    e = zbus.z @ j
+    bus_v = {b: complex(e[zbus.index(b)]) for b in net.buses}
     branch_i = {
         rec.id: (bus_v[rec.from_bus] - bus_v[rec.to_bus]) / rec.z1
         for rec in net.lines
@@ -222,7 +221,7 @@ class FaultStudy:
 
     @cached_property
     def prefault(self) -> tuple[dict[int, complex], dict[str, complex]]:
-        return prefault_solve(self.net)
+        return prefault_solve(self.net, self.zbus(1))
 
     def _table(self, line: LineRecord) -> tuple[tuple, dict, dict]:
         """``line``'s fault-point laws, and its bus and current-channel rows."""

@@ -18,8 +18,8 @@ rebuilding the matrix:
   driving-point impedance at the fault point, which sets the fault current.
 
 A one-line law is the many-lines law of that line alone, memoised on its
-:class:`SequenceZbus` for one faulted line at a time.  No other module
-reads :attr:`SequenceZbus.z`.
+:class:`SequenceZbus` for one faulted line at a time.  Only the pre-fault
+solve (``Z1 @ J``) reads :attr:`SequenceZbus.z` outside this module.
 """
 from __future__ import annotations
 

@@ -35,7 +35,7 @@ from test_ranking import mesh_text
 
 
 def test_prefault_flat_profile(fourbus):
-    bus_v, branch_i = prefault_solve(fourbus)
+    bus_v, branch_i = prefault_solve(fourbus, build_zbus(fourbus, 1))
     for v in bus_v.values():
         assert abs(v - 1.0) < 1e-12
     for i in branch_i.values():
@@ -56,7 +56,7 @@ def test_prefault_two_emf_angles_circulate_and_balance(fourbus):
     source 4 0.0009 0.05423  1.0 -10
     """
     net = parse_case(text)
-    bus_v, branch_i = prefault_solve(net)
+    bus_v, branch_i = prefault_solve(net, build_zbus(net, 1))
     assert all(abs(i) > 1e-6 for i in branch_i.values())
     # Kirchhoff balance at every bus, recomputed from scratch.
     for bus in net.buses:
