@@ -232,7 +232,7 @@ def _evaluate(
         ms = study.measurements(scenario, taps)
         if distortions:
             ms = apply_distortion(ms, distortions)
-        zbus = study.zbus(1)
+        zbus = study.zbus(1)  # after measurements: its first call builds Z, timed there
         for method in methods:
             placement = placements[method]
             ok, reason = feasibility_check(net, line.id, placement, zbus)

@@ -403,7 +403,7 @@ def _feasibility(zbus, line: LineRecord, net: Network, placement: Placement) -> 
 
 
 def _own_current(line: LineRecord, placement: Placement, sources: list[_Source]) -> str:
-    """The reason to refuse a placement that reads ``line``'s own current, or "" """
+    """Why a placement that reads ``line``'s own current is refused; else empty."""
     for (_, ident), src in zip(placement.channels, sources):
         if isinstance(src, tuple) and src[0].id == line.id and not src[1]:
             return f"current channel {ident!r} measures faulted line {line.id!r}"
