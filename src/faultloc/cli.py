@@ -18,7 +18,7 @@ Exit codes: 0 success, 1 parse/validation failure, 2 infeasible placement.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import groupby, product
+from itertools import product
 
 import argparse
 import contextlib
@@ -37,12 +37,8 @@ from .locator import (
     Method,
     Placement,
     VoltagePlacement,
-    _channels,
-    _law,
-    _sources,
-    estimate_for_placement,  # not called here; perfbench traces this import site
+    estimate_for_placement,
     feasibility_check,
-    locate,
     percent_error,
 )
 from .netmodel import CaseError, Network, load_case
@@ -216,40 +212,45 @@ def _taps(
 
 
 def _evaluate(
+    net: Network,
     study: FaultStudy,
-    scenarios: list[FaultScenario],
-    taps: MeasurementTaps,
+    scenario: FaultScenario,
+    taps: dict[str, MeasurementTaps],
     methods: tuple[Method, ...],
     placements: dict[Method, Placement],
     distortions: tuple[Distortion, ...],
 ) -> list[ReportRow]:
-    """The rows of one faulted line's scenarios.  A method's laws are fetched
-    after its first verdict passes, so errors are those of a per-row estimate."""
-    net = study.net
-    line = net.line(scenarios[0].line_id)
-    length, laws, rows = line.length_km, {}, []
-    for scenario in scenarios:
-        ms = study.measurements(scenario, taps)
-        if distortions:
-            ms = apply_distortion(ms, distortions)
-        zbus = study.zbus(1)  # after measurements: its first call builds Z, timed there
-        for method in methods:
-            placement = placements[method]
-            ok, reason = feasibility_check(net, line.id, placement, zbus)
-            if not ok:
-                raise PlacementError(
-                    f"{method.value} placement infeasible for line {line.id}: {reason}"
-                )
-            numer, denom = _channels(ms, placement)
-            if method not in laws:
-                laws[method] = [_law(zbus, line, s) for s in _sources(net, placement, method)]
-            try:
-                est = locate(method, numer, denom, *laws[method])
-            except (DegenerateChannelError, LinearDependenceError) as exc:
-                raise PlacementError(f"{method.value}: {exc}") from None
-            pct = percent_error(scenario.m * length, est.m * length, length)
-            rows.append(ReportRow(line.id, scenario.fault_type.value, scenario.m,
-                                  scenario.rf_ohm, method.value, est.m, est.residual, pct, ok))
+    ms = study.measurements(scenario, taps[scenario.line_id])
+    if distortions:
+        ms = apply_distortion(ms, distortions)
+    length = net.line(scenario.line_id).length_km
+    rows = []
+    for method in methods:
+        placement = placements[method]
+        ok, reason = feasibility_check(net, scenario.line_id, placement, study.zbus(1))
+        if not ok:
+            raise PlacementError(
+                f"{method.value} placement infeasible for line {scenario.line_id}: {reason}"
+            )
+        try:
+            est = estimate_for_placement(
+                net, study.zbus(1), scenario.line_id, placement, ms, method
+            )
+        except (DegenerateChannelError, LinearDependenceError) as exc:
+            raise PlacementError(f"{method.value}: {exc}") from None
+        rows.append(
+            ReportRow(
+                line=scenario.line_id,
+                type=scenario.fault_type.value,
+                m_true=scenario.m,
+                rf_ohm=scenario.rf_ohm,
+                method=method.value,
+                m_est=est.m,
+                residual=est.residual,
+                pct_error=percent_error(scenario.m * length, est.m * length, length),
+                feasible=ok,
+            )
+        )
     return rows
 
 
@@ -276,11 +277,11 @@ def run_sweep(spec: SweepSpec) -> list[ReportRow]:
     for line_id in spec.lines:
         if line_id in currents:
             raise ValueError(f"current channel {line_id!r} measures faulted line {line_id!r}")
+    taps = {line_id: _taps(net, line_id, placements, distortions) for line_id in spec.lines}
     study = FaultStudy(net)
     rows: list[ReportRow] = []
-    for line_id, group in groupby(scenarios, key=lambda s: s.line_id):
-        taps = _taps(net, line_id, placements, distortions)
-        rows.extend(_evaluate(study, list(group), taps, spec.methods, placements, distortions))
+    for scenario in scenarios:
+        rows.extend(_evaluate(net, study, scenario, taps, spec.methods, placements, distortions))
     rows.sort(key=ReportRow.sort_key)
     return rows
 

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .netmodel import LineRecord, Network
+from .netmodel import Network
 from .seqmatrix import (
     SequenceZbus,
     branch_coefficients,
@@ -117,10 +117,9 @@ def prefault_solve(
 ) -> tuple[dict[int, complex], dict[str, complex]]:
     """Positive-sequence steady state before the fault: bus voltages ``Z1 @ J``.
 
-    Sources are EMFs behind their internal impedance, injected as Norton
-    currents ``J`` into the positive-sequence matrix ``zbus``; branch currents
-    follow from terminal voltage differences.  With all EMFs equal the
-    profile is flat and every branch current is zero.
+    Sources are EMFs behind their internal impedance (Norton injections ``J``);
+    branch currents follow from terminal voltage differences.  With all EMFs
+    equal the profile is flat and every branch current is zero.
     """
     j = np.zeros(len(zbus.bus_order), dtype=complex)
     for src in net.sources:
@@ -198,18 +197,16 @@ def _check_loop(z: complex) -> None:
 class FaultStudy:
     """Caches the per-sequence matrices and pre-fault state of one network.
 
-    The matrices are built once per study.  The faulted line last asked
-    about keeps a table: its three fault-point laws and, per channel tapped
-    so far, the pre-fault value and three sequence laws.  Another line drops
-    it, so sweeps should share a study and go line by line.  Lines carry
-    z2 = z1, so unless a source sets its own z2 the negative-sequence matrix
-    shares the positive-sequence array, not its law memo.
+    The matrices are built once per study, each memoising the coefficient
+    laws of the faulted line last asked about, so sweeps should share a study
+    and take their scenarios line by line.  Lines carry z2 = z1, so unless a
+    source sets its own z2 the negative-sequence matrix shares the
+    positive-sequence array, not its memo (equality ignores the memo).
     """
 
     def __init__(self, net: Network):
         self.net = net
         self._zbus: dict[int, SequenceZbus] = {}
-        self._line: tuple | None = None
 
     def zbus(self, sequence: int) -> SequenceZbus:
         if sequence not in self._zbus:
@@ -223,18 +220,14 @@ class FaultStudy:
     def prefault(self) -> tuple[dict[int, complex], dict[str, complex]]:
         return prefault_solve(self.net, self.zbus(1))
 
-    def _table(self, line: LineRecord) -> tuple[tuple, dict, dict]:
-        """``line``'s fault-point laws, and its bus and current-channel rows."""
-        if self._line is None or self._line[0] is not line:
-            laws = tuple(fault_point_coefficients(self.zbus(s), line) for s in (0, 1, 2))
-            self._line = (line, laws, {}, {})
-        return self._line[1:]
-
     def fault_currents(self, scenario: FaultScenario) -> SequenceTriple:
         """Sequence currents at the fault point."""
-        line, m = self.net.line(scenario.line_id), scenario.m
+        line = self.net.line(scenario.line_id)
+        m = scenario.m
         bus_v, _ = self.prefault
-        z_rr = tuple(law.z_at(m) for law in self._table(line)[0])
+        z_rr = tuple(
+            fault_point_coefficients(self.zbus(s), line).z_at(m) for s in (0, 1, 2)
+        )
         e_r = (1.0 - m) * bus_v[line.from_bus] + m * bus_v[line.to_bus]
         return fault_sequence_currents(
             scenario.fault_type, z_rr, e_r, scenario.rf_ohm / self.net.z_base_ohm
@@ -243,11 +236,12 @@ class FaultStudy:
     def measurements(
         self, scenario: FaultScenario, taps: MeasurementTaps | None = None
     ) -> PhasorMeasurementSet:
-        taps, net, m = taps or MeasurementTaps(), self.net, scenario.m
+        taps = taps or MeasurementTaps()
+        net = self.net
         line = net.line(scenario.line_id)
+        m = scenario.m
         bus_v0, branch_i0 = self.prefault
         cur = self.fault_currents(scenario)
-        _, bus_rows, branch_rows = self._table(line)
 
         buses = taps.buses if taps.buses is not None else net.buses
         branch_ids = taps.branches
@@ -255,38 +249,39 @@ class FaultStudy:
             branch_ids = tuple(r.id for r in net.lines if r.id != line.id)
             branch_ids += (f"{line.id}@from", f"{line.id}@to")
 
-        pre_v, fault_v = {}, {}
+        prefault_bus_v: dict[int, complex] = {}
+        fault_bus_v: dict[int, SequenceTriple] = {}
         for b in buses:
-            if b not in bus_rows:
-                if b not in bus_v0:
-                    raise KeyError(f"tap references unknown bus {b}")
-                laws = [transfer_coefficients(self.zbus(s), line, b) for s in (0, 1, 2)]
-                bus_rows[b] = (bus_v0[b], laws)
-            pre_v[b], fault_v[b] = _during_fault(*bus_rows[b], cur, m)
+            if b not in bus_v0:
+                raise KeyError(f"tap references unknown bus {b}")
+            zkr = [transfer_coefficients(self.zbus(s), line, b).at(m) for s in (0, 1, 2)]
+            prefault_bus_v[b] = bus_v0[b]
+            fault_bus_v[b] = _during_fault(zkr, bus_v0[b], cur)
 
-        pre_i, fault_i = {}, {}
+        prefault_branch_i: dict[str, complex] = {}
+        fault_branch_i: dict[str, SequenceTriple] = {}
         for bid in branch_ids:
-            if bid not in branch_rows:
-                rec, end = net.channel(bid)
-                if rec.id == line.id and not end:
-                    raise KeyError(
-                        f"branch {bid!r} is the faulted line; tap its terminals"
-                        f" {line.id}@from and {line.id}@to instead"
-                    )
-                laws = [branch_coefficients(self.zbus(s), line, (rec, end)) for s in (0, 1, 2)]
-                pre = -branch_i0[rec.id] if end == "to" else branch_i0[rec.id]
-                branch_rows[bid] = (pre, laws)
-            pre_i[bid], fault_i[bid] = _during_fault(*branch_rows[bid], cur, m)
+            rec, end = net.channel(bid)
+            if rec.id == line.id and not end:
+                raise KeyError(
+                    f"branch {bid!r} is the faulted line; tap its terminals"
+                    f" {line.id}@from and {line.id}@to instead"
+                )
+            law = [branch_coefficients(self.zbus(s), line, (rec, end)).at(m) for s in (0, 1, 2)]
+            pre = -branch_i0[rec.id] if end == "to" else branch_i0[rec.id]
+            prefault_branch_i[bid] = pre
+            fault_branch_i[bid] = _during_fault(law, pre, cur)
 
         token = f"{scenario.line_id}:{scenario.fault_type.value}:m={m:g}:rf={scenario.rf_ohm:g}"
-        return PhasorMeasurementSet(pre_v, fault_v, pre_i, fault_i, token)
+        return PhasorMeasurementSet(
+            prefault_bus_v, fault_bus_v, prefault_branch_i, fault_branch_i, token
+        )
 
 
-def _during_fault(pre: complex, laws, cur: SequenceTriple, m: float):
-    """``pre``, and the sequence values at fault position ``m`` of a quantity that
-    changes by ``-laws[s].at(m)`` per unit fault current in sequence s from it."""
-    k = [law.at(m) for law in laws]
-    return pre, (-k[0] * cur[0], pre - k[1] * cur[1], -k[2] * cur[2])
+def _during_fault(k, pre: complex, cur: SequenceTriple) -> SequenceTriple:
+    """Sequence values of a quantity that changes by ``-k[s]`` per unit fault
+    current in sequence s, on top of the positive-sequence value ``pre``."""
+    return (-k[0] * cur[0], pre - k[1] * cur[1], -k[2] * cur[2])
 
 
 @dataclass(frozen=True)
@@ -327,8 +322,10 @@ def apply_distortion(
     Channels not named by any distortion are carried over bit-identical.
     Raises ``KeyError`` for unknown channels.
     """
-    pre_v, fault_v = dict(ms.prefault_bus_v), dict(ms.fault_bus_v)
-    pre_i, fault_i = dict(ms.prefault_branch_i), dict(ms.fault_branch_i)
+    pre_v = dict(ms.prefault_bus_v)
+    fault_v = dict(ms.fault_bus_v)
+    pre_i = dict(ms.prefault_branch_i)
+    fault_i = dict(ms.fault_branch_i)
 
     for d in spec:
         if d.kind == "busV":
@@ -341,7 +338,13 @@ def apply_distortion(
             raise KeyError(f"unknown {name} channel {d.channel!r}")
         pre[key], fault[key] = _distort(d, pre[key], fault[key])
 
-    return PhasorMeasurementSet(pre_v, fault_v, pre_i, fault_i, ms.token)
+    return replace(
+        ms,
+        prefault_bus_v=pre_v,
+        fault_bus_v=fault_v,
+        prefault_branch_i=pre_i,
+        fault_branch_i=fault_i,
+    )
 
 
 def _distort(

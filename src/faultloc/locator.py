@@ -77,6 +77,9 @@ SOLVE_TOLERANCE = 1e-12
 
 _DEPENDENT = "channel fault responses are linearly dependent"
 
+#: No instrument reads a faulted line's own current, only its terminals'.
+_OWN_CURRENT = "current channel {0!r} measures faulted line {0!r}"
+
 
 class DegenerateChannelError(ValueError):
     """A consumed channel shows no usable fault signature."""
@@ -380,8 +383,8 @@ def feasibility_check(
 
 def _feasibility(zbus, line: LineRecord, net: Network, placement: Placement) -> tuple[bool, str]:
     sources = _sources(net, placement)
-    if refused := _own_current(line, placement, sources):
-        return False, refused
+    if (line, "") in sources:
+        return False, _OWN_CURRENT.format(line.id)
 
     # The rank test is the decisive physical condition for placements with a
     # current channel, so its verdict names the reason when both tests fail.
@@ -400,14 +403,6 @@ def _feasibility(zbus, line: LineRecord, net: Network, placement: Placement) -> 
     if not any(_on_tree_path(parent, depth, block, a, b) for a in starts for b in goals):
         return False, f"no simple path through line {line.id!r} joins the measurement locations"
     return True, "ok"
-
-
-def _own_current(line: LineRecord, placement: Placement, sources: list[_Source]) -> str:
-    """Why a placement that reads ``line``'s own current is refused; else empty."""
-    for (_, ident), src in zip(placement.channels, sources):
-        if isinstance(src, tuple) and src[0].id == line.id and not src[1]:
-            return f"current channel {ident!r} measures faulted line {line.id!r}"
-    return ""
 
 
 def _on_tree_path(parent: list[int], depth: list[int], node: int, a: int, b: int) -> bool:
@@ -437,10 +432,9 @@ def percent_error(actual_km: float, estimated_km: float, line_length_km: float) 
 
 
 def _sources(net: Network, placement: Placement, method: Method | None = None) -> list[_Source]:
-    """What the placement's two channels measure, a current channel as
-    :meth:`Network.channel` parses it (``CaseError`` on a malformed id, so
-    parse before reading a set: the id is not reported as one it lacks).
-    Given a method, the placement must measure the channel kinds it divides."""
+    """What the placement's channels measure, current ids parsed by :meth:`Network.channel`
+    before any set is read, so a malformed id is not reported as one a set lacks.
+    Given a method, their kinds must be the ones it divides."""
     kinds = tuple(kind for kind, _ in placement.channels)
     if method is not None and kinds != _KINDS[method]:
         raise TypeError(
@@ -474,14 +468,20 @@ def estimate_for_placement(
     and an out-of-range result indicates the hypothesis is wrong.  Raises
     ``TypeError`` when the placement does not measure the channel kinds the
     method divides, and ``ValueError`` when it reads the faulted line's own
-    current.
+    current.  Its two laws are memoised on ``zbus`` with the line's laws.
     """
     line = net.line(faulted_line_id)
-    sources = _sources(net, placement, method)
-    if refused := _own_current(line, placement, sources):
-        raise ValueError(refused)
+    key = (estimate_for_placement, id(net), placement, method)
+    laws = _memo(zbus, line, key, _placement_laws, net, placement, method)
     numer, denom = _channels(ms, placement)
-    return locate(method, numer, denom, *(_law(zbus, line, s) for s in sources))
+    return locate(method, numer, denom, *laws)
+
+
+def _placement_laws(zbus, line: LineRecord, net: Network, placement: Placement, method: Method):
+    sources = _sources(net, placement, method)
+    if (line, "") in sources:
+        raise ValueError(_OWN_CURRENT.format(line.id))
+    return [_law(zbus, line, s) for s in sources]
 
 
 def rank_line_hypotheses(

@@ -136,14 +136,11 @@ def build_ybus(net: Network, sequence: int) -> np.ndarray:
         raise ValueError(f"sequence must be 0, 1 or 2, got {sequence}")
     n = net.n
     y = np.zeros((n, n), dtype=complex)
-    for rec in net.lines:
-        j = net.bus_index(rec.from_bus)
-        k = net.bus_index(rec.to_bus)
-        ys = 1.0 / rec.z(sequence)
-        y[j, j] += ys
-        y[k, k] += ys
-        y[j, k] -= ys
-        y[k, j] -= ys
+    p, q, _ = net.line_end_indices()
+    ys = np.array([1.0 / rec.z(sequence) for rec in net.lines], dtype=complex)
+    # Line by line, +ys at (p, p), (q, q) and -ys at (p, q), (q, p): a loop's rounding.
+    rows, cols = np.stack([p, q, p, q], axis=1), np.stack([p, q, q, p], axis=1)
+    np.add.at(y, (rows, cols), np.stack([ys, ys, -ys, -ys], axis=1))
     for src in net.sources:
         j = net.bus_index(src.bus)
         y[j, j] += 1.0 / src.z(sequence)

@@ -521,28 +521,6 @@ def test_measurements_csv_rejects_bad_values(row, problem):
     assert row in str(err.value)
 
 
-def test_study_table_holds_one_faulted_line(ieee14):
-    """The study keeps the laws and pre-fault values of the faulted line last
-    asked about, only for the channels tapped; another line drops them, and
-    a line asked about again is rebuilt to the same bits."""
-    study = FaultStudy(ieee14)
-    first, second = ieee14.lines[:2]
-    scenario = FaultScenario(first.id, 0.3, FaultType.LLG, 2.0)
-    ms = study.measurements(scenario)
-    line, fault_laws, bus_rows, branch_rows = study._line
-    assert line is first and len(fault_laws) == 3
-    assert len(bus_rows) == ieee14.n and len(branch_rows) == len(ieee14.lines) + 1
-    with pytest.raises(KeyError, match="unknown bus"):
-        study.measurements(scenario, MeasurementTaps(buses=(99,)))
-    assert study._line[2] == bus_rows and 99 not in bus_rows
-    study.measurements(FaultScenario(second.id, 0.3, FaultType.LG), MeasurementTaps((14,), ()))
-    line, _, bus_rows, branch_rows = study._line
-    assert line is second and list(bus_rows) == [14] and branch_rows == {}
-    again = study.measurements(scenario)
-    assert study._line[0] is first
-    assert repr(again) == repr(ms)
-
-
 def test_simulate_one_shot_matches_study(fourbus, fourbus_study):
     sc = FaultScenario("T2", 0.2, FaultType.LL, 1.0)
     a = FaultStudy(fourbus).measurements(sc)

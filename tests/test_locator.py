@@ -435,8 +435,9 @@ def test_faulted_line_current_is_refused(fourbus, fourbus_study):
         prefault_branch_i={**ms.prefault_branch_i, "T2": ms.prefault_branch_i["T2@from"]},
         fault_branch_i={**ms.fault_branch_i, "T2": ms.fault_branch_i["T2@from"]},
     )
-    with pytest.raises(ValueError, match=message):
-        estimate_for_placement(fourbus, fourbus_study.zbus(1), "T2", placement, renamed, Method.SSCM)
+    for _ in range(2):  # a refusal is not memoised
+        with pytest.raises(ValueError, match=message):
+            estimate_for_placement(fourbus, fourbus_study.zbus(1), "T2", placement, renamed, Method.SSCM)
     # Its terminal is a channel: a CT there reads the current it feeds in.
     assert feasibility_check(fourbus, "T2", CurrentPlacement("T2@from", "T1")) == (True, "ok")
 
@@ -470,6 +471,41 @@ def test_memoised_verdicts_equal_unmemoised_checks(ieee14, ieee14_study):
                 feasibility_check(ieee14, rec.id, VoltagePlacement(1, 99), zbus)
         assert len(zbus._laws) == size
     assert verdicts == {True, False}
+
+
+def test_placement_laws_hold_one_faulted_line(ieee14, ieee14_study, monkeypatch):
+    """An estimate builds its placement's two laws once per (matrix, faulted
+    line, placement, method) and keeps them while that line is the last one
+    asked about; another line drops them, and a rebuild gives the same
+    estimates.  An estimate that raises keeps nothing."""
+    from faultloc import locator
+
+    built = []
+    build = locator._placement_laws
+
+    def counted(zbus, line, *args):
+        built.append(line.id)
+        return build(zbus, line, *args)
+
+    monkeypatch.setattr(locator, "_placement_laws", counted)
+    zbus = ieee14_study.zbus(1)
+    placement = CurrentPlacement("2-3", "13-14")
+
+    def estimate(line_id, m, method=Method.SSCM):
+        ms = ieee14_study.measurements(FaultScenario(line_id, m, FaultType.LG, 1.0))
+        return estimate_for_placement(ieee14, zbus, line_id, placement, ms, method)
+
+    first = [estimate("4-5", m) for m in (0.2, 0.5, 0.8)]
+    assert built == ["4-5"]
+    estimate("9-14", 0.5)
+    again = [estimate("4-5", m) for m in (0.2, 0.5, 0.8)]
+    assert built == ["4-5", "9-14", "4-5"]
+    assert again == first
+    for _ in range(2):
+        with pytest.raises(TypeError, match="channel kinds"):
+            estimate("4-5", 0.5, Method.SSVM)
+    assert built == ["4-5", "9-14", "4-5", "4-5", "4-5"]
+    assert estimate("4-5", 0.2) == first[0] and len(built) == 5
 
 
 def test_feasibility_unknown_measurement_bus(fourbus):
