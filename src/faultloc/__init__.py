@@ -12,7 +12,6 @@ from .netmodel import (
     bundled_case,
     load_case,
     parse_case,
-    serialize_case,
     validate,
 )
 from .seqmatrix import (
@@ -26,7 +25,6 @@ from .seqmatrix import (
     build_zbus,
     fault_point_coefficients,
     transfer_coefficients,
-    zbus_to_csv,
 )
 from .faultsim import (
     Distortion,

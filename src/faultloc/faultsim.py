@@ -151,7 +151,8 @@ def fault_sequence_currents(
     * LLG: positive network in series with the negative network paralleled
       by (zero network + 3*rf); rf sits in the grounded leg only.
 
-    An infinite rf means no fault: all currents are zero.
+    An infinite rf means no fault: all currents are zero.  A zero loop
+    impedance raises ``ZeroDivisionError``, as complex division does.
     """
     fault_type = FaultType(fault_type)
     z0, z1, z2 = z_rr
@@ -162,36 +163,26 @@ def fault_sequence_currents(
 
     if fault_type is FaultType.LLL:
         loop = z1 + rf
-        _check_loop(loop)
         return (zero, e_prefault_r / loop, zero)
 
     if fault_type is FaultType.LG:
         loop = z0 + z1 + z2 + 3.0 * rf
-        _check_loop(loop)
         i = e_prefault_r / loop
         return (i, i, i)
 
     if fault_type is FaultType.LL:
         loop = z1 + z2 + rf
-        _check_loop(loop)
         i1 = e_prefault_r / loop
         return (zero, i1, -i1)
 
     # LLG
     zg = z0 + 3.0 * rf
     denom = z2 + zg
-    _check_loop(denom)
     loop = z1 + z2 * zg / denom
-    _check_loop(loop)
     i1 = e_prefault_r / loop
     i2 = -i1 * zg / denom
     i0 = -i1 * z2 / denom
     return (i0, i1, i2)
-
-
-def _check_loop(z: complex) -> None:
-    if abs(z) == 0.0:
-        raise ZeroDivisionError("zero total loop impedance at the fault point")
 
 
 class FaultStudy:

@@ -34,7 +34,6 @@ __all__ = [
     "parse_case",
     "load_case",
     "bundled_case",
-    "serialize_case",
     "validate",
 ]
 
@@ -62,10 +61,6 @@ class LineRecord:
     @property
     def z1(self) -> complex:
         return self.z1_per_km * self.length_km
-
-    @property
-    def z2(self) -> complex:
-        return self.z1
 
     @property
     def z0(self) -> complex:
@@ -368,32 +363,6 @@ def bundled_case(name: str) -> Network:
     """Load one of the cases shipped with the package ("fourbus", "ieee14")."""
     ref = resources.files("faultloc").joinpath("cases", f"{name}.case")
     return parse_case(ref.read_text(encoding="utf-8"))
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
-def serialize_case(net: Network) -> str:
-    """Render a network back to case text; re-parsing yields an equal Network."""
-    out = [f"base {_fmt(net.base_mva)} {_fmt(net.base_kv)} {_fmt(net.frequency_hz)}"]
-    out.extend(f"bus {b}" for b in net.buses)
-    for rec in net.lines:
-        out.append(
-            f"line {rec.id} {rec.from_bus} {rec.to_bus} {_fmt(rec.length_km)}"
-            f" {_fmt(rec.z1_per_km.real)} {_fmt(rec.z1_per_km.imag)}"
-            f" {_fmt(rec.z0_per_km.real)} {_fmt(rec.z0_per_km.imag)}"
-        )
-    for src in net.sources:
-        parts = [f"source {src.bus} {_fmt(src.z1.real)} {_fmt(src.z1.imag)}"]
-        if src.z0 is not None or src.z2 is not None:
-            z0, z2 = src.z(0), src.z(2)
-            parts.append(f"{_fmt(z0.real)} {_fmt(z0.imag)} {_fmt(z2.real)} {_fmt(z2.imag)}")
-        if src.emf != 1.0 + 0.0j:
-            mag, rad = cmath.polar(src.emf)
-            parts.append(f"{_fmt(mag)} {_fmt(math.degrees(rad))}")
-        out.append(" ".join(parts))
-    return "\n".join(out) + "\n"
 
 
 def validate(net: Network) -> list[str]:

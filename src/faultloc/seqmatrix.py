@@ -40,11 +40,13 @@ __all__ = [
     "transfer_coefficients",
     "branch_coefficients",
     "fault_point_coefficients",
-    "zbus_to_csv",
 ]
 
 #: Networks whose admittance matrix condition number exceeds this are rejected.
 CONDITION_LIMIT = 1e12
+
+#: The fewest buses in a block of :func:`build_zbus`'s inverse.
+MIN_BLOCK = 64
 
 #: A law's faulted line: one :class:`LineRecord`, for a law of two ``complex``,
 #: or many lines, as the Z indices ``(p, q)`` of their ends and their ids,
@@ -66,8 +68,10 @@ class SequenceZbus:
 
     ``z[j, k]`` is the voltage at bus ``bus_order[j]`` per unit current
     injected at bus ``bus_order[k]``, reference node implicit.  ``z`` is
-    made read-only, because studies share one array between sequences whose
-    admittance matrices are equal.  ``condition`` is the admittance matrix's
+    exactly symmetric, Y inverted by blocks with no pivoting between them,
+    which is stable as Re Y is positive definite when resistances are positive
+    (Higham 1998).  It is read-only, because studies share one array between
+    sequences whose admittance matrices are equal.  ``condition`` is Y's
     1-norm condition number, the one :func:`build_zbus` checks.  One-line
     laws are memoised in a field that equality and ``repr`` ignore; every
     instance, a ``dataclasses.replace`` copy too, starts with its own.
@@ -150,32 +154,77 @@ def build_ybus(net: Network, sequence: int) -> np.ndarray:
 def build_zbus(net: Network, sequence: int) -> SequenceZbus:
     """Invert the sequence admittance matrix into a bus impedance matrix.
 
-    Raises :class:`UngroundedNetworkError` when the matrix is singular (some
-    bus has no path to the reference) and :class:`IllConditionedNetworkError`
-    when its 1-norm condition number ``||Y||_1 * ||Z||_1``, taken from the
-    inverse in hand rather than from a second factorisation, exceeds
-    :data:`CONDITION_LIMIT`.
+    Y is block tridiagonal over :func:`_level_blocks`: a forward pass inverts
+    one Schur complement per block, a backward pass fills Z by row blocks,
+    ``Z[i, j>i] = -inv_i Y[i, i+1] Z[i+1, j]``, mirrored so that Z is exactly
+    symmetric.  Nothing is pivoted between blocks, which is stable because Re Y
+    is positive definite with positive resistances (Higham 1998, complex
+    symmetric matrices).  Fewer than ``2 * MIN_BLOCK`` buses make one block,
+    found without a BFS: ``np.linalg.inv(y)``, symmetrised.
+
+    Raises :class:`UngroundedNetworkError` when Y is singular (some bus has
+    no path to the reference) and :class:`IllConditionedNetworkError` when its
+    1-norm condition number ``||Y||_1 * ||Z||_1``, from the Z in hand rather
+    than a second factorisation, exceeds :data:`CONDITION_LIMIT`.
     """
     if not net.sources:
         raise UngroundedNetworkError("network has no sources")
     y = build_ybus(net, sequence)
+    norm_y, n = np.linalg.norm(y, 1), net.n
+    order, spans = _level_blocks(net) if n >= 2 * MIN_BLOCK else (None, [(0, n, n)])
+    inv, right = [], []  # per block: its Schur complement's inverse, that times Y[i, i+1]
     try:
-        z = np.linalg.inv(y)
+        for i, (a, b, c) in enumerate(spans):  # block row i holds Y[i, i] and Y[i, i+1]
+            rows = y if len(spans) == 1 else y[np.ix_(order[a:b], order[a:c])]
+            s = rows[:, : b - a]
+            inv.append(np.linalg.inv(s - link.T @ right[-1] if i else s))
+            link = rows[:, b - a :]
+            right.append(inv[i] @ link)
     except np.linalg.LinAlgError as exc:
         raise UngroundedNetworkError(
             f"sequence-{sequence} network is singular: {exc}"
         ) from None
-    cond = np.linalg.norm(y, 1) * np.linalg.norm(z, 1)
-    del y  # one n x n array less while the symmetrised copy is made
+    del y, rows, s  # Z takes their place
+    z = np.empty((n, n), dtype=complex)
+    for (a, b, c), g, w in reversed(list(zip(spans, inv, right))):
+        row = -(w @ z[b:c, b:])
+        z[a:b, b:], z[b:, a:b] = row, row.T
+        g = g - w @ z[b:c, a:b]
+        z[a:b, a:b] = 0.5 * (g + g.T)
+    if len(spans) > 1:
+        back = np.argsort(order)
+        z = z[np.ix_(back, back)]
+    cond = norm_y * np.linalg.norm(z, 1)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedNetworkError(
             f"sequence-{sequence} admittance matrix condition {cond:.3e}"
             f" exceeds {CONDITION_LIMIT:.0e}"
         )
-    # Enforce exact reciprocity; the inverse of a symmetric matrix can pick
-    # up asymmetry at roundoff level.
-    z = 0.5 * (z + z.T)
     return SequenceZbus(sequence=sequence, z=z, bus_order=net.buses, condition=float(cond))
+
+
+def _level_blocks(net: Network) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Bus indices in block order and each block's (start, end, next block's end).
+    A block is a run of whole BFS levels (each island's from its first bus) of at
+    least :data:`MIN_BLOCK` buses, ascending; a line joins it to itself or the next."""
+    adj: list[list[int]] = [[] for _ in net.buses]
+    for a, b in zip(*(ends.tolist() for ends in net.line_end_indices()[:2])):
+        adj[a].append(b)
+        adj[b].append(a)
+    level = np.full(net.n, -1)
+    for root in (r for r in range(net.n) if level[r] < 0):
+        depth, frontier = 0, [root]
+        while frontier:
+            level[frontier], depth = depth, depth + 1
+            frontier = list(dict.fromkeys(w for v in frontier for w in adj[v] if level[w] < 0))
+    ends = np.cumsum(np.bincount(level))  # where each level ends, in level order
+    cut = [0]
+    for end in ends.tolist():
+        if end - cut[-1] >= MIN_BLOCK:
+            cut.append(end)
+    cut[max(len(cut) - 1, 1):] = [net.n]  # a short last run joins the block before
+    block = (np.searchsorted(cut, ends) - 1)[level]
+    return np.argsort(block, kind="stable"), list(zip(cut, cut[1:], cut[2:] + [net.n]))
 
 
 def _memo(zbus: SequenceZbus, line: LineRecord, key: tuple, build, *args):
@@ -289,11 +338,3 @@ def _fault_point(zbus: SequenceZbus, line: LineRecord) -> FaultPointCoefficients
         a1=2.0 * (zpq - zpp) + zl,
         a2=zpp + zqq - 2.0 * zpq - zl,
     )
-
-
-def zbus_to_csv(zbus: SequenceZbus) -> str:
-    """Row-major CSV dump with ``re+imj`` cells, for external inspection."""
-    rows = ["bus," + ",".join(str(b) for b in zbus.bus_order)]
-    for label, row in zip(zbus.bus_order, zbus.z):
-        rows.append(f"{label}," + ",".join(format(v, ".15g") for v in row))
-    return "\n".join(rows) + "\n"

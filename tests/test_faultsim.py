@@ -23,6 +23,7 @@ from faultloc import (
     prefault_solve,
 )
 
+from faultloc import seqmatrix
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
 from oracles import DirectFaultSolve, inverse_sequence_transform, sequence_transform
@@ -566,7 +567,11 @@ def test_study_builds_its_own_matrix_for_a_source_z2():
 
 
 def test_mesh_setup_inverts_twice_and_runs_no_svd(monkeypatch):
-    net = parse_case(mesh_text(8, seed=11))
+    """Sequences 0 and 1 are each inverted once, block by block (sequence 2
+    shares sequence 1's matrix); no step factorises Y again."""
+    net = parse_case(mesh_text(12, seed=11))
+    blocks = [(b - a, b - a) for a, b, _ in seqmatrix._level_blocks(net)[1]]
+    assert len(blocks) > 1 and sum(size for size, _ in blocks) == 144
     inverted = []
     inv = np.linalg.inv
 
@@ -584,4 +589,4 @@ def test_mesh_setup_inverts_twice_and_runs_no_svd(monkeypatch):
     for seq in (0, 1, 2):
         study.zbus(seq)
     study.prefault
-    assert inverted == [(64, 64), (64, 64)]
+    assert inverted == blocks + blocks

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import cmath
+import math
+
 import pytest
 
-from faultloc import CaseError, parse_case, serialize_case, validate
+from faultloc import CaseError, parse_case, validate
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
 ONE_BUS = """
@@ -66,21 +69,14 @@ def test_parse_bad_number_names_line():
         parse_case("bus 1\nbus 2\nline L 1 2 ten 0.01 0.1 0.03 0.3\n")
 
 
-@pytest.mark.parametrize("case", ["fourbus", "ieee14", "one_bus"])
-def test_serialize_roundtrip(case, fourbus, ieee14):
-    net = {"fourbus": fourbus, "ieee14": ieee14, "one_bus": parse_case(ONE_BUS)}[case]
-    again = parse_case(serialize_case(net))
-    assert again == net
-
-
-def test_roundtrip_preserves_explicit_source_fields():
+def test_parse_keeps_explicit_source_fields():
     text = "bus 1\nsource 1 0.001 0.1 0.002 0.2 0.001 0.1 1.05 -10\n"
     net = parse_case(text)
     src = net.sources[0]
     assert src.z0 == complex(0.002, 0.2)
     assert src.z2 == complex(0.001, 0.1)
     assert abs(abs(src.emf) - 1.05) < 1e-15
-    assert parse_case(serialize_case(net)) == net
+    assert cmath.phase(src.emf) == pytest.approx(math.radians(-10.0), rel=1e-15)
 
 
 def test_total_impedance_linear_in_length():
@@ -88,7 +84,7 @@ def test_total_impedance_linear_in_length():
     half = LineRecord("L", 1, 2, 178.6 / 2, rec.z1_per_km, rec.z0_per_km)
     assert half.z1 == rec.z1 / 2
     assert half.z0 == rec.z0 / 2
-    assert rec.z2 == rec.z1
+    assert rec.z(2) == rec.z1
 
 
 def test_validate_clean_cases(fourbus, ieee14):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultloc import (
     FaultPointCoefficients,
@@ -18,11 +19,12 @@ from faultloc import (
     fault_point_coefficients,
     parse_case,
     transfer_coefficients,
-    zbus_to_csv,
 )
+from faultloc import seqmatrix
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
 from oracles import assemble_y, invert_y, tap_network
+from test_ranking import mesh_text
 
 M_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -221,20 +223,87 @@ def test_checked_condition_is_the_one_norm_condition_number(request, name, seq):
     assert build_zbus(net, seq).condition == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("name", ["fourbus", "ieee14"])
+@pytest.mark.parametrize("seq", [0, 1, 2])
+def test_one_block_is_the_dense_inverse_bit_for_bit(request, name, seq):
+    """A network of at most MIN_BLOCK buses is one block: today's inverse."""
+    net = request.getfixturevalue(name)
+    assert len(seqmatrix._level_blocks(net)[1]) == 1
+    z = np.linalg.inv(build_ybus(net, seq))
+    assert build_zbus(net, seq).z.tobytes() == (0.5 * (z + z.T)).tobytes()
+
+
+def _block_net(request, name: str) -> Network:
+    if name.startswith("mesh"):
+        return parse_case(mesh_text(int(name[4:]), seed=11))
+    return request.getfixturevalue(name)
+
+
+def _check_block_inverse(net: Network, seq: int) -> seqmatrix.SequenceZbus:
+    """Z from the block inverse against the dense oracle (within 1e-9, relative
+    once entries exceed 1), exactly symmetric, and an inverse of Y."""
+    zb = build_zbus(net, seq)
+    want = invert_y(net, seq)
+    assert np.max(np.abs(zb.z - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+    assert np.array_equal(zb.z, zb.z.T)
+    assert np.max(np.abs(zb.z @ assemble_y(net, seq) - np.eye(net.n))) <= 1e-9
+    return zb
+
+
+@pytest.mark.parametrize("min_block", [1, 2])
+@pytest.mark.parametrize("name", ["fourbus", "ieee14", "mesh8", "mesh12"])
+@pytest.mark.parametrize("seq", [0, 1])
+def test_block_inverse_matches_the_dense_inverse(monkeypatch, request, min_block, name, seq):
+    """Blocks of one or two buses put even small networks through many blocks."""
+    monkeypatch.setattr(seqmatrix, "MIN_BLOCK", min_block)
+    net = _block_net(request, name)
+    order, spans = seqmatrix._level_blocks(net)
+    # fourbus's BFS levels hold 1, 2 and 1 buses: one block of at least two.
+    assert len(spans) > 1 or (name, min_block) == ("fourbus", 2)
+    assert sorted(order) == list(range(net.n)) and all(b - a >= min_block for a, b, _ in spans)
+    zb = _check_block_inverse(net, seq)
+    assert zb.condition == pytest.approx(np.linalg.cond(assemble_y(net, seq), 1), rel=1e-9)
+
+
+@st.composite
+def _grounded_networks(draw):
+    """Networks of 2 to 10 buses: connected, or two islands with a source
+    each.  Every line has positive resistance; some have negative reactance
+    (series compensation)."""
+    n = draw(st.integers(2, 10))
+    split = draw(st.integers(2, n)) if draw(st.booleans()) else n + 1  # island 2's first bus
+    islands = [range(1, split), range(split, n + 1)]
+    edges = []
+    for island in filter(None, islands):
+        edges += [(b, draw(st.integers(island[0], b - 1))) for b in island[1:]]
+        pair = st.tuples(st.sampled_from(island), st.sampled_from(island))
+        edges += draw(st.lists(pair.filter(lambda e: e[0] != e[1]), max_size=4))
+    reactance = st.one_of(st.floats(0.01, 0.1), st.floats(-0.05, -0.005))
+    lines = tuple(
+        LineRecord(f"L{k}", a, b, 1.0, complex(draw(st.floats(1e-3, 1e-2)), draw(reactance)),
+                   complex(draw(st.floats(3e-3, 3e-2)), draw(reactance)))
+        for k, (a, b) in enumerate(edges)
+    )
+    sources = tuple(
+        SourceRecord(draw(st.sampled_from(island)), complex(draw(st.floats(1e-3, 1e-2)), 0.05))
+        for island in filter(None, islands)
+    )
+    return Network(tuple(range(1, n + 1)), lines, sources)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(net=_grounded_networks())
+def test_block_inverse_on_random_networks(net):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(seqmatrix, "MIN_BLOCK", 1)
+        for seq in (0, 1):
+            _check_block_inverse(net, seq)
+
+
 def test_zbus_matrix_is_read_only(fourbus):
     zb = build_zbus(fourbus, 1)
     with pytest.raises(ValueError, match="read-only"):
         zb.z[0, 0] = 0.0
-
-
-def test_zbus_csv_dump_roundtrips(fourbus):
-    zb = build_zbus(fourbus, 1)
-    text = zbus_to_csv(zb)
-    rows = text.strip().splitlines()
-    assert rows[0] == "bus,1,2,3,4"
-    assert len(rows) == 5
-    cell = rows[1].split(",")[1]
-    assert complex(cell) == pytest.approx(zb.at(1, 1), rel=1e-12)
 
 
 def test_channel_laws_on_their_own_line_and_elsewhere(fourbus):
