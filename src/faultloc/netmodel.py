@@ -13,7 +13,8 @@ Case file format (UTF-8, one record per line, ``#`` starts a comment):
     line <id> <from> <to> <length_km> <r1_per_km> <x1_per_km> <r0_per_km> <x0_per_km>
     source <bus> <r1> <x1> [r0 x0 r2 x2] [emf_mag emf_deg]
 
-Numbers are finite decimals with optional exponent; all impedances in pu.
+A ``bus`` record must come before any ``line`` or ``source`` record that names
+it.  Numbers are finite decimals with optional exponent; all impedances in pu.
 """
 from __future__ import annotations
 
@@ -261,15 +262,15 @@ def _parse_label(token: str, lineno: int) -> int:
 def parse_case(text: str) -> Network:
     """Parse case text into a validated :class:`Network`.
 
-    Raises :class:`CaseError` naming the offending source line on syntax
-    errors, unknown bus references, duplicate bus labels, non-positive line
-    lengths or an empty source list.
+    One pass over the records, linear in their number.  Raises
+    :class:`CaseError` naming the offending source line on syntax errors,
+    unknown bus references, duplicate bus labels, non-positive line lengths
+    or an empty source list.
     """
     base = (100.0, 230.0, 50.0)
-    buses: list[int] = []
-    lines: list[LineRecord] = []
+    buses: dict[int, None] = {}  # in declaration order, with O(1) lookups
+    lines: dict[str, LineRecord] = {}  # by id, likewise
     sources: list[SourceRecord] = []
-    line_ids: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -289,7 +290,7 @@ def parse_case(text: str) -> Network:
             label = _parse_label(args[0], lineno)
             if label in buses:
                 raise CaseError(f"line {lineno}: duplicate bus label {label}")
-            buses.append(label)
+            buses[label] = None
 
         elif kind == "line":
             if len(args) != 8:
@@ -298,7 +299,7 @@ def parse_case(text: str) -> Network:
                     " <r1/km> <x1/km> <r0/km> <x0/km>"
                 )
             lid = args[0]
-            if lid in line_ids:
+            if lid in lines:
                 raise CaseError(f"line {lineno}: duplicate line id {lid!r}")
             from_bus, to_bus = _parse_label(args[1], lineno), _parse_label(args[2], lineno)
             for b in (from_bus, to_bus):
@@ -320,8 +321,7 @@ def parse_case(text: str) -> Network:
             )
             if rec.z1_per_km.real < 0 or rec.z0_per_km.real < 0:
                 raise CaseError(f"line {lineno}: negative resistance on {lid!r}")
-            lines.append(rec)
-            line_ids.add(lid)
+            lines[lid] = rec
 
         elif kind == "source":
             if len(args) not in (3, 5, 7, 9):
@@ -347,7 +347,7 @@ def parse_case(text: str) -> Network:
         raise CaseError("case has no sources; the network would be ungrounded")
     return Network(
         buses=tuple(buses),
-        lines=tuple(lines),
+        lines=tuple(lines.values()),
         sources=tuple(sources),
         base_mva=base[0],
         base_kv=base[1],

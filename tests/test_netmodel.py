@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from faultloc import CaseError, parse_case, validate
+from faultloc import CaseError, build_zbus, parse_case, validate
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
 ONE_BUS = """
@@ -44,8 +44,42 @@ def test_parse_unknown_bus_reference():
 
 
 def test_parse_duplicate_bus_label():
-    with pytest.raises(CaseError, match="duplicate bus"):
-        parse_case("bus 1\nbus 1\nsource 1 0 0.1\n")
+    text = "# comment\nbus 3\nbus 4\n\nbus 3\nsource 3 0 0.1\n"
+    with pytest.raises(CaseError, match=r"^line 5: duplicate bus label 3$"):
+        parse_case(text)
+
+
+UNORDERED = """
+bus 5
+bus 2
+bus 9
+line B 5 2 10 0.01 0.1 0.03 0.3
+line A 2 9 20 0.01 0.1 0.03 0.3
+source 9 0.001 0.04
+"""
+
+
+def test_parse_keeps_declaration_order():
+    net = parse_case(UNORDERED)
+    assert net.buses == (5, 2, 9)
+    assert [rec.id for rec in net.lines] == ["B", "A"]
+    assert [net.bus_index(b) for b in (5, 2, 9)] == [0, 1, 2]
+    assert build_zbus(net, 1).bus_order == (5, 2, 9)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "line L 1 7 10 0.01 0.1 0.03 0.3",
+        "line L 7 1 10 0.01 0.1 0.03 0.3",
+        "line L 7 7 10 0.01 0.1 0.03 0.3",  # unknown before joining a bus to itself
+        "source 7 0.001 0.04",
+    ],
+)
+def test_parse_rejects_a_bus_declared_further_down(record):
+    text = f"bus 1\n{record}\nbus 7\nsource 1 0.001 0.04\n"
+    with pytest.raises(CaseError, match=r"^line 2: unknown bus 7$"):
+        parse_case(text)
 
 
 def test_parse_non_positive_length():
