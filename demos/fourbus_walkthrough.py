@@ -26,7 +26,7 @@ for rec in net.lines:
 zbus = fl.build_zbus(net, 1)
 print("\nPositive-sequence bus impedance matrix (diagonal):")
 for b in net.buses:
-    print(f"  Z[{b},{b}] = {zbus.at(b, b):.4f} pu")
+    print(f"  Z[{b},{b}] = {zbus.column(b)[zbus.index(b)]:.4f} pu")
 
 # ---------------------------------------------------------------------------
 # For a fault at normalized position m on T2 the transfer impedance from

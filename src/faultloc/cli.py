@@ -238,19 +238,9 @@ def _evaluate(
             )
         except (DegenerateChannelError, LinearDependenceError) as exc:
             raise PlacementError(f"{method.value}: {exc}") from None
-        rows.append(
-            ReportRow(
-                line=scenario.line_id,
-                type=scenario.fault_type.value,
-                m_true=scenario.m,
-                rf_ohm=scenario.rf_ohm,
-                method=method.value,
-                m_est=est.m,
-                residual=est.residual,
-                pct_error=percent_error(scenario.m * length, est.m * length, length),
-                feasible=ok,
-            )
-        )
+        pct = percent_error(scenario.m * length, est.m * length, length)
+        rows.append(ReportRow(scenario.line_id, scenario.fault_type.value, scenario.m,
+                              scenario.rf_ohm, method.value, est.m, est.residual, pct, ok))
     return rows
 
 
@@ -318,11 +308,7 @@ def render_csv(rows: list[ReportRow]) -> str:
 
 
 def render_json(rows: list[ReportRow]) -> str:
-    doc = {
-        "schema": 1,
-        "rows": [asdict(r) for r in rows],
-        "aggregates": aggregates_by_method(rows),
-    }
+    doc = {"schema": 1, "rows": [asdict(r) for r in rows], "aggregates": aggregates_by_method(rows)}
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -115,7 +115,8 @@ class PhasorMeasurementSet:
 def prefault_solve(
     net: Network, zbus: SequenceZbus
 ) -> tuple[dict[int, complex], dict[str, complex]]:
-    """Positive-sequence steady state before the fault: bus voltages ``Z1 @ J``.
+    """Positive-sequence steady state before the fault: bus voltages ``Z1 @ J``,
+    one block solve.
 
     Sources are EMFs behind their internal impedance (Norton injections ``J``);
     branch currents follow from terminal voltage differences.  With all EMFs
@@ -124,8 +125,8 @@ def prefault_solve(
     j = np.zeros(len(zbus.bus_order), dtype=complex)
     for src in net.sources:
         j[zbus.index(src.bus)] += src.emf / src.z(1)
-    e = zbus.z @ j
-    bus_v = {b: complex(e[zbus.index(b)]) for b in net.buses}
+    e = zbus.solve(j).tolist()
+    bus_v = {b: e[zbus.index(b)] for b in net.buses}
     branch_i = {
         rec.id: (bus_v[rec.from_bus] - bus_v[rec.to_bus]) / rec.z1
         for rec in net.lines
@@ -191,8 +192,8 @@ class FaultStudy:
     The matrices are built once per study, each memoising the coefficient
     laws of the faulted line last asked about, so sweeps should share a study
     and take their scenarios line by line.  Lines carry z2 = z1, so unless a
-    source sets its own z2 the negative-sequence matrix shares the
-    positive-sequence array, not its memo (equality ignores the memo).
+    source sets its own z2 the negative-sequence matrix shares the positive
+    sequence's blocks and column cache, not its memo (equality ignores it).
     """
 
     def __init__(self, net: Network):
@@ -264,9 +265,8 @@ class FaultStudy:
             fault_branch_i[bid] = _during_fault(law, pre, cur)
 
         token = f"{scenario.line_id}:{scenario.fault_type.value}:m={m:g}:rf={scenario.rf_ohm:g}"
-        return PhasorMeasurementSet(
-            prefault_bus_v, fault_bus_v, prefault_branch_i, fault_branch_i, token
-        )
+        pre_i, fault_i = prefault_branch_i, fault_branch_i
+        return PhasorMeasurementSet(prefault_bus_v, fault_bus_v, pre_i, fault_i, token)
 
 
 def _during_fault(k, pre: complex, cur: SequenceTriple) -> SequenceTriple:
@@ -329,13 +329,8 @@ def apply_distortion(
             raise KeyError(f"unknown {name} channel {d.channel!r}")
         pre[key], fault[key] = _distort(d, pre[key], fault[key])
 
-    return replace(
-        ms,
-        prefault_bus_v=pre_v,
-        fault_bus_v=fault_v,
-        prefault_branch_i=pre_i,
-        fault_branch_i=fault_i,
-    )
+    return replace(ms, prefault_bus_v=pre_v, fault_bus_v=fault_v, prefault_branch_i=pre_i,
+                   fault_branch_i=fault_i)
 
 
 def _distort(
@@ -413,9 +408,5 @@ def measurements_from_csv(text: str) -> PhasorMeasurementSet:
         else:
             fault.setdefault(key, [0j, 0j, 0j])[seq] = v
 
-    return PhasorMeasurementSet(
-        prefault_bus_v=pre_v,
-        fault_bus_v={b: tuple(t) for b, t in fault_v.items()},
-        prefault_branch_i=pre_i,
-        fault_branch_i={k: tuple(t) for k, t in fault_i.items()},
-    )
+    return PhasorMeasurementSet(pre_v, {b: tuple(t) for b, t in fault_v.items()},
+                                pre_i, {k: tuple(t) for k, t in fault_i.items()})

@@ -280,13 +280,7 @@ def _quadratic_solve(
         m = min(roots, key=lambda r: max(0.0 - r, r - 1.0, 0.0))
         notes = "no root in [0, 1]; wrong faulted-line hypothesis?"
 
-    return LocationEstimate(
-        m=m,
-        method=Method.HYBRID_QUAD,
-        residual=off_axis,
-        ambiguous=ambiguous,
-        notes=notes,
-    )
+    return LocationEstimate(m, Method.HYBRID_QUAD, off_axis, ambiguous, notes)
 
 
 def _real_roots(c2: float, c1: float, c0: float) -> tuple[tuple[float, ...], float]:

@@ -118,13 +118,9 @@ class Network:
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_index", {label: i for i, label in enumerate(self.buses)}
-        )
+        object.__setattr__(self, "_index", {label: i for i, label in enumerate(self.buses)})
         # Reversed, so that the first of several lines sharing an id wins.
-        object.__setattr__(
-            self, "_lines_by_id", {rec.id: rec for rec in reversed(self.lines)}
-        )
+        object.__setattr__(self, "_lines_by_id", {rec.id: rec for rec in reversed(self.lines)})
 
     @property
     def n(self) -> int:
@@ -311,14 +307,8 @@ def parse_case(text: str) -> Network:
             if length <= 0:
                 raise CaseError(f"line {lineno}: non-positive length {length}")
             nums = [_parse_float(a, lineno, "impedance") for a in args[4:8]]
-            rec = LineRecord(
-                id=lid,
-                from_bus=from_bus,
-                to_bus=to_bus,
-                length_km=length,
-                z1_per_km=complex(nums[0], nums[1]),
-                z0_per_km=complex(nums[2], nums[3]),
-            )
+            z1, z0 = complex(nums[0], nums[1]), complex(nums[2], nums[3])
+            rec = LineRecord(lid, from_bus, to_bus, length, z1_per_km=z1, z0_per_km=z0)
             if rec.z1_per_km.real < 0 or rec.z0_per_km.real < 0:
                 raise CaseError(f"line {lineno}: negative resistance on {lid!r}")
             lines[lid] = rec
@@ -345,14 +335,7 @@ def parse_case(text: str) -> Network:
 
     if not sources:
         raise CaseError("case has no sources; the network would be ungrounded")
-    return Network(
-        buses=tuple(buses),
-        lines=tuple(lines.values()),
-        sources=tuple(sources),
-        base_mva=base[0],
-        base_kv=base[1],
-        frequency_hz=base[2],
-    )
+    return Network(tuple(buses), tuple(lines.values()), tuple(sources), *base)  # mva, kv, hz
 
 
 def load_case(path: str | Path) -> Network:

@@ -17,12 +17,16 @@ rebuilding the matrix:
 * :class:`FaultPointCoefficients` ``a0 + a1*m + a2*m**2``: the
   driving-point impedance at the fault point, which sets the fault current.
 
-A one-line law is the many-lines law of that line alone, memoised on its
-:class:`SequenceZbus` for one faulted line at a time.  Only the pre-fault
-solve (``Z1 @ J``) reads :attr:`SequenceZbus.z` outside this module.
+Z itself is never held whole, since the laws read only a few of its parts:
+the columns of the tapped buses (:meth:`SequenceZbus.column`) and each
+line's driving-point entries, which the stored blocks hold.  A one-line law
+is the many-lines law of that line alone, memoised on its
+:class:`SequenceZbus` for one faulted line at a time.  The pre-fault state
+is one block solve, :meth:`SequenceZbus.solve`.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,45 +68,63 @@ class IllConditionedNetworkError(ValueError):
 
 @dataclass(frozen=True)
 class SequenceZbus:
-    """Dense bus impedance matrix for one sequence network.
+    """Bus impedance matrix Z of one sequence network, kept by blocks.
 
-    ``z[j, k]`` is the voltage at bus ``bus_order[j]`` per unit current
-    injected at bus ``bus_order[k]``, reference node implicit.  ``z`` is
-    exactly symmetric, Y inverted by blocks with no pivoting between them,
-    which is stable as Re Y is positive definite when resistances are positive
-    (Higham 1998).  It is read-only, because studies share one array between
-    sequences whose admittance matrices are equal.  ``condition`` is Y's
-    1-norm condition number, the one :func:`build_zbus` checks.  One-line
-    laws are memoised in a field that equality and ``repr`` ignore; every
-    instance, a ``dataclasses.replace`` copy too, starts with its own.
+    ``Z[j, k]`` is the voltage at bus ``bus_order[j]`` per unit current
+    injected at bus ``bus_order[k]``, reference node implicit.  ``_blocks``
+    holds :func:`build_zbus`'s block starts, Z[i, i], Z[i, i+1], factors and
+    a column cache, shared by sequences with equal Y; ``_pos`` gives each
+    index's block position.  ``condition`` is Y's 1-norm condition number.
+    One-line laws are memoised in a field that equality and ``repr`` ignore;
+    every instance, a ``dataclasses.replace`` copy too, starts with its own.
     """
 
     sequence: int
-    z: np.ndarray
     bus_order: tuple[int, ...]
     condition: float
+    _pos: np.ndarray = field(repr=False, compare=False)
+    _blocks: tuple = field(repr=False, compare=False)
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
     _laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.z.setflags(write=False)
-        object.__setattr__(
-            self, "_index", {label: i for i, label in enumerate(self.bus_order)}
-        )
+        object.__setattr__(self, "_index", {b: i for i, b in enumerate(self.bus_order)})
 
     def index(self, bus: int) -> int:
         try:
             return self._index[bus]
         except KeyError:
-            raise ValueError(
-                f"bus {bus} is not in the sequence-{self.sequence} matrix"
-            ) from None
+            raise ValueError(f"bus {bus} is not in the sequence-{self.sequence} matrix") from None
 
-    def at(self, bus_j: int, bus_k: int) -> complex:
-        return complex(self.z[self.index(bus_j), self.index(bus_k)])
+    def column(self, bus: int) -> np.ndarray:
+        """Z's column of ``bus``: a cached :meth:`solve` of a unit injection."""
+        cache, t = self._blocks[-1], int(self._pos[self.index(bus)])
+        if t not in cache:
+            cache[t] = self._substitute(np.eye(1, len(self._pos), t, dtype=complex)[0])
+        return cache[t][self._pos]
+
+    def solve(self, injections: np.ndarray) -> np.ndarray:
+        """``Z @ injections``, by block substitution with the stored blocks."""
+        r = np.empty_like(injections)
+        r[self._pos] = injections
+        return self._substitute(r)[self._pos]
+
+    def _substitute(self, r: np.ndarray) -> np.ndarray:
+        """Z @ r in block order: block i is ``Z[i, i] s_i - right_i u_{i+1}``, with
+        ``s_i = r_i - right_{i-1}^T s_{i-1}`` and ``u_i = Z[i, i] r_i - right_i u_{i+1}``."""
+        starts, diag, _, right, _ = self._blocks
+        r = [r[a:b] for a, b in zip(starts, starts[1:] + [len(r)])]
+        s = r[:1]
+        for part, w in zip(r[1:], right):
+            s.append(part - s[-1] @ w)
+        x, u = [], 0.0
+        for i in reversed(range(len(r))):
+            x.append(diag[i] @ s[i] - u)
+            u = right[i - 1] @ (diag[i] @ r[i] - u) if i else u
+        return np.concatenate(x[::-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearLaw:
     """A law ``at(m) = b + c*m`` in the normalized fault position m.
 
@@ -118,7 +140,7 @@ class LinearLaw:
         return self.b + self.c * m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultPointCoefficients:
     """Quadratic law for the driving-point impedance at the fault point.
 
@@ -135,72 +157,94 @@ class FaultPointCoefficients:
 
 
 def build_ybus(net: Network, sequence: int) -> np.ndarray:
-    """Assemble the nodal admittance matrix for one sequence network."""
+    """Assemble the dense nodal admittance matrix for one sequence network."""
+    return _block_rows(net, sequence, np.arange(net.n), [(0, net.n, net.n)])[0]
+
+
+def _block_rows(net: Network, sequence: int, pos: np.ndarray, spans) -> list[np.ndarray]:
+    """Y's block rows ``[Y[i, i] Y[i, i+1]]``, the buses at block positions
+    ``pos`` and the blocks ``spans`` as :func:`_level_blocks` gives them."""
     if sequence not in (0, 1, 2):
         raise ValueError(f"sequence must be 0, 1 or 2, got {sequence}")
-    n = net.n
-    y = np.zeros((n, n), dtype=complex)
     p, q, _ = net.line_end_indices()
     ys = np.array([1.0 / rec.z(sequence) for rec in net.lines], dtype=complex)
-    # Line by line, +ys at (p, p), (q, q) and -ys at (p, q), (q, p): a loop's rounding.
-    rows, cols = np.stack([p, q, p, q], axis=1), np.stack([p, q, q, p], axis=1)
-    np.add.at(y, (rows, cols), np.stack([ys, ys, -ys, -ys], axis=1))
-    for src in net.sources:
-        j = net.bus_index(src.bus)
-        y[j, j] += 1.0 / src.z(sequence)
-    return y
+    src, zs = [net.bus_index(s.bus) for s in net.sources], [1.0 / s.z(sequence) for s in net.sources]
+    # Line by line +ys at (p, p), (q, q), -ys at (p, q), (q, p), then sources: a loop's rounding.
+    rows = pos[np.concatenate((np.array([p, q, p, q]).T.ravel(), src))]
+    cols = pos[np.concatenate((np.array([p, q, q, p]).T.ravel(), src))]
+    vals = np.concatenate((np.array([ys, ys, -ys, -ys]).T.ravel(), zs))
+    if len(spans) == 1:  # the one block row is all of Y
+        y = np.zeros(len(pos) ** 2, dtype=complex)
+        np.add.at(y, rows * len(pos) + cols, vals)
+        return [y.reshape(len(pos), len(pos))]
+    a, b, c = np.array(spans, dtype=np.intp).T
+    start = np.concatenate(([0], np.cumsum((b - a) * (c - a))))
+    i = np.searchsorted(b, rows, side="right")  # each entry's block row
+    keep = cols >= a[i]  # Y[i, i-1] is Y[i-1, i] transposed
+    y = np.zeros(start[-1], dtype=complex)
+    np.add.at(y, (start[i] + (rows - a[i]) * (c - a)[i] + cols - a[i])[keep], vals[keep])
+    return [y[o : o + (e - d) * (f - d)].reshape(e - d, f - d) for o, d, e, f in zip(start, a, b, c)]
 
 
 def build_zbus(net: Network, sequence: int) -> SequenceZbus:
     """Invert the sequence admittance matrix into a bus impedance matrix.
 
-    Y is block tridiagonal over :func:`_level_blocks`: a forward pass inverts
-    one Schur complement per block, a backward pass fills Z by row blocks,
-    ``Z[i, j>i] = -inv_i Y[i, i+1] Z[i+1, j]``, mirrored so that Z is exactly
-    symmetric.  Nothing is pivoted between blocks, which is stable because Re Y
-    is positive definite with positive resistances (Higham 1998, complex
-    symmetric matrices).  Fewer than ``2 * MIN_BLOCK`` buses make one block,
-    found without a BFS: ``np.linalg.inv(y)``, symmetrised.
-
-    Raises :class:`UngroundedNetworkError` when Y is singular (some bus has
-    no path to the reference) and :class:`IllConditionedNetworkError` when its
-    1-norm condition number ``||Y||_1 * ||Z||_1``, from the Z in hand rather
-    than a second factorisation, exceeds :data:`CONDITION_LIMIT`.
+    Y is block tridiagonal over :func:`_level_blocks`; only its block rows
+    are gathered.  A forward pass inverts each Schur complement S_i; a
+    backward pass streams Z two row blocks at a time, ``Z[i, i+1:] =
+    -right_i Z[i+1, i+1:]`` with ``right_i = S_i^-1 Y[i, i+1]`` and ``Z[i, i]
+    = S_i^-1 - right_i Z[i+1, i]`` symmetrised, keeping Z[i, i] and Z[i, i+1]
+    (Takahashi, Fagan and Chin 1973).  No pivoting: Re Y is positive definite
+    with positive resistances (Higham 1998).  Below ``2 * MIN_BLOCK`` buses
+    one block, found without a BFS, is all of Z: ``np.linalg.inv(y)``
+    symmetrised.  Raises :class:`UngroundedNetworkError` when Y is singular
+    and :class:`IllConditionedNetworkError` when ``||Y||_1 * ||Z||_1``, both
+    largest row sums of symmetric matrices, exceeds :data:`CONDITION_LIMIT`.
     """
     if not net.sources:
         raise UngroundedNetworkError("network has no sources")
-    y = build_ybus(net, sequence)
-    norm_y, n = np.linalg.norm(y, 1), net.n
-    order, spans = _level_blocks(net) if n >= 2 * MIN_BLOCK else (None, [(0, n, n)])
-    inv, right = [], []  # per block: its Schur complement's inverse, that times Y[i, i+1]
+    n = net.n
+    order, spans = _level_blocks(net) if n >= 2 * MIN_BLOCK else (np.arange(n), [(0, n, n)])
+    pos = np.argsort(order)
+    inv, right, y_sum, z_sum = [], [], np.zeros(n), np.zeros(n)
     try:
-        for i, (a, b, c) in enumerate(spans):  # block row i holds Y[i, i] and Y[i, i+1]
-            rows = y if len(spans) == 1 else y[np.ix_(order[a:b], order[a:c])]
-            s = rows[:, : b - a]
-            inv.append(np.linalg.inv(s - link.T @ right[-1] if i else s))
-            link = rows[:, b - a :]
-            right.append(inv[i] @ link)
+        for i, ((a, b, c), rows) in enumerate(zip(spans, _block_rows(net, sequence, pos, spans))):
+            s, link = rows[:, : b - a], rows[:, b - a :]
+            y_sum[a:b] += np.abs(s).sum(axis=0)
+            inv.append(np.linalg.inv(s - prev.T @ right[-1] if i else s))
+            if c > b:  # Y[i, i+1], and Y[i+1, i] as its transpose
+                mag = np.abs(link)
+                y_sum[a:b] += mag.sum(axis=1)
+                y_sum[b:c] += mag.sum(axis=0)
+                right.append(inv[i] @ link)
+            prev = link
     except np.linalg.LinAlgError as exc:
-        raise UngroundedNetworkError(
-            f"sequence-{sequence} network is singular: {exc}"
-        ) from None
-    del y, rows, s  # Z takes their place
-    z = np.empty((n, n), dtype=complex)
-    for (a, b, c), g, w in reversed(list(zip(spans, inv, right))):
-        row = -(w @ z[b:c, b:])
-        z[a:b, b:], z[b:, a:b] = row, row.T
-        g = g - w @ z[b:c, a:b]
-        z[a:b, a:b] = 0.5 * (g + g.T)
-    if len(spans) > 1:
-        back = np.argsort(order)
-        z = z[np.ix_(back, back)]
-    cond = norm_y * np.linalg.norm(z, 1)
+        raise UngroundedNetworkError(f"sequence-{sequence} network is singular: {exc}") from None
+    del rows, s, link, prev  # the streamed Z takes their place
+    diag, off = [], []
+    for i in reversed(range(len(spans))):
+        (a, b, c), g = spans[i], inv.pop()
+        full = np.empty((b - a, n - a), dtype=complex) if a else None  # Z[i, i:], read next
+        if diag:  # Z[i, i+1:] from ``below``, Z[i+1, i+1:]
+            row = np.matmul(right[i], below, out=None if full is None else full[:, b - a :])
+            np.negative(row, out=row)
+            off.append(row[:, : c - b].copy())
+            g = g - right[i] @ off[-1].T
+            mag = np.abs(row)
+            z_sum[a:b] += mag.sum(axis=1)
+            z_sum[b:] += mag.sum(axis=0)
+        diag.append(0.5 * (g + g.T))
+        z_sum[a:b] += np.abs(diag[-1]).sum(axis=0)
+        if a:
+            full[:, : b - a], below = diag[-1], full
+    cond = y_sum.max() * z_sum.max()
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedNetworkError(
             f"sequence-{sequence} admittance matrix condition {cond:.3e}"
             f" exceeds {CONDITION_LIMIT:.0e}"
         )
-    return SequenceZbus(sequence=sequence, z=z, bus_order=net.buses, condition=float(cond))
+    blocks = ([a for a, _, _ in spans], diag[::-1], off[::-1], right, {})
+    return SequenceZbus(sequence, net.buses, float(cond), pos, blocks)
 
 
 def _level_blocks(net: Network) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
@@ -254,8 +298,8 @@ def transfer_coefficients(zbus: SequenceZbus, line: Lines, bus: int) -> LinearLa
     if isinstance(line, LineRecord):
         key = (transfer_coefficients, bus)
         return _memo(zbus, line, key, _one_line, transfer_coefficients, bus)
-    k = zbus.index(bus)
-    zp, zq = zbus.z[line[0], k], zbus.z[line[1], k]
+    col = zbus.column(bus)
+    zp, zq = col[line[0]], col[line[1]]
     return LinearLaw(zp, zq - zp)
 
 
@@ -329,12 +373,12 @@ def fault_point_coefficients(zbus: SequenceZbus, line: LineRecord) -> FaultPoint
 
 
 def _fault_point(zbus: SequenceZbus, line: LineRecord) -> FaultPointCoefficients:
-    zpp = zbus.at(line.from_bus, line.from_bus)
-    zqq = zbus.at(line.to_bus, line.to_bus)
-    zpq = zbus.at(line.from_bus, line.to_bus)
+    """From the stored blocks: a line joins a block to itself or the next."""
+    starts, diag, off, _, _ = zbus._blocks
+    ends = [int(zbus._pos[zbus.index(bus)]) for bus in (line.from_bus, line.to_bus)]
+    ends = [(bisect_right(starts, x) - 1, x) for x in ends]  # (block, position)
+    zpp, zqq = (complex(diag[k][x - starts[k], x - starts[k]]) for k, x in ends)
+    (i, s), (h, t) = sorted(ends)
+    zpq = complex((off[i] if h > i else diag[i])[s - starts[i], t - starts[h]])
     zl = line.z(zbus.sequence)
-    return FaultPointCoefficients(
-        a0=zpp,
-        a1=2.0 * (zpq - zpp) + zl,
-        a2=zpp + zqq - 2.0 * zpq - zl,
-    )
+    return FaultPointCoefficients(zpp, 2.0 * (zpq - zpp) + zl, zpp + zqq - 2.0 * zpq - zl)

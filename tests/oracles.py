@@ -4,7 +4,8 @@ Everything here is deliberately written from scratch against the textbook
 definitions: its own admittance assembly, its own tapped-network records,
 full nodal solves instead of coefficient laws, and explicit enumeration for
 graph questions.  Production code paths are only touched for the raw data
-model, never for the quantities being checked.
+model, never for the quantities being checked; :func:`dense_z` is no
+reference, only a dense view of a matrix the library keeps by blocks.
 """
 from __future__ import annotations
 
@@ -38,6 +39,12 @@ def assemble_y(net: Network, seq: int) -> np.ndarray:
 
 def invert_y(net: Network, seq: int) -> np.ndarray:
     return np.linalg.inv(assemble_y(net, seq))
+
+
+def dense_z(zbus) -> np.ndarray:
+    """A :class:`~faultloc.seqmatrix.SequenceZbus` as a dense matrix, its
+    columns stacked in ``bus_order``."""
+    return np.column_stack([zbus.column(bus) for bus in zbus.bus_order])
 
 
 _ALPHA = cmath.exp(2j * math.pi / 3.0)

@@ -26,7 +26,7 @@ from faultloc import (
 from faultloc import seqmatrix
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
-from oracles import DirectFaultSolve, inverse_sequence_transform, sequence_transform
+from oracles import DirectFaultSolve, dense_z, inverse_sequence_transform, sequence_transform
 from test_ranking import mesh_text
 
 
@@ -551,19 +551,20 @@ def test_study_shares_the_positive_sequence_matrix(request, name):
     study = FaultStudy(net)
     z2 = study.zbus(2)
     assert z2.sequence == 2
-    assert z2.z is study.zbus(1).z
-    assert z2.z.tobytes() == build_zbus(net, 2).z.tobytes()
-    with pytest.raises(ValueError, match="read-only"):
-        z2.z[0, 0] = 0.0
+    assert z2._blocks is study.zbus(1)._blocks  # factors and column cache
+    assert dense_z(z2).tobytes() == dense_z(build_zbus(net, 2)).tobytes()
+    column = z2.column(net.buses[0])
+    column[0] = 0.0  # a copy: the shared matrix keeps its entry
+    assert z2.column(net.buses[0])[0] != 0.0 and study.zbus(1).column(net.buses[0])[0] != 0.0
 
 
 def test_study_builds_its_own_matrix_for_a_source_z2():
     net = parse_case(OWN_Z2)
     study = FaultStudy(net)
     z1, z2 = study.zbus(1), study.zbus(2)
-    assert z2.z is not z1.z
-    assert z2.z.tobytes() == build_zbus(net, 2).z.tobytes()
-    assert not np.allclose(z2.z, z1.z)
+    assert z2._blocks is not z1._blocks
+    assert dense_z(z2).tobytes() == dense_z(build_zbus(net, 2)).tobytes()
+    assert not np.allclose(dense_z(z2), dense_z(z1))
 
 
 def test_mesh_setup_inverts_twice_and_runs_no_svd(monkeypatch):

@@ -24,7 +24,6 @@ from faultloc import (
     HybridPlacement,
     LinearDependenceError,
     Method,
-    SequenceZbus,
     VoltagePlacement,
     estimate_for_placement,
     parse_case,
@@ -227,11 +226,8 @@ def test_ranking_placement_and_zero_impedance_errors(fourbus, fourbus_study):
 def test_ranking_follows_the_matrix_bus_order(ieee14, ieee14_study):
     zbus = ieee14_study.zbus(1)
     order = list(reversed(range(ieee14.n)))
-    permuted = SequenceZbus(
-        sequence=1,
-        z=zbus.z[np.ix_(order, order)],
-        bus_order=tuple(ieee14.buses[i] for i in order),
-        condition=zbus.condition,
+    permuted = replace(
+        zbus, bus_order=tuple(ieee14.buses[i] for i in order), _pos=zbus._pos[order]
     )
     ms = ieee14_study.measurements(FaultScenario("9-14", 0.85, FaultType.LL, 0.0))
     for method in RANKING_METHODS:

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from faultloc import (
     FaultStudy,
     IllConditionedNetworkError,
     LinearLaw,
-    SequenceZbus,
     UngroundedNetworkError,
     branch_coefficients,
     build_ybus,
@@ -23,60 +22,65 @@ from faultloc import (
 from faultloc import seqmatrix
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
-from oracles import assemble_y, invert_y, tap_network
+from oracles import assemble_y, dense_z, invert_y, tap_network
 from test_ranking import mesh_text
 
 M_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+def _at(zb, bus_j: int, bus_k: int) -> complex:
+    """``Z[j, k]``, read from the column of bus k."""
+    return complex(zb.column(bus_k)[zb.index(bus_j)])
+
+
 def test_single_bus_single_source():
     net = parse_case("bus 1\nsource 1 0.0006 0.037343\n")
     zb = build_zbus(net, 1)
-    assert zb.z.shape == (1, 1)
-    assert zb.at(1, 1) == pytest.approx(complex(0.0006, 0.037343))
+    assert dense_z(zb).shape == (1, 1)
+    assert _at(zb, 1, 1) == pytest.approx(complex(0.0006, 0.037343))
 
 
 def test_two_bus_series_circuit(two_bus):
     zb = build_zbus(two_bus, 1)
     zs = complex(0.01, 0.1)
     zl = complex(0.02, 0.2)
-    assert zb.at(1, 1) == pytest.approx(zs, abs=1e-12)
-    assert zb.at(1, 2) == pytest.approx(zs, abs=1e-12)
-    assert zb.at(2, 2) == pytest.approx(zs + zl, abs=1e-12)
+    assert _at(zb, 1, 1) == pytest.approx(zs, abs=1e-12)
+    assert _at(zb, 1, 2) == pytest.approx(zs, abs=1e-12)
+    assert _at(zb, 2, 2) == pytest.approx(zs + zl, abs=1e-12)
 
 
 @pytest.mark.parametrize("seq", [0, 1, 2])
 def test_fourbus_matches_independent_inversion(fourbus, seq):
     zb = build_zbus(fourbus, seq)
     oracle = invert_y(fourbus, seq)
-    assert np.max(np.abs(zb.z - oracle)) < 1e-9
+    assert np.max(np.abs(dense_z(zb) - oracle)) < 1e-9
 
 
 @pytest.mark.parametrize("case", ["fourbus", "ieee14"])
 @pytest.mark.parametrize("seq", [0, 1, 2])
 def test_zbus_symmetry_and_duality(case, seq, fourbus, ieee14):
     net = fourbus if case == "fourbus" else ieee14
-    zb = build_zbus(net, seq)
-    asym = np.max(np.abs(zb.z - zb.z.T))
-    assert asym <= 1e-12 * np.max(np.abs(zb.z))
+    z = dense_z(build_zbus(net, seq))
+    asym = np.max(np.abs(z - z.T))
+    assert asym <= 1e-12 * np.max(np.abs(z))
     y = build_ybus(net, seq)
     eye = np.eye(net.n)
-    assert np.max(np.abs(zb.z @ y - eye)) <= 1e-9
+    assert np.max(np.abs(z @ y - eye)) <= 1e-9
 
 
 def test_sequence_two_equals_sequence_one(fourbus, ieee14):
     for net in (fourbus, ieee14):
         z1 = build_zbus(net, 1)
         z2 = build_zbus(net, 2)
-        assert np.array_equal(z1.z, z2.z)
+        assert np.array_equal(dense_z(z1), dense_z(z2))
 
 
 def test_transfer_coefficients_at_endpoint(fourbus):
     zb = build_zbus(fourbus, 1)
     line = fourbus.line("T2")
     tc = transfer_coefficients(zb, line, line.from_bus)
-    assert tc.b == zb.at(line.from_bus, line.from_bus)
-    assert tc.c == zb.at(line.to_bus, line.from_bus) - zb.at(line.from_bus, line.from_bus)
+    assert tc.b == _at(zb, line.from_bus, line.from_bus)
+    assert tc.c == _at(zb, line.to_bus, line.from_bus) - _at(zb, line.from_bus, line.from_bus)
 
 
 def test_transfer_coefficients_two_bus_hand_values(two_bus):
@@ -103,15 +107,15 @@ def test_transfer_law_matches_tap_rebuild_everywhere(fourbus, seq):
             else:
                 end = line.from_bus if m == 0.0 else line.to_bus
                 for b in fourbus.buses:
-                    assert abs(coeffs[b].at(m) - zb.at(end, b)) < 1e-9
+                    assert abs(coeffs[b].at(m) - _at(zb, end, b)) < 1e-9
 
 
 def test_fault_point_law_endpoints_and_interior(fourbus):
     zb = build_zbus(fourbus, 1)
     for line in fourbus.lines:
         fp = fault_point_coefficients(zb, line)
-        assert abs(fp.z_at(0.0) - zb.at(line.from_bus, line.from_bus)) < 1e-12
-        assert abs(fp.z_at(1.0) - zb.at(line.to_bus, line.to_bus)) < 1e-12
+        assert abs(fp.z_at(0.0) - _at(zb, line.from_bus, line.from_bus)) < 1e-12
+        assert abs(fp.z_at(1.0) - _at(zb, line.to_bus, line.to_bus)) < 1e-12
         for m in (0.25, 0.5, 0.75):
             tnet, r = tap_network(fourbus, line.id, m)
             zt = np.linalg.inv(assemble_y(tnet, 1))
@@ -166,12 +170,7 @@ def test_parallel_healthy_branch_beta_varies_with_m(parallel_pair):
 def test_all_lines_laws_equal_one_line_laws_bit_for_bit(ieee14):
     zb = build_zbus(ieee14, 1)
     order = list(reversed(range(ieee14.n)))
-    permuted = SequenceZbus(
-        sequence=1,
-        z=zb.z[np.ix_(order, order)],
-        bus_order=tuple(ieee14.buses[i] for i in order),
-        condition=zb.condition,
-    )
+    permuted = replace(zb, bus_order=tuple(ieee14.buses[i] for i in order), _pos=zb._pos[order])
     for z in (zb, permuted):
         ends = tuple(
             np.array([z.index(getattr(rec, end)) for rec in ieee14.lines])
@@ -215,6 +214,35 @@ def test_ill_conditioned_network_rejected():
         build_zbus(net, 1)
 
 
+@pytest.mark.parametrize("source", [0, 1])
+def test_multi_block_ill_conditioned_network_rejected(source):
+    """The condition number streamed block by block rejects as the dense one
+    did: a 12x12 mesh, two blocks, with a 1e-13 pu source in either one."""
+    net = parse_case(mesh_text(12, seed=11))
+    sources = list(net.sources)
+    sources[source] = replace(sources[source], z1=complex(1e-13, 0.0))
+    net = replace(net, sources=tuple(sources))
+    assert len(seqmatrix._level_blocks(net)[1]) == 2
+    with pytest.raises(IllConditionedNetworkError, match="condition"):
+        build_zbus(net, 1)
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_multi_block_columns_match_the_dense_inverse(n):
+    """At the default MIN_BLOCK a 12x12 or 16x16 mesh is two or three blocks:
+    each column of Z is within 1e-12 of np.linalg.inv's, relative, and
+    solves Y for its unit injection within 1e-9."""
+    net = parse_case(mesh_text(n, seed=11))
+    for seq in (0, 1):
+        zb = build_zbus(net, seq)
+        assert len(zb._blocks[0]) > 1
+        want, y, eye = invert_y(net, seq), assemble_y(net, seq), np.eye(net.n)
+        for k, bus in enumerate(net.buses):
+            column = zb.column(bus)
+            assert np.max(np.abs(column - want[:, k])) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(y @ column - eye[k])) <= 1e-9
+
+
 @pytest.mark.parametrize("name", ["fourbus", "ieee14"])
 @pytest.mark.parametrize("seq", [0, 1, 2])
 def test_checked_condition_is_the_one_norm_condition_number(request, name, seq):
@@ -230,7 +258,7 @@ def test_one_block_is_the_dense_inverse_bit_for_bit(request, name, seq):
     net = request.getfixturevalue(name)
     assert len(seqmatrix._level_blocks(net)[1]) == 1
     z = np.linalg.inv(build_ybus(net, seq))
-    assert build_zbus(net, seq).z.tobytes() == (0.5 * (z + z.T)).tobytes()
+    assert dense_z(build_zbus(net, seq)).tobytes() == (0.5 * (z + z.T)).tobytes()
 
 
 def _block_net(request, name: str) -> Network:
@@ -240,13 +268,38 @@ def _block_net(request, name: str) -> Network:
 
 
 def _check_block_inverse(net: Network, seq: int) -> seqmatrix.SequenceZbus:
-    """Z from the block inverse against the dense oracle (within 1e-9, relative
-    once entries exceed 1), exactly symmetric, and an inverse of Y."""
+    """Z's columns, its stored blocks, each line's fault-point law and its
+    solve against the dense oracle (within 1e-9, relative once entries exceed
+    1), each column an inverse column of Y, the stored blocks exactly
+    symmetric (one block: all of Z), and the checked condition number the one
+    of Y."""
     zb = build_zbus(net, seq)
-    want = invert_y(net, seq)
-    assert np.max(np.abs(zb.z - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
-    assert np.array_equal(zb.z, zb.z.T)
-    assert np.max(np.abs(zb.z @ assemble_y(net, seq) - np.eye(net.n))) <= 1e-9
+    want, y = invert_y(net, seq), assemble_y(net, seq)
+    tol = 1e-9 * max(1.0, np.max(np.abs(want)))
+    z = dense_z(zb)
+    assert np.max(np.abs(z - want)) <= tol
+    assert np.max(np.abs(y @ z - np.eye(net.n))) <= 1e-9
+    order = np.argsort(zb._pos)  # indices in block order
+    starts, diag, off, _, _ = zb._blocks
+    assert len(off) == len(diag) - 1
+    ends = starts[1:] + [net.n]
+    for i, (a, b, d) in enumerate(zip(starts, ends, diag)):
+        assert np.array_equal(d, d.T)
+        assert np.max(np.abs(d - want[np.ix_(order[a:b], order[a:b])])) <= tol
+        if i < len(off):
+            c = ends[i + 1]
+            assert np.max(np.abs(off[i] - want[np.ix_(order[a:b], order[b:c])])) <= tol
+    if len(diag) == 1:
+        assert np.array_equal(z, z.T)
+    for line in net.lines:  # Z[p, p], Z[q, q] and Z[p, q], read from the stored blocks
+        fp, zl = fault_point_coefficients(zb, line), line.z(seq)
+        p, q = net.bus_index(line.from_bus), net.bus_index(line.to_bus)
+        got = (fp.a0, fp.a0 + fp.a1 + fp.a2, fp.a0 + (fp.a1 - zl) / 2)
+        assert max(abs(g - w) for g, w in zip(got, (want[p, p], want[q, q], want[p, q]))) <= tol
+    j = np.arange(1, net.n + 1) * (1.0 - 0.5j)
+    e = want @ j
+    assert np.max(np.abs(zb.solve(j) - e)) <= 1e-9 * max(1.0, np.max(np.abs(e)))
+    assert zb.condition == pytest.approx(np.linalg.cond(y, 1), rel=1e-9)
     return zb
 
 
@@ -261,8 +314,7 @@ def test_block_inverse_matches_the_dense_inverse(monkeypatch, request, min_block
     # fourbus's BFS levels hold 1, 2 and 1 buses: one block of at least two.
     assert len(spans) > 1 or (name, min_block) == ("fourbus", 2)
     assert sorted(order) == list(range(net.n)) and all(b - a >= min_block for a, b, _ in spans)
-    zb = _check_block_inverse(net, seq)
-    assert zb.condition == pytest.approx(np.linalg.cond(assemble_y(net, seq), 1), rel=1e-9)
+    _check_block_inverse(net, seq)
 
 
 @st.composite
@@ -301,9 +353,11 @@ def test_block_inverse_on_random_networks(net):
 
 
 def test_zbus_matrix_is_read_only(fourbus):
+    """A column is the caller's copy: writing to it leaves Z as it was."""
     zb = build_zbus(fourbus, 1)
-    with pytest.raises(ValueError, match="read-only"):
-        zb.z[0, 0] = 0.0
+    column = zb.column(1)
+    column[:] = 0.0
+    assert np.array_equal(dense_z(zb), dense_z(build_zbus(fourbus, 1)))
 
 
 def test_channel_laws_on_their_own_line_and_elsewhere(fourbus):
@@ -327,7 +381,7 @@ def test_channel_laws_on_their_own_line_and_elsewhere(fourbus):
 def _bits(law):
     """Every coefficient of a law as its repr, which keeps every bit of a
     float, the sign of zero too."""
-    return tuple(repr(v) for v in vars(law).values())
+    return tuple(repr(getattr(law, f.name)) for f in fields(law))
 
 
 def _reference_law(zb, line, source):
@@ -337,15 +391,13 @@ def _reference_law(zb, line, source):
     engine's arrays."""
     if source == "fault point":
         zpp, zqq, zpq = (
-            complex(zb.z[zb.index(a), zb.index(b)])
+            _at(zb, a, b)
             for a, b in ((line.from_bus,) * 2, (line.to_bus,) * 2, (line.from_bus, line.to_bus))
         )
         zl = line.z(zb.sequence)
         return FaultPointCoefficients(zpp, 2.0 * (zpq - zpp) + zl, zpp + zqq - 2.0 * zpq - zl)
     if isinstance(source, int):
-        k = zb.index(source)
-        zp = complex(zb.z[zb.index(line.from_bus), k])
-        zq = complex(zb.z[zb.index(line.to_bus), k])
+        zp, zq = _at(zb, line.from_bus, source), _at(zb, line.to_bus, source)
         return LinearLaw(zp, zq - zp)
     rec, end = source if isinstance(source, tuple) else (source, "")
     ck, cl = (_reference_law(zb, line, bus) for bus in (rec.from_bus, rec.to_bus))
@@ -405,7 +457,7 @@ def test_memo_holds_one_faulted_line(ieee14):
 def test_sequence_two_copy_keeps_its_own_laws(fourbus):
     study = FaultStudy(fourbus)
     matrices = [study.zbus(1), study.zbus(2), study.zbus(0)]
-    assert matrices[1].z is matrices[0].z
+    assert matrices[1]._blocks is matrices[0]._blocks
     t2, t1_to = fourbus.line("T2"), fourbus.channel("T1@to")
 
     def laws(z):
