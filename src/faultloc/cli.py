@@ -59,7 +59,8 @@ class SweepSpec:
     ``buses``/``branches`` feed the placements: the voltage method uses the
     first two buses, the current method the first two branches, and the
     hybrid methods pair the first branch with the last bus.  Each m and rf
-    value is checked by the :class:`FaultScenario` it builds.
+    value is checked by the :class:`FaultScenario` it builds, which takes an
+    infinite rf for "no fault": :meth:`validate` refuses it.
     """
 
     case: str
@@ -78,6 +79,9 @@ class SweepSpec:
         for name in ("lines", "types", "m_values", "rf_ohm", "methods"):
             if not getattr(self, name):
                 raise ValueError(f"sweep spec field {name!r} must be a non-empty list")
+        for rf in self.rf_ohm:
+            if abs(rf) == float("inf"):
+                raise ValueError(f"fault resistance {rf} ohm must be finite")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown report format {self.format!r}")
 
@@ -212,35 +216,33 @@ def _taps(
 
 
 def _evaluate(
-    net: Network,
     study: FaultStudy,
-    scenario: FaultScenario,
-    taps: dict[str, MeasurementTaps],
-    methods: tuple[Method, ...],
-    placements: dict[Method, Placement],
+    scenarios: list[FaultScenario],
+    taps: MeasurementTaps,
+    plan: list[tuple[Method, Placement]],
     distortions: tuple[Distortion, ...],
 ) -> list[ReportRow]:
-    ms = study.measurements(scenario, taps[scenario.line_id])
-    if distortions:
-        ms = apply_distortion(ms, distortions)
-    length = net.line(scenario.line_id).length_km
+    """The rows of one faulted line's scenarios, every row's feasibility checked."""
+    net, line_id = study.net, scenarios[0].line_id
+    length = net.line(line_id).length_km
     rows = []
-    for method in methods:
-        placement = placements[method]
-        ok, reason = feasibility_check(net, scenario.line_id, placement, study.zbus(1))
-        if not ok:
-            raise PlacementError(
-                f"{method.value} placement infeasible for line {scenario.line_id}: {reason}"
-            )
-        try:
-            est = estimate_for_placement(
-                net, study.zbus(1), scenario.line_id, placement, ms, method
-            )
-        except (DegenerateChannelError, LinearDependenceError) as exc:
-            raise PlacementError(f"{method.value}: {exc}") from None
-        pct = percent_error(scenario.m * length, est.m * length, length)
-        rows.append(ReportRow(scenario.line_id, scenario.fault_type.value, scenario.m,
-                              scenario.rf_ohm, method.value, est.m, est.residual, pct, ok))
+    for scenario in scenarios:
+        ms = study.measurements(scenario, taps)
+        if distortions:
+            ms = apply_distortion(ms, distortions)
+        zbus, m, ftype, rf = study.zbus(1), scenario.m, scenario.fault_type.value, scenario.rf_ohm
+        for method, placement in plan:
+            ok, reason = feasibility_check(net, line_id, placement, zbus)
+            if not ok:
+                raise PlacementError(
+                    f"{method.value} placement infeasible for line {line_id}: {reason}"
+                )
+            try:
+                est = estimate_for_placement(net, zbus, line_id, placement, ms, method)
+            except (DegenerateChannelError, LinearDependenceError) as exc:
+                raise PlacementError(f"{method.value}: {exc}") from None
+            pct = percent_error(m * length, est.m * length, length)
+            rows.append(ReportRow(line_id, ftype, m, rf, method.value, est.m, est.residual, pct, ok))
     return rows
 
 
@@ -250,6 +252,7 @@ def run_sweep(spec: SweepSpec) -> list[ReportRow]:
     Every scenario is built, and so checked, before the first is evaluated,
     and so is every current channel against every faulted line: a line's
     own current may not be read while it is faulted, only its terminals.
+    Scenarios are evaluated one faulted line at a time.
     """
     spec.validate()
     distortions = tuple(parse_distortion(t) for t in spec.distort)
@@ -259,19 +262,18 @@ def run_sweep(spec: SweepSpec) -> list[ReportRow]:
         f"{line.id}@{end}" if end else line.id for line, end in map(net.channel, spec.branches)
     )
     placements = {m: _placement_for(m, spec.buses, branches) for m in spec.methods}
-    scenarios = [
-        FaultScenario(line_id, m, ftype, rf)
-        for line_id, ftype, m, rf in product(spec.lines, spec.types, spec.m_values, spec.rf_ohm)
-    ]
+    grid = list(product(spec.types, spec.m_values, spec.rf_ohm))
+    scenarios = [[FaultScenario(line_id, m, t, rf) for t, m, rf in grid] for line_id in spec.lines]
     currents = {i for p in placements.values() for kind, i in p.channels if kind == "branchI"}
     for line_id in spec.lines:
         if line_id in currents:
             raise ValueError(f"current channel {line_id!r} measures faulted line {line_id!r}")
-    taps = {line_id: _taps(net, line_id, placements, distortions) for line_id in spec.lines}
+    plan = [(method, placements[method]) for method in spec.methods]
     study = FaultStudy(net)
     rows: list[ReportRow] = []
-    for scenario in scenarios:
-        rows.extend(_evaluate(net, study, scenario, taps, spec.methods, placements, distortions))
+    for line_id, group in zip(spec.lines, scenarios):
+        taps = _taps(net, line_id, placements, distortions)
+        rows.extend(_evaluate(study, group, taps, plan, distortions))
     rows.sort(key=ReportRow.sort_key)
     return rows
 
@@ -292,11 +294,13 @@ def _num(x: float) -> str:
 
 
 def render_csv(rows: list[ReportRow]) -> str:
-    lines = [CSV_COLUMNS]
+    lines, shared = [CSV_COLUMNS], {}  # "m,rf" text by the ids of the floats rows share
     for r in rows:
+        key = (id(r.m_true), id(r.rf_ohm))
+        m_rf = shared.get(key) or shared.setdefault(key, f"{_num(r.m_true)},{_num(r.rf_ohm)}")
         lines.append(
-            f"{r.line},{r.type},{_num(r.m_true)},{_num(r.rf_ohm)},{r.method},"
-            f"{_num(r.m_est)},{_num(r.residual)},{_num(r.pct_error)},"
+            f"{r.line},{r.type},{m_rf},{r.method},"
+            f"{float(r.m_est)!r},{float(r.residual)!r},{float(r.pct_error)!r},"
             f"{'true' if r.feasible else 'false'}"
         )
     for method, agg in aggregates_by_method(rows).items():

@@ -189,16 +189,15 @@ def fault_sequence_currents(
 class FaultStudy:
     """Caches the per-sequence matrices and pre-fault state of one network.
 
-    The matrices are built once per study, each memoising the coefficient
-    laws of the faulted line last asked about, so sweeps should share a study
-    and take their scenarios line by line.  Lines carry z2 = z1, so unless a
-    source sets its own z2 the negative-sequence matrix shares the positive
-    sequence's blocks and column cache, not its memo (equality ignores it).
+    The matrices are built once per study; the laws of the faulted line last
+    asked about are kept, so sweeps should go line by line.  Lines carry z2 =
+    z1, so unless a source sets its own z2 the negative sequence shares Z1.
     """
 
     def __init__(self, net: Network):
         self.net = net
         self._zbus: dict[int, SequenceZbus] = {}
+        self._table: tuple = (None, None, None)
 
     def zbus(self, sequence: int) -> SequenceZbus:
         if sequence not in self._zbus:
@@ -215,64 +214,58 @@ class FaultStudy:
     def fault_currents(self, scenario: FaultScenario) -> SequenceTriple:
         """Sequence currents at the fault point."""
         line = self.net.line(scenario.line_id)
-        m = scenario.m
-        bus_v, _ = self.prefault
-        z_rr = tuple(
-            fault_point_coefficients(self.zbus(s), line).z_at(m) for s in (0, 1, 2)
-        )
+        if self._table[0] is not line:  # its fault-point laws, and tap rows per tap set
+            self._table = (line, self._laws(fault_point_coefficients, line), {})
+        m, bus_v, laws = scenario.m, self.prefault[0], self._table[1]
+        z_rr = tuple(law.z_at(m) for law in laws)
         e_r = (1.0 - m) * bus_v[line.from_bus] + m * bus_v[line.to_bus]
-        return fault_sequence_currents(
-            scenario.fault_type, z_rr, e_r, scenario.rf_ohm / self.net.z_base_ohm
-        )
+        rf_pu = scenario.rf_ohm / self.net.z_base_ohm
+        return fault_sequence_currents(scenario.fault_type, z_rr, e_r, rf_pu)
 
     def measurements(
         self, scenario: FaultScenario, taps: MeasurementTaps | None = None
     ) -> PhasorMeasurementSet:
         taps = taps or MeasurementTaps()
-        net = self.net
-        line = net.line(scenario.line_id)
-        m = scenario.m
-        bus_v0, branch_i0 = self.prefault
-        cur = self.fault_currents(scenario)
+        i0, i1, i2 = self.fault_currents(scenario)
+        line, _, tables = self._table
+        m, sets = scenario.m, []
+        for rows in tables.get(taps) or tables.setdefault(taps, self._tap_rows(line, taps)):
+            sets.append({key: pre for key, pre, _ in rows})
+            sets.append({
+                key: (-(z0.b + z0.c * m) * i0, pre - (z1.b + z1.c * m) * i1, -(z2.b + z2.c * m) * i2)
+                for key, pre, (z0, z1, z2) in rows
+            })
+        token = f"{scenario.line_id}:{scenario.fault_type.value}:m={m:g}:rf={scenario.rf_ohm:g}"
+        return PhasorMeasurementSet(*sets, token)
 
-        buses = taps.buses if taps.buses is not None else net.buses
+    def _laws(self, law_of, *args) -> list:
+        laws = [law_of(self.zbus(s), *args) for s in (0, 1)]  # per sequence; Z2 has Z1's laws
+        shared = self.zbus(2)._blocks is self.zbus(1)._blocks  # when it has Z1's blocks
+        return laws + [laws[1] if shared else law_of(self.zbus(2), *args)]
+
+    def _tap_rows(self, line, taps: MeasurementTaps) -> tuple:
+        """Rows ``(key, pre-fault value, laws per sequence)``: buses, then channels."""
+        bus_v0, branch_i0 = self.prefault
+        buses = taps.buses if taps.buses is not None else self.net.buses
         branch_ids = taps.branches
         if branch_ids is None:
-            branch_ids = tuple(r.id for r in net.lines if r.id != line.id)
+            branch_ids = tuple(r.id for r in self.net.lines if r.id != line.id)
             branch_ids += (f"{line.id}@from", f"{line.id}@to")
-
-        prefault_bus_v: dict[int, complex] = {}
-        fault_bus_v: dict[int, SequenceTriple] = {}
+        rows: tuple[list, list] = ([], [])
         for b in buses:
             if b not in bus_v0:
                 raise KeyError(f"tap references unknown bus {b}")
-            zkr = [transfer_coefficients(self.zbus(s), line, b).at(m) for s in (0, 1, 2)]
-            prefault_bus_v[b] = bus_v0[b]
-            fault_bus_v[b] = _during_fault(zkr, bus_v0[b], cur)
-
-        prefault_branch_i: dict[str, complex] = {}
-        fault_branch_i: dict[str, SequenceTriple] = {}
+            rows[0].append((b, bus_v0[b], self._laws(transfer_coefficients, line, b)))
         for bid in branch_ids:
-            rec, end = net.channel(bid)
+            rec, end = self.net.channel(bid)
             if rec.id == line.id and not end:
                 raise KeyError(
                     f"branch {bid!r} is the faulted line; tap its terminals"
                     f" {line.id}@from and {line.id}@to instead"
                 )
-            law = [branch_coefficients(self.zbus(s), line, (rec, end)).at(m) for s in (0, 1, 2)]
             pre = -branch_i0[rec.id] if end == "to" else branch_i0[rec.id]
-            prefault_branch_i[bid] = pre
-            fault_branch_i[bid] = _during_fault(law, pre, cur)
-
-        token = f"{scenario.line_id}:{scenario.fault_type.value}:m={m:g}:rf={scenario.rf_ohm:g}"
-        pre_i, fault_i = prefault_branch_i, fault_branch_i
-        return PhasorMeasurementSet(prefault_bus_v, fault_bus_v, pre_i, fault_i, token)
-
-
-def _during_fault(k, pre: complex, cur: SequenceTriple) -> SequenceTriple:
-    """Sequence values of a quantity that changes by ``-k[s]`` per unit fault
-    current in sequence s, on top of the positive-sequence value ``pre``."""
-    return (-k[0] * cur[0], pre - k[1] * cur[1], -k[2] * cur[2])
+            rows[1].append((bid, pre, self._laws(branch_coefficients, line, (rec, end))))
+        return rows
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from .seqmatrix import (
     LinearLaw,
     Lines,
     SequenceZbus,
-    _memo,
     branch_coefficients,
     build_zbus,
     transfer_coefficients,
@@ -184,21 +183,28 @@ def locate(
         raise ValueError(
             f"channels are not synchronized: tokens {numer.token!r} != {denom.token!r}"
         )
-    if _dependent(numer_law, denom_law):
+    laws = (numer_law, denom_law, _dependent(numer_law, denom_law))
+    return _solve(method, laws, numer.delta, denom.delta, denom.ident)
+
+
+def _solve(method: Method, laws, numer: complex, denom: complex, ident) -> LocationEstimate:
+    """:func:`locate` from ``(numer_law, denom_law, dependent)`` and the changes."""
+    numer_law, denom_law, dependent = laws
+    if dependent:
         raise LinearDependenceError(_DEPENDENT)
-    ratio = _ratio(numer, denom)
+    ratio = _ratio(numer, denom, ident)
     if method is Method.HYBRID_QUAD:
         return _quadratic_solve(numer_law, denom_law, ratio)
     return _estimate(_ratio_solve(numer_law, denom_law, ratio), method)
 
 
-def _ratio(numer: Channel, denom: Channel) -> complex:
-    if abs(denom.delta) < DEGENERACY_THRESHOLD:
+def _ratio(numer: complex, denom: complex, ident) -> complex:
+    if abs(denom) < DEGENERACY_THRESHOLD:
         raise DegenerateChannelError(
-            f"channel {denom.ident!r} change {abs(denom.delta):.3e} pu is below"
+            f"channel {str(ident)!r} change {abs(denom):.3e} pu is below"
             f" the observability threshold {DEGENERACY_THRESHOLD:g}"
         )
-    return numer.delta / denom.delta
+    return numer / denom
 
 
 def _ratio_solve(numer: LinearLaw, denom: LinearLaw, ratio: complex) -> complex:
@@ -363,16 +369,18 @@ def feasibility_check(
     locations through the faulted line (a branch channel counts as sitting
     at either of its endpoints); and for placements with a current channel
     the two channels' coefficient laws must not be proportional (numerical
-    rank test).  Returns (feasible, reason), memoised on ``zbus`` when given.
+    rank test).  Returns (feasible, reason), kept with the line's table on
+    ``zbus`` when given.
 
     Such a path exists exactly when the faulted line's block lies between
     two distinct locations in :meth:`Network.block_forest`, which is built
     once per network: a check takes linear time.
     """
-    line = net.line(faulted_line_id)
-    if zbus is None:
-        return _feasibility(zbus, line, net, placement)
-    return _memo(zbus, line, (feasibility_check, id(net), placement), _feasibility, net, placement)
+    line, key = net.line(faulted_line_id), (feasibility_check, id(net), placement)
+    kept = {} if zbus is None else zbus.faulted_line(line)[3]
+    if key not in kept:
+        kept[key] = (_feasibility(zbus, line, net, placement), net)  # net keeps its id taken
+    return kept[key][0]
 
 
 def _feasibility(zbus, line: LineRecord, net: Network, placement: Placement) -> tuple[bool, str]:
@@ -440,14 +448,6 @@ def _sources(net: Network, placement: Placement, method: Method | None = None) -
     ]
 
 
-def _channels(ms: PhasorMeasurementSet, placement: Placement) -> list[Channel]:
-    """The placement's two channels read from ``ms``, so their tokens match."""
-    return [
-        voltage_channel(ms, ident) if kind == "busV" else current_channel(ms, ident)
-        for kind, ident in placement.channels
-    ]
-
-
 def estimate_for_placement(
     net: Network,
     zbus: SequenceZbus,
@@ -462,20 +462,32 @@ def estimate_for_placement(
     and an out-of-range result indicates the hypothesis is wrong.  Raises
     ``TypeError`` when the placement does not measure the channel kinds the
     method divides, and ``ValueError`` when it reads the faulted line's own
-    current.  Its two laws are memoised on ``zbus`` with the line's laws.
+    current.  The two laws are kept with the line's table on ``zbus``; each
+    call reads the two changes and solves, and raises, as :func:`locate` does.
     """
     line = net.line(faulted_line_id)
-    key = (estimate_for_placement, id(net), placement, method)
-    laws = _memo(zbus, line, key, _placement_laws, net, placement, method)
-    numer, denom = _channels(ms, placement)
-    return locate(method, numer, denom, *laws)
+    kept, key = zbus.faulted_line(line)[3], (id(net), placement, method)
+    entry = kept.get(key)
+    if entry is None:
+        entry = kept[key] = _placement_laws(zbus, line, net, placement, method)
+    _, laws, (numer, denom) = entry
+    return _solve(method, laws, _change(ms, *numer), _change(ms, *denom), denom[1])
+
+
+def _change(ms: PhasorMeasurementSet, kind: str, ident) -> complex:
+    """A channel's positive-sequence change in ``ms``, as :attr:`Channel.delta`."""
+    if kind == "busV":
+        return ms.fault_bus_v[ident][1] - ms.prefault_bus_v[ident]
+    return ms.fault_branch_i[ident][1] - ms.prefault_branch_i[ident]
 
 
 def _placement_laws(zbus, line: LineRecord, net: Network, placement: Placement, method: Method):
+    """``(net, (numer_law, denom_law, dependent), channels)``; ``net`` keeps its id."""
     sources = _sources(net, placement, method)
     if (line, "") in sources:
         raise ValueError(_OWN_CURRENT.format(line.id))
-    return [_law(zbus, line, s) for s in sources]
+    numer, denom = (_law(zbus, line, s) for s in sources)
+    return net, (numer, denom, _dependent(numer, denom)), placement.channels
 
 
 def rank_line_hypotheses(
@@ -509,11 +521,11 @@ def rank_line_hypotheses(
         )
     zbus = zbus if zbus is not None else build_zbus(net, 1)
     numer_src, denom_src = _sources(net, placement, method)
-    numer, denom = _channels(ms, placement)
+    changes = [_change(ms, *channel) for channel in placement.channels]
     ends = _line_ends(net, zbus)
     numer_law, denom_law = _law(zbus, ends, numer_src), _law(zbus, ends, denom_src)
     try:
-        ratio = _ratio(numer, denom)
+        ratio = _ratio(*changes, placement.channels[1][1])
     except DegenerateChannelError:
         return _Ranking(method, (), ())
 

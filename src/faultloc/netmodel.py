@@ -116,6 +116,8 @@ class Network:
     _forest: tuple[list[int], list[int], dict[str, int]] | None = field(
         init=False, repr=False, compare=False, default=None
     )
+    #: ``seqmatrix._level_blocks``'s result and the block size it was cut for.
+    _levels: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", {label: i for i, label in enumerate(self.buses)})

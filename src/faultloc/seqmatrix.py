@@ -17,16 +17,14 @@ rebuilding the matrix:
 * :class:`FaultPointCoefficients` ``a0 + a1*m + a2*m**2``: the
   driving-point impedance at the fault point, which sets the fault current.
 
-Z itself is never held whole, since the laws read only a few of its parts:
-the columns of the tapped buses (:meth:`SequenceZbus.column`) and each
-line's driving-point entries, which the stored blocks hold.  A one-line law
-is the many-lines law of that line alone, memoised on its
-:class:`SequenceZbus` for one faulted line at a time.  The pre-fault state
-is one block solve, :meth:`SequenceZbus.solve`.
+Z itself is never held whole.  It is symmetric, so a law of one faulted
+line reads Z's two columns at the line's ends
+(:meth:`SequenceZbus.faulted_line`) and the laws of every line read the
+tapped bus's column (:meth:`SequenceZbus.column`).  The pre-fault state is
+one block solve, :meth:`SequenceZbus.solve`.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +73,8 @@ class SequenceZbus:
     holds :func:`build_zbus`'s block starts, Z[i, i], Z[i, i+1], factors and
     a column cache, shared by sequences with equal Y; ``_pos`` gives each
     index's block position.  ``condition`` is Y's 1-norm condition number.
-    One-line laws are memoised in a field that equality and ``repr`` ignore;
-    every instance, a ``dataclasses.replace`` copy too, starts with its own.
+    The last faulted line's table is a field that equality and ``repr``
+    ignore; each instance, a ``replace`` copy too, starts with its own.
     """
 
     sequence: int
@@ -85,7 +83,7 @@ class SequenceZbus:
     _pos: np.ndarray = field(repr=False, compare=False)
     _blocks: tuple = field(repr=False, compare=False)
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
-    _laws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _line: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", {b: i for i, b in enumerate(self.bus_order)})
@@ -100,8 +98,23 @@ class SequenceZbus:
         """Z's column of ``bus``: a cached :meth:`solve` of a unit injection."""
         cache, t = self._blocks[-1], int(self._pos[self.index(bus)])
         if t not in cache:
-            cache[t] = self._substitute(np.eye(1, len(self._pos), t, dtype=complex)[0])
+            cache[t] = self._unit(t)
         return cache[t][self._pos]
+
+    def faulted_line(self, line: LineRecord) -> list:
+        """``[line, zp, zq, kept]``: Z's columns at ``line``'s ends as lists in Z order
+        and a dict for what callers derive, kept for the last line asked about only."""
+        if not self._line or self._line[0] is not line:
+            ends = (self._unit(int(self._pos[self.index(b)])) for b in (line.from_bus, line.to_bus))
+            self._line[:] = [line, *(col[self._pos].tolist() for col in ends), {}]
+        return self._line
+
+    def _unit(self, t: int) -> np.ndarray:
+        """Z's column of block position ``t``, in block order (one block: stored)."""
+        diag = self._blocks[1]
+        if len(diag) == 1:
+            return diag[0][:, t]
+        return self._substitute(np.eye(1, len(self._pos), t, dtype=complex)[0])
 
     def solve(self, injections: np.ndarray) -> np.ndarray:
         """``Z @ injections``, by block substitution with the stored blocks."""
@@ -247,10 +260,13 @@ def build_zbus(net: Network, sequence: int) -> SequenceZbus:
     return SequenceZbus(sequence, net.buses, float(cond), pos, blocks)
 
 
-def _level_blocks(net: Network) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+def _level_blocks(net: Network) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
     """Bus indices in block order and each block's (start, end, next block's end).
     A block is a run of whole BFS levels (each island's from its first bus) of at
-    least :data:`MIN_BLOCK` buses, ascending; a line joins it to itself or the next."""
+    least :data:`MIN_BLOCK` buses, ascending; a line joins it to itself or the next.
+    Cached on ``net`` per ``MIN_BLOCK``: a network's matrices share one BFS."""
+    if net._levels is not None and net._levels[0] == MIN_BLOCK:
+        return net._levels[1:]
     adj: list[list[int]] = [[] for _ in net.buses]
     for a, b in zip(*(ends.tolist() for ends in net.line_end_indices()[:2])):
         adj[a].append(b)
@@ -267,37 +283,18 @@ def _level_blocks(net: Network) -> tuple[np.ndarray, list[tuple[int, int, int]]]
         if end - cut[-1] >= MIN_BLOCK:
             cut.append(end)
     cut[max(len(cut) - 1, 1):] = [net.n]  # a short last run joins the block before
-    block = (np.searchsorted(cut, ends) - 1)[level]
-    return np.argsort(block, kind="stable"), list(zip(cut, cut[1:], cut[2:] + [net.n]))
-
-
-def _memo(zbus: SequenceZbus, line: LineRecord, key: tuple, build, *args):
-    """``build(zbus, line, *args)``, built once per matrix, ``line`` and ``key``
-    while ``line`` is the last faulted line asked about (a build that raises
-    is not kept).  The key names what else it reads, records and networks by
-    ``id``; those stay taken, as the memo keeps ``line`` and the ``args``."""
-    laws = zbus._laws
-    if laws.get(None) is not line:
-        laws.clear()
-        laws[None] = line
-    hit = laws.get(key)
-    if hit is None:
-        hit = laws[key] = (build(zbus, line, *args), args)
-    return hit[0]
-
-
-def _one_line(zbus: SequenceZbus, line: LineRecord, law_of, source) -> LinearLaw:
-    """The many-lines law of ``line`` alone, as a law of two ``complex``."""
-    p, q = zbus.index(line.from_bus), zbus.index(line.to_bus)
-    law = law_of(zbus, (np.array([p]), np.array([q]), np.array([line.id])), source)
-    return LinearLaw(complex(law.b[0]), complex(law.c[0]))
+    order = np.argsort((np.searchsorted(cut, ends) - 1)[level], kind="stable")
+    order.setflags(write=False)
+    object.__setattr__(net, "_levels", (MIN_BLOCK, order, tuple(zip(cut, cut[1:], cut[2:] + [net.n]))))
+    return net._levels[1:]
 
 
 def transfer_coefficients(zbus: SequenceZbus, line: Lines, bus: int) -> LinearLaw:
     """Transfer impedance law from ``bus`` to a fault anywhere on ``line``."""
     if isinstance(line, LineRecord):
-        key = (transfer_coefficients, bus)
-        return _memo(zbus, line, key, _one_line, transfer_coefficients, bus)
+        _, zp, zq, _ = zbus.faulted_line(line)
+        k = zbus.index(bus)
+        return LinearLaw(zp[k], zq[k] - zp[k])
     col = zbus.column(bus)
     zp, zq = col[line[0]], col[line[1]]
     return LinearLaw(zp, zq - zp)
@@ -325,18 +322,18 @@ def branch_coefficients(
     ``t``, which no instrument reads; callers refuse it or skip that line.
     """
     rec, end = (branch, "") if isinstance(branch, LineRecord) else branch
-    if isinstance(faulted_line, LineRecord):
-        key = (branch_coefficients, id(rec), end)
-        return _memo(zbus, faulted_line, key, _one_line, branch_coefficients, (rec, end))
     zb = rec.z(zbus.sequence)
     if abs(zb) == 0.0:
         raise ValueError(f"branch {rec.id!r} has zero impedance")
     ck = transfer_coefficients(zbus, faulted_line, rec.from_bus)
     cl = transfer_coefficients(zbus, faulted_line, rec.to_bus)
-    b, c = _divide(ck.b - cl.b, zb), _divide(ck.c - cl.c, zb)
+    if isinstance(faulted_line, LineRecord):
+        b, c, own = (ck.b - cl.b) / zb, (ck.c - cl.c) / zb, float(faulted_line.id == rec.id)
+    else:
+        b, c = _divide(ck.b - cl.b, zb), _divide(ck.c - cl.c, zb)
+        own = (faulted_line[2] == rec.id).astype(float) if end else 0.0
     if not end:
         return LinearLaw(b, c)
-    own = (faulted_line[2] == rec.id).astype(float)
     if end == "from":
         return LinearLaw(b - own, c + own)
     return LinearLaw(-b, -c - own)
@@ -344,9 +341,9 @@ def branch_coefficients(
 
 def _divide(a: np.ndarray, b: complex) -> np.ndarray:
     """``a / b`` rounded as Python's complex division (Smith's method), not as
-    numpy's reciprocal product, so that laws keep the bits of ``complex``
-    arithmetic: the hybrid quadratic's off-axis residual would turn one bit
-    into a change near 1e-8.
+    numpy's reciprocal product, so that the laws of every line keep the bits
+    of a one-line law: the hybrid quadratic's off-axis residual would turn
+    one bit into a change near 1e-8.
     """
     if abs(b.real) >= abs(b.imag):
         ratio = b.imag / b.real
@@ -367,18 +364,10 @@ def fault_point_coefficients(zbus: SequenceZbus, line: LineRecord) -> FaultPoint
     This is the unique quadratic that matches an explicit tap-bus rebuild of
     the matrix at every m: the two segments carry the fault current in a
     loop, so the m=0/m=1 diagonal entries pin the ends and the line's own
-    impedance fixes the curvature.
+    impedance fixes the curvature.  It reads Z[p, p], Z[q, q] and Z[p, q]
+    from Z's columns at the line's ends.
     """
-    return _memo(zbus, line, (fault_point_coefficients,), _fault_point)
-
-
-def _fault_point(zbus: SequenceZbus, line: LineRecord) -> FaultPointCoefficients:
-    """From the stored blocks: a line joins a block to itself or the next."""
-    starts, diag, off, _, _ = zbus._blocks
-    ends = [int(zbus._pos[zbus.index(bus)]) for bus in (line.from_bus, line.to_bus)]
-    ends = [(bisect_right(starts, x) - 1, x) for x in ends]  # (block, position)
-    zpp, zqq = (complex(diag[k][x - starts[k], x - starts[k]]) for k, x in ends)
-    (i, s), (h, t) = sorted(ends)
-    zpq = complex((off[i] if h > i else diag[i])[s - starts[i], t - starts[h]])
-    zl = line.z(zbus.sequence)
+    _, zp, zq, _ = zbus.faulted_line(line)
+    p, q = zbus.index(line.from_bus), zbus.index(line.to_bus)
+    zpp, zqq, zpq, zl = zp[p], zq[q], zq[p], line.z(zbus.sequence)
     return FaultPointCoefficients(zpp, 2.0 * (zpq - zpp) + zl, zpp + zqq - 2.0 * zpq - zl)

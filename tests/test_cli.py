@@ -182,6 +182,27 @@ def test_nan_fault_resistance_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_infinite_fault_resistance_exits_one(tmp_path, capsys):
+    """An infinite rf would simulate no fault at all: the flag and a sweep
+    spec's ``Infinity`` are refused with exit 1, naming the value."""
+    rc = run_cli(
+        [
+            "--case", CASE_PATH, "--line", "T2", "--type", "LG", "--m", "0.5",
+            "--rf-ohm", "inf", "--method", "ssvm", "--buses", "1,2",
+        ]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "faultloc: error: fault resistance inf ohm must be finite\n"
+    out = tmp_path / "never.csv"
+    spec = _write_sweep(tmp_path, rf_ohm=[1.0, float("inf")])
+    assert "Infinity" in Path(spec).read_text()
+    assert run_cli(["--case", CASE_PATH, "--sweep", spec, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "faultloc: error: fault resistance inf ohm must be finite\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "old,new",
     [
@@ -547,6 +568,25 @@ def test_law_builds_do_not_grow_with_the_scenario_count(tmp_path, monkeypatch):
         counts.append(len(built))
     assert counts[0] > 0
     assert counts[1] == counts[0]
+
+
+def test_csv_writes_each_rows_own_numbers():
+    """Rows share their m and rf objects, which the CSV writes once each: every
+    row still reads its own, ``-0.0`` apart from ``0.0``, as ``repr`` writes it."""
+    spec = cli.SweepSpec(
+        case=CASE_PATH, lines=("T2",), types=(FaultType.LG,), m_values=(0.0, -0.0, 0.5),
+        rf_ohm=(0.0, -0.0, 1.0), methods=(Method.SSVM, Method.HYBRID_DIRECT), buses=(1, 2),
+        branches=("T1",),
+    )
+    rows = cli.run_sweep(spec)
+    body = [ln.split(",") for ln in cli.render_csv(rows).splitlines()[1:] if ln[0] != "#"]
+    assert len(body) == len(rows) == 18
+    assert {(repr(r.m_true), repr(r.rf_ohm)) for r in rows} == {
+        (m, rf) for m in ("0.0", "-0.0", "0.5") for rf in ("0.0", "-0.0", "1.0")
+    }
+    for r, cols in zip(rows, body):
+        assert cols[2:4] == [repr(r.m_true), repr(r.rf_ohm)]
+        assert cols[5:8] == [repr(r.m_est), repr(r.residual), repr(r.pct_error)]
 
 
 def _bits(*values):

@@ -288,6 +288,33 @@ def test_measurements_match_direct_solve_on_random_meshes(net, data):
             assert abs(ms.fault_branch_i[channel][s] - ref[s]) < 1e-9, (channel, s)
 
 
+def test_all_tap_measurements_on_a_multi_block_mesh_match_the_direct_solve():
+    """Every channel of a 12x12 mesh, two blocks at the default MIN_BLOCK,
+    against the direct solve; the set reads each matrix's two columns at
+    the faulted line's ends and caches no other column."""
+    net = parse_case(mesh_text(12, seed=11))
+    assert len(seqmatrix._level_blocks(net)[1]) == 2
+    line = net.line("h5_6")
+    sc = FaultScenario(line.id, 0.37, FaultType.LLG, 4.0)
+    study = FaultStudy(net)
+    ms = study.measurements(sc)
+    oracle = DirectFaultSolve(net, line.id, sc.m, sc.fault_type, sc.rf_ohm)
+    want = {rec.id: oracle.fault_i(rec) for rec in net.lines if rec is not line}
+    want |= {f"{line.id}@{end}": oracle.segment_i(end) for end in ("from", "to")}
+    assert set(ms.fault_bus_v) == set(net.buses) and set(ms.fault_branch_i) == set(want)
+    for b in net.buses:
+        assert abs(ms.prefault_bus_v[b] - oracle.prefault_v(b)) < 1e-9
+        for s in (0, 1, 2):
+            assert abs(ms.fault_bus_v[b][s] - oracle.fault_v(b)[s]) < 1e-9, (b, s)
+    for channel, ref in want.items():
+        for s in (0, 1, 2):
+            assert abs(ms.fault_branch_i[channel][s] - ref[s]) < 1e-9, (channel, s)
+    for seq in (0, 1, 2):
+        zbus = study.zbus(seq)
+        cached = len(zbus._blocks[-1]) + len(zbus._line[1:3])
+        assert cached <= 2, (seq, cached)
+
+
 def test_infinite_rf_reproduces_prefault(fourbus_study):
     sc = FaultScenario("T2", 0.5, FaultType.LLL, rf_ohm=math.inf)
     ms = fourbus_study.measurements(sc)
@@ -565,6 +592,21 @@ def test_study_builds_its_own_matrix_for_a_source_z2():
     assert z2._blocks is not z1._blocks
     assert dense_z(z2).tobytes() == dense_z(build_zbus(net, 2)).tobytes()
     assert not np.allclose(dense_z(z2), dense_z(z1))
+
+
+@pytest.mark.parametrize("ftype", list(FaultType))
+def test_measurements_with_a_source_z2_match_the_direct_solve(ftype):
+    """A source with its own z2 gives Z2 blocks and laws of its own, which
+    the negative-sequence values and the fault currents read."""
+    net = parse_case(OWN_Z2)
+    sc = FaultScenario("L", 0.3, ftype, 2.0)
+    ms = FaultStudy(net).measurements(sc)
+    oracle = DirectFaultSolve(net, "L", sc.m, ftype, sc.rf_ohm)
+    for s in (0, 1, 2):
+        for b in net.buses:
+            assert abs(ms.fault_bus_v[b][s] - oracle.fault_v(b)[s]) < 1e-9, (b, s)
+        for end in ("from", "to"):
+            assert abs(ms.fault_branch_i[f"L@{end}"][s] - oracle.segment_i(end)[s]) < 1e-9
 
 
 def test_mesh_setup_inverts_twice_and_runs_no_svd(monkeypatch):

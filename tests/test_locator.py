@@ -444,8 +444,9 @@ def test_faulted_line_current_is_refused(fourbus, fourbus_study):
 
 def test_memoised_verdicts_equal_unmemoised_checks(ieee14, ieee14_study):
     """Every (line, placement) pair, asked twice of one matrix, against a
-    check that builds its own: feasible and infeasible verdicts alike.  A
-    check that raises is not memoised and raises again."""
+    check that builds its own: feasible and infeasible verdicts alike, the
+    second read from the line's table.  A check that raises keeps nothing
+    in the table and raises again."""
     zbus = ieee14_study.zbus(1)
     placements = [
         VoltagePlacement(1, 14),
@@ -465,11 +466,11 @@ def test_memoised_verdicts_equal_unmemoised_checks(ieee14, ieee14_study):
             assert got == want, (rec.id, placement)
             assert feasibility_check(ieee14, rec.id, placement, zbus) is got
             verdicts.add(got[0])
-        size = len(zbus._laws)
+        size = len(zbus.faulted_line(rec)[3])
         for _ in range(2):
             with pytest.raises(CaseError, match="unknown bus 99"):
                 feasibility_check(ieee14, rec.id, VoltagePlacement(1, 99), zbus)
-        assert len(zbus._laws) == size
+        assert len(zbus.faulted_line(rec)[3]) == size
     assert verdicts == {True, False}
 
 
@@ -506,6 +507,41 @@ def test_placement_laws_hold_one_faulted_line(ieee14, ieee14_study, monkeypatch)
             estimate("4-5", 0.5, Method.SSVM)
     assert built == ["4-5", "9-14", "4-5", "4-5", "4-5"]
     assert estimate("4-5", 0.2) == first[0] and len(built) == 5
+
+
+def test_estimate_refuses_as_locate_does_on_every_call(fourbus, fourbus_study):
+    """A dependent pair and a degenerate denominator raise the messages that
+    :func:`locate` raises on the same channels and laws, on every call: the
+    refusal is not kept, so a set with a fault signature then solves."""
+    zbus, t2 = fourbus_study.zbus(1), fourbus.line("T2")
+    live = fourbus_study.measurements(FaultScenario("T2", 0.56, FaultType.LG, 1.0))
+    dead = fourbus_study.measurements(FaultScenario("T2", 0.56, FaultType.LG, math.inf))
+    cases = [
+        (Method.SSCM, CurrentPlacement("T2@from", "T3"), live, LinearDependenceError),
+        (Method.SSVM, VoltagePlacement(1, 2), dead, DegenerateChannelError),
+        (Method.HYBRID_QUAD, HybridPlacement("T1", 2), dead, DegenerateChannelError),
+    ]
+    for method, placement, ms, error in cases:
+        numer, denom = (
+            voltage_channel(ms, i) if kind == "busV" else current_channel(ms, i)
+            for kind, i in placement.channels
+        )
+        laws = [
+            branch_coefficients(zbus, t2, fourbus.channel(i)) if kind == "branchI"
+            else transfer_coefficients(zbus, t2, i)
+            for kind, i in placement.channels
+        ]
+        with pytest.raises(error) as want:
+            locate(method, numer, denom, *laws)
+        for _ in range(2):
+            with pytest.raises(error) as got:
+                estimate_for_placement(fourbus, zbus, "T2", placement, ms, method)
+            assert str(got.value) == str(want.value)
+        if error is DegenerateChannelError:
+            est = estimate_for_placement(fourbus, zbus, "T2", placement, live, method)
+            assert abs(est.m - 0.56) < 1e-9
+            with pytest.raises(error):
+                estimate_for_placement(fourbus, zbus, "T2", placement, ms, method)
 
 
 def test_feasibility_unknown_measurement_bus(fourbus):

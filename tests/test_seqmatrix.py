@@ -243,6 +243,33 @@ def test_multi_block_columns_match_the_dense_inverse(n):
             assert np.max(np.abs(y @ column - eye[k])) <= 1e-9
 
 
+def test_matrices_of_one_network_share_one_bfs(monkeypatch):
+    """A set-up runs the BFS of its blocks once, for Z0 and Z1 both, and
+    gets the matrices a network without that cache gets; another MIN_BLOCK
+    cuts its blocks afresh."""
+    text = mesh_text(12, seed=11)
+    net = parse_case(text)
+    levels = []
+    full = np.full
+
+    def counted_full(*args, **kwargs):  # the BFS's level array
+        levels.append(args)
+        return full(*args, **kwargs)
+
+    monkeypatch.setattr(np, "full", counted_full)
+    study = FaultStudy(net)
+    matrices = [study.zbus(seq) for seq in (0, 1, 2)]
+    assert len(levels) == 1
+    order, spans = seqmatrix._level_blocks(net)
+    assert seqmatrix._level_blocks(net)[0] is order and not order.flags.writeable
+    for seq, zb in zip((0, 1), matrices):
+        fresh = build_zbus(parse_case(text), seq)
+        assert dense_z(zb).tobytes() == dense_z(fresh).tobytes()
+    runs = len(levels)
+    monkeypatch.setattr(seqmatrix, "MIN_BLOCK", 8)
+    assert len(seqmatrix._level_blocks(net)[1]) > len(spans) and len(levels) == runs + 1
+
+
 @pytest.mark.parametrize("name", ["fourbus", "ieee14"])
 @pytest.mark.parametrize("seq", [0, 1, 2])
 def test_checked_condition_is_the_one_norm_condition_number(request, name, seq):
@@ -421,7 +448,8 @@ def _law(zb, line, source):
 @pytest.mark.parametrize("name", ["fourbus", "ieee14"])
 def test_memoised_laws_equal_reference_laws_bit_for_bit(request, name):
     """Every law of every faulted line, asked for twice, against the plain
-    ``complex`` reference: the first ask builds it, the second reads the memo."""
+    ``complex`` reference: the first ask builds the line's table, Z's two
+    columns at its ends, and every later ask of that line reads it."""
     net = request.getfixturevalue(name)
     study = FaultStudy(net)
     sources = ["fault point", *net.buses] + [
@@ -430,28 +458,34 @@ def test_memoised_laws_equal_reference_laws_bit_for_bit(request, name):
     for seq in (0, 1, 2):
         zb = study.zbus(seq)
         for line in net.lines:
+            columns = None
             for source in sources:
                 want = _bits(_reference_law(zb, line, source))
-                law = _law(zb, line, source)
-                assert _bits(law) == want, (seq, line.id, source)
-                assert _law(zb, line, source) is law, (seq, line.id, source)
+                for _ in range(2):
+                    assert _bits(_law(zb, line, source)) == want, (seq, line.id, source)
+                columns = columns or zb.faulted_line(line)[1:3]
+                assert all(a is b for a, b in zip(zb.faulted_line(line)[1:3], columns))
 
 
 def test_memo_holds_one_faulted_line(ieee14):
-    """Asking about another faulted line empties the memo, so a sweep over
-    every line keeps one line's laws; a line asked about again is rebuilt
-    to the same bits."""
+    """A matrix keeps the table of one faulted line, Z's columns at its two
+    ends, outside the shared column cache: asking about another line
+    replaces it, and a line asked about again is rebuilt to the same bits."""
     zb = build_zbus(ieee14, 1)
     first, second = ieee14.lines[:2]
     channels = [(rec, end) for rec in ieee14.lines for end in ("", "from", "to")]
     kept = [branch_coefficients(zb, first, ch) for ch in channels]
     kept += [transfer_coefficients(zb, first, bus) for bus in ieee14.buses]
-    size = len(zb._laws)
-    assert size <= len(channels) + ieee14.n + 1
+    line, zp, zq, _ = zb.faulted_line(first)
+    assert line is first and len(zp) == len(zq) == ieee14.n
+    assert zb._blocks[-1] == {}
     transfer_coefficients(zb, second, 14)
-    assert len(zb._laws) <= 2
-    again = transfer_coefficients(zb, first, 14)
-    assert again is not kept[-1] and _bits(again) == _bits(kept[-1])
+    assert zb.faulted_line(second)[0] is second
+    again = [branch_coefficients(zb, first, ch) for ch in channels]
+    again += [transfer_coefficients(zb, first, bus) for bus in ieee14.buses]
+    assert zb.faulted_line(first)[1] is not zp and zb.faulted_line(first)[1] == zp
+    assert [_bits(law) for law in again] == [_bits(law) for law in kept]
+    assert zb._blocks[-1] == {}
 
 
 def test_sequence_two_copy_keeps_its_own_laws(fourbus):
@@ -468,18 +502,23 @@ def test_sequence_two_copy_keeps_its_own_laws(fourbus):
         )
 
     first = [laws(z) for z in matrices]
+    tables = [z.faulted_line(t2) for z in matrices]
+    assert len({id(table) for table in tables}) == 3  # each matrix its own table
+    assert len({id(table[1]) for table in tables}) == 3
     for z, own in zip(matrices, first):
-        assert all(a is b for a, b in zip(laws(z), own))  # memo hits
-        for other in first:
-            if other is not own:
-                assert all(a is not b for a, b in zip(other, own))
+        assert laws(z) == own
+    assert first[1] == first[0]  # Z2 shares Z1's blocks, and lines carry z2 = z1
     assert first[2] != first[0]  # Z0 differs from Z1
-    # The memo is invisible to equality and repr.
+    # The table is invisible to equality and repr, and a copy starts without one.
     z1 = matrices[0]
     assert replace(z1) == z1 and repr(replace(z1)) == repr(z1)
+    assert replace(z1)._line == []
 
 
 def test_records_sharing_an_id_get_their_own_laws(fourbus):
+    """The table is kept by record, not by line id: a record sharing T2's id
+    with swapped ends or twice the length gets its own laws, and T2's are
+    not confused with them when asked about again."""
     zb = build_zbus(fourbus, 1)
     t2, t1 = fourbus.line("T2"), fourbus.line("T1")
     swapped = replace(t2, from_bus=t2.to_bus, to_bus=t2.from_bus)
@@ -491,8 +530,8 @@ def test_records_sharing_an_id_get_their_own_laws(fourbus):
         (lambda z, line: branch_coefficients(z, line, (t2, "from")), swapped),
     ):
         mine = law_of(zb, t2)
-        assert law_of(zb, t2) is mine
         theirs = law_of(zb, other)
-        assert law_of(zb, other) is theirs
+        assert _bits(law_of(zb, t2)) == _bits(mine)
+        assert _bits(law_of(zb, other)) == _bits(theirs)
         assert mine != theirs
         assert _bits(theirs) == _bits(law_of(replace(zb), other))
