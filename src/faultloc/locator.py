@@ -13,10 +13,9 @@ The methods differ only in which two channels feed that ratio:
   satisfied by the ratio magnitude instead of in the complex plane.
 
 :func:`locate` solves one ratio; placements name the two channels they
-measure, and :func:`estimate_for_placement` and
-:func:`rank_line_hypotheses` read those channels and take their laws,
-for one line or for all, from :mod:`faultloc.seqmatrix`.  Ranking solves
-and orders as arrays, builds an entry only when it is read, and refuses
+measure, and the other estimators take those channels' laws, for one line
+or for all, from one builder and keep them per matrix.  Ranking solves and
+orders as arrays, builds an entry only when it is read, and refuses
 ``hybrid-quad``.
 All estimators consume positive-sequence phasors only and need no
 fault-type or phase-selection information.
@@ -345,17 +344,6 @@ class HybridPlacement:
 Placement = VoltagePlacement | CurrentPlacement | HybridPlacement
 
 
-#: What a channel measures: a bus, or a current channel's line and terminal.
-_Source = int | tuple[LineRecord, str]
-
-
-def _law(zbus: SequenceZbus, line: Lines, source: _Source) -> LinearLaw:
-    """The law of a channel measuring ``source`` under a fault on ``line``."""
-    if isinstance(source, tuple):
-        return branch_coefficients(zbus, line, source)
-    return transfer_coefficients(zbus, line, source)
-
-
 def feasibility_check(
     net: Network,
     faulted_line_id: str,
@@ -376,23 +364,26 @@ def feasibility_check(
     two distinct locations in :meth:`Network.block_forest`, which is built
     once per network: a check takes linear time.
     """
-    line, key = net.line(faulted_line_id), (feasibility_check, id(net), placement)
-    kept = {} if zbus is None else zbus.faulted_line(line)[3]
-    if key not in kept:
-        kept[key] = (_feasibility(zbus, line, net, placement), net)  # net keeps its id taken
-    return kept[key][0]
+    return _kept(_feasibility, zbus, net.line(faulted_line_id), net, placement)
+
+
+def _kept(derive, zbus, line: LineRecord, net: Network, placement: Placement):
+    """``derive(zbus, line, net, placement)``, kept with the line's table on ``zbus`` if any."""
+    kept, key = {} if zbus is None else zbus.faulted_line(line)[3], (derive, id(net), placement)
+    entry = kept.get(key)
+    if entry is None:
+        entry = kept[key] = (derive(zbus, line, net, placement), net)  # net keeps its id taken
+    return entry[0]
 
 
 def _feasibility(zbus, line: LineRecord, net: Network, placement: Placement) -> tuple[bool, str]:
     sources = _sources(net, placement)
     if (line, "") in sources:
         return False, _OWN_CURRENT.format(line.id)
-
     # The rank test is the decisive physical condition for placements with a
     # current channel, so its verdict names the reason when both tests fail.
     if any(isinstance(s, tuple) for s in sources):
-        zbus = zbus if zbus is not None else build_zbus(net, 1)
-        if _dependent(*(_law(zbus, line, s) for s in sources)):
+        if _kept(_placement_laws, zbus or build_zbus(net, 1), line, net, placement)[2]:
             return False, _DEPENDENT
 
     index = net.bus_index  # raises CaseError on unknown measurement buses
@@ -433,19 +424,40 @@ def percent_error(actual_km: float, estimated_km: float, line_length_km: float) 
 # ---------------------------------------------------------------------------
 
 
-def _sources(net: Network, placement: Placement, method: Method | None = None) -> list[_Source]:
-    """What the placement's channels measure, current ids parsed by :meth:`Network.channel`
-    before any set is read, so a malformed id is not reported as one a set lacks.
-    Given a method, their kinds must be the ones it divides."""
-    kinds = tuple(kind for kind, _ in placement.channels)
-    if method is not None and kinds != _KINDS[method]:
+def _sources(net: Network, placement: Placement) -> list:
+    """What the placement's channels measure: a bus, or a line and terminal parsed by
+    :meth:`Network.channel` before any set is read, so that a malformed current id
+    is not reported as one a set lacks."""
+    return [net.channel(i) if kind == "branchI" else i for kind, i in placement.channels]
+
+
+def _channels(placement: Placement, method: Method):
+    """The placement's two channels, of the kinds ``method`` divides."""
+    channels = placement.channels
+    if (kinds := (channels[0][0], channels[1][0])) != _KINDS[method]:
         raise TypeError(
-            f"{method.value} needs channel kinds {_KINDS[method]}, the placement"
-            f" has {kinds}"
+            f"{method.value} needs channel kinds {_KINDS[method]}, the placement has {kinds}"
         )
-    return [
-        net.channel(ident) if kind == "branchI" else ident for kind, ident in placement.channels
-    ]
+    return channels
+
+
+def _placement_laws(zbus: SequenceZbus, line: Lines, net: Network, placement: Placement):
+    """``(numer_law, denom_law, never)`` under a fault on ``line``, ``never`` where
+    the laws cannot judge: they are dependent, or a channel reads the line's own
+    current, which no instrument reads (``ValueError`` for one such line)."""
+    sources = _sources(net, placement)
+    own = [s[0].id for s in sources if isinstance(s, tuple) and not s[1]]
+    if isinstance(line, LineRecord) and line.id in own:
+        raise ValueError(_OWN_CURRENT.format(line.id))
+    numer, denom = (
+        branch_coefficients(zbus, line, s) if isinstance(s, tuple)
+        else transfer_coefficients(zbus, line, s)
+        for s in sources
+    )
+    never = _dependent(numer, denom)
+    if not isinstance(line, LineRecord):
+        never |= np.isin(line[2], own)
+    return numer, denom, never
 
 
 def estimate_for_placement(
@@ -465,12 +477,8 @@ def estimate_for_placement(
     current.  The two laws are kept with the line's table on ``zbus``; each
     call reads the two changes and solves, and raises, as :func:`locate` does.
     """
-    line = net.line(faulted_line_id)
-    kept, key = zbus.faulted_line(line)[3], (id(net), placement, method)
-    entry = kept.get(key)
-    if entry is None:
-        entry = kept[key] = _placement_laws(zbus, line, net, placement, method)
-    _, laws, (numer, denom) = entry
+    line, (numer, denom) = net.line(faulted_line_id), _channels(placement, method)
+    laws = _kept(_placement_laws, zbus, line, net, placement)
     return _solve(method, laws, _change(ms, *numer), _change(ms, *denom), denom[1])
 
 
@@ -479,15 +487,6 @@ def _change(ms: PhasorMeasurementSet, kind: str, ident) -> complex:
     if kind == "busV":
         return ms.fault_bus_v[ident][1] - ms.prefault_bus_v[ident]
     return ms.fault_branch_i[ident][1] - ms.prefault_branch_i[ident]
-
-
-def _placement_laws(zbus, line: LineRecord, net: Network, placement: Placement, method: Method):
-    """``(net, (numer_law, denom_law, dependent), channels)``; ``net`` keeps its id."""
-    sources = _sources(net, placement, method)
-    if (line, "") in sources:
-        raise ValueError(_OWN_CURRENT.format(line.id))
-    numer, denom = (_law(zbus, line, s) for s in sources)
-    return net, (numer, denom, _dependent(numer, denom)), placement.channels
 
 
 def rank_line_hypotheses(
@@ -500,8 +499,9 @@ def rank_line_hypotheses(
     """Run the estimator against every line hypothesis, best first.
 
     Every hypothesis is solved in one pass: the two channel laws of all
-    lines come as laws of arrays and the ratio is solved as array
-    expressions, with the checks of :func:`locate`.
+    lines, kept per placement in :meth:`SequenceZbus.table`, are laws of
+    arrays and the ratio is solved as array expressions, with the checks of
+    :func:`locate`.
     Hypotheses that those checks reject are skipped: all of them when the
     denominator channel is degenerate, one line when its two laws are
     dependent or its ratio does not depend on m.  So is the line whose own
@@ -520,26 +520,30 @@ def rank_line_hypotheses(
             " to residual 0 on most wrong lines, so it ranks a wrong line first"
         )
     zbus = zbus if zbus is not None else build_zbus(net, 1)
-    numer_src, denom_src = _sources(net, placement, method)
-    changes = [_change(ms, *channel) for channel in placement.channels]
-    ends = _line_ends(net, zbus)
-    numer_law, denom_law = _law(zbus, ends, numer_src), _law(zbus, ends, denom_src)
+    channels = _channels(placement, method)
+    _, ids, numer, denom = zbus.table((id(net), placement), _rank_table, net, placement)
     try:
-        ratio = _ratio(*changes, placement.channels[1][1])
+        ratio = _ratio(*(_change(ms, *channel) for channel in channels), channels[1][1])
     except DegenerateChannelError:
         return _Ranking(method, (), ())
 
-    num, den, singular = _ratio_terms(numer_law, denom_law, ratio)
-    skip = singular | _dependent(numer_law, denom_law)
-    for src in (numer_src, denom_src):
-        if isinstance(src, tuple) and not src[1]:
-            skip |= ends[2] == src[0].id
-    keep = np.flatnonzero(~skip)
+    num, den, singular = _ratio_terms(numer, denom, ratio)
+    keep = np.flatnonzero(~singular)
     m_complex = num[keep] / den[keep]
     m = m_complex.real
     out = ~((-RANGE_SLACK <= m) & (m <= 1.0 + RANGE_SLACK))
     order = np.lexsort((np.abs(m_complex.imag), out))
-    return _Ranking(method, ends[2][keep[order]], m_complex[order])
+    return _Ranking(method, ids[keep[order]], m_complex[order])
+
+
+def _rank_table(zbus: SequenceZbus, net: Network, placement: Placement) -> tuple:
+    """``(net, ids, numer_law, denom_law)``: the ids of the lines whose two laws
+    can judge, in ``net.lines`` order, and those laws of arrays."""
+    p, q, ids = net.line_end_indices()
+    order = np.array([zbus.index(b) for b in net.buses], dtype=np.intp)
+    numer, denom, never = _placement_laws(zbus, (order[p], order[q], ids), net, placement)
+    live = np.flatnonzero(~never)
+    return net, ids[live], *(LinearLaw(law.b[live], law.c[live]) for law in (numer, denom))
 
 
 class _Ranking(Sequence):
@@ -564,14 +568,3 @@ class _Ranking(Sequence):
 
     def __repr__(self) -> str:
         return repr(list(self))
-
-
-def _line_ends(net: Network, zbus: SequenceZbus) -> Lines:
-    """Every line of ``net`` as the faulted line of a law of arrays: the Z
-    indices of its from- and to-bus, and its id, in ``net.lines`` order."""
-    p, q, ids = net.line_end_indices()
-    if zbus.bus_order != net.buses:
-        order = np.array([zbus.index(b) for b in net.buses], dtype=np.intp)
-        p, q = order[p], order[q]
-    return p, q, ids
-

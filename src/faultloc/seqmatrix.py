@@ -20,8 +20,8 @@ rebuilding the matrix:
 Z itself is never held whole.  It is symmetric, so a law of one faulted
 line reads Z's two columns at the line's ends
 (:meth:`SequenceZbus.faulted_line`) and the laws of every line read the
-tapped bus's column (:meth:`SequenceZbus.column`).  The pre-fault state is
-one block solve, :meth:`SequenceZbus.solve`.
+tapped bus's column (:meth:`SequenceZbus.column`), kept by callers in
+:meth:`SequenceZbus.table`.  The pre-fault state is one block solve.
 """
 from __future__ import annotations
 
@@ -50,6 +50,9 @@ CONDITION_LIMIT = 1e12
 #: The fewest buses in a block of :func:`build_zbus`'s inverse.
 MIN_BLOCK = 64
 
+#: The most tables :meth:`SequenceZbus.table` keeps, the oldest dropped first.
+TABLES = 8
+
 #: A law's faulted line: one :class:`LineRecord`, for a law of two ``complex``,
 #: or many lines, as the Z indices ``(p, q)`` of their ends and their ids,
 #: for a law of arrays.
@@ -70,11 +73,12 @@ class SequenceZbus:
 
     ``Z[j, k]`` is the voltage at bus ``bus_order[j]`` per unit current
     injected at bus ``bus_order[k]``, reference node implicit.  ``_blocks``
-    holds :func:`build_zbus`'s block starts, Z[i, i], Z[i, i+1], factors and
-    a column cache, shared by sequences with equal Y; ``_pos`` gives each
-    index's block position.  ``condition`` is Y's 1-norm condition number.
-    The last faulted line's table is a field that equality and ``repr``
-    ignore; each instance, a ``replace`` copy too, starts with its own.
+    holds :func:`build_zbus`'s block starts, Z[i, i], Z[i, i+1] and factors,
+    shared by sequences with equal Y; ``_pos`` gives each index's block
+    position.  ``condition`` is Y's 1-norm condition number.  The last
+    faulted line's table and the tables of :meth:`table` are fields that
+    equality and ``repr`` ignore; each instance, a ``replace`` copy too,
+    starts with its own.
     """
 
     sequence: int
@@ -84,6 +88,7 @@ class SequenceZbus:
     _blocks: tuple = field(repr=False, compare=False)
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
     _line: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", {b: i for i, b in enumerate(self.bus_order)})
@@ -95,26 +100,28 @@ class SequenceZbus:
             raise ValueError(f"bus {bus} is not in the sequence-{self.sequence} matrix") from None
 
     def column(self, bus: int) -> np.ndarray:
-        """Z's column of ``bus``: a cached :meth:`solve` of a unit injection."""
-        cache, t = self._blocks[-1], int(self._pos[self.index(bus)])
-        if t not in cache:
-            cache[t] = self._unit(t)
-        return cache[t][self._pos]
+        """Z's column of ``bus``: one block's stored column, else a unit injection's solve."""
+        t, diag = int(self._pos[self.index(bus)]), self._blocks[1]
+        if len(diag) == 1:
+            return diag[0][:, t][self._pos]
+        return self._substitute(np.eye(1, len(self._pos), t, dtype=complex)[0])[self._pos]
 
     def faulted_line(self, line: LineRecord) -> list:
         """``[line, zp, zq, kept]``: Z's columns at ``line``'s ends as lists in Z order
         and a dict for what callers derive, kept for the last line asked about only."""
         if not self._line or self._line[0] is not line:
-            ends = (self._unit(int(self._pos[self.index(b)])) for b in (line.from_bus, line.to_bus))
-            self._line[:] = [line, *(col[self._pos].tolist() for col in ends), {}]
+            ends = (line.from_bus, line.to_bus)
+            self._line[:] = [line, *(self.column(b).tolist() for b in ends), {}]
         return self._line
 
-    def _unit(self, t: int) -> np.ndarray:
-        """Z's column of block position ``t``, in block order (one block: stored)."""
-        diag = self._blocks[1]
-        if len(diag) == 1:
-            return diag[0][:, t]
-        return self._substitute(np.eye(1, len(self._pos), t, dtype=complex)[0])
+    def table(self, key, build, *args):
+        """``build(self, *args)``, kept while ``key`` is one of the last :data:`TABLES` built."""
+        tables = self._tables
+        if key not in tables:
+            tables[key] = build(self, *args)  # one that raises keeps nothing
+            if len(tables) > TABLES:
+                del tables[next(iter(tables))]
+        return tables[key]
 
     def solve(self, injections: np.ndarray) -> np.ndarray:
         """``Z @ injections``, by block substitution with the stored blocks."""
@@ -125,7 +132,7 @@ class SequenceZbus:
     def _substitute(self, r: np.ndarray) -> np.ndarray:
         """Z @ r in block order: block i is ``Z[i, i] s_i - right_i u_{i+1}``, with
         ``s_i = r_i - right_{i-1}^T s_{i-1}`` and ``u_i = Z[i, i] r_i - right_i u_{i+1}``."""
-        starts, diag, _, right, _ = self._blocks
+        starts, diag, _, right = self._blocks
         r = [r[a:b] for a, b in zip(starts, starts[1:] + [len(r)])]
         s = r[:1]
         for part, w in zip(r[1:], right):
@@ -256,7 +263,7 @@ def build_zbus(net: Network, sequence: int) -> SequenceZbus:
             f"sequence-{sequence} admittance matrix condition {cond:.3e}"
             f" exceeds {CONDITION_LIMIT:.0e}"
         )
-    blocks = ([a for a, _, _ in spans], diag[::-1], off[::-1], right, {})
+    blocks = ([a for a, _, _ in spans], diag[::-1], off[::-1], right)
     return SequenceZbus(sequence, net.buses, float(cond), pos, blocks)
 
 

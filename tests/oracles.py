@@ -47,6 +47,15 @@ def dense_z(zbus) -> np.ndarray:
     return np.column_stack([zbus.column(bus) for bus in zbus.bus_order])
 
 
+def kept(zbus) -> tuple[int, int]:
+    """What a matrix keeps beside its blocks: its faulted lines (at most one)
+    and its tables.  The blocks are the block starts, Z's stored blocks and
+    the factors, with no cached column among them."""
+    starts, diag, off, right = zbus._blocks
+    assert len(starts) == len(diag) == len(off) + 1 == len(right) + 1
+    return len(zbus._line[:1]), len(zbus._tables)
+
+
 _ALPHA = cmath.exp(2j * math.pi / 3.0)
 
 

@@ -26,7 +26,7 @@ from faultloc import (
 from faultloc import seqmatrix
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
-from oracles import DirectFaultSolve, dense_z, inverse_sequence_transform, sequence_transform
+from oracles import DirectFaultSolve, dense_z, inverse_sequence_transform, kept, sequence_transform
 from test_ranking import mesh_text
 
 
@@ -310,9 +310,8 @@ def test_all_tap_measurements_on_a_multi_block_mesh_match_the_direct_solve():
         for s in (0, 1, 2):
             assert abs(ms.fault_branch_i[channel][s] - ref[s]) < 1e-9, (channel, s)
     for seq in (0, 1, 2):
-        zbus = study.zbus(seq)
-        cached = len(zbus._blocks[-1]) + len(zbus._line[1:3])
-        assert cached <= 2, (seq, cached)
+        lines, tables = kept(study.zbus(seq))
+        assert lines <= 1 and tables == 0, seq
 
 
 def test_infinite_rf_reproduces_prefault(fourbus_study):
@@ -578,7 +577,7 @@ def test_study_shares_the_positive_sequence_matrix(request, name):
     study = FaultStudy(net)
     z2 = study.zbus(2)
     assert z2.sequence == 2
-    assert z2._blocks is study.zbus(1)._blocks  # factors and column cache
+    assert z2._blocks is study.zbus(1)._blocks  # stored blocks and factors
     assert dense_z(z2).tobytes() == dense_z(build_zbus(net, 2)).tobytes()
     column = z2.column(net.buses[0])
     column[0] = 0.0  # a copy: the shared matrix keeps its entry

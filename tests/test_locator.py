@@ -476,9 +476,10 @@ def test_memoised_verdicts_equal_unmemoised_checks(ieee14, ieee14_study):
 
 def test_placement_laws_hold_one_faulted_line(ieee14, ieee14_study, monkeypatch):
     """An estimate builds its placement's two laws once per (matrix, faulted
-    line, placement, method) and keeps them while that line is the last one
-    asked about; another line drops them, and a rebuild gives the same
-    estimates.  An estimate that raises keeps nothing."""
+    line, placement), for every method and the feasibility rank test alike,
+    and keeps them while that line is the last one asked about; another line
+    drops them, and a rebuild gives the same estimates.  A method of the
+    wrong channel kinds raises on every call and builds nothing."""
     from faultloc import locator
 
     built = []
@@ -492,12 +493,13 @@ def test_placement_laws_hold_one_faulted_line(ieee14, ieee14_study, monkeypatch)
     zbus = ieee14_study.zbus(1)
     placement = CurrentPlacement("2-3", "13-14")
 
-    def estimate(line_id, m, method=Method.SSCM):
+    def estimate(line_id, m, method=Method.SSCM, placement=placement):
         ms = ieee14_study.measurements(FaultScenario(line_id, m, FaultType.LG, 1.0))
         return estimate_for_placement(ieee14, zbus, line_id, placement, ms, method)
 
     first = [estimate("4-5", m) for m in (0.2, 0.5, 0.8)]
     assert built == ["4-5"]
+    assert feasibility_check(ieee14, "4-5", placement, zbus) == (True, "ok")
     estimate("9-14", 0.5)
     again = [estimate("4-5", m) for m in (0.2, 0.5, 0.8)]
     assert built == ["4-5", "9-14", "4-5"]
@@ -505,8 +507,12 @@ def test_placement_laws_hold_one_faulted_line(ieee14, ieee14_study, monkeypatch)
     for _ in range(2):
         with pytest.raises(TypeError, match="channel kinds"):
             estimate("4-5", 0.5, Method.SSVM)
-    assert built == ["4-5", "9-14", "4-5", "4-5", "4-5"]
-    assert estimate("4-5", 0.2) == first[0] and len(built) == 5
+    assert estimate("4-5", 0.2) == first[0] and len(built) == 3
+    hybrid = HybridPlacement("2-3", 14)
+    for method in (Method.HYBRID_DIRECT, Method.HYBRID_QUAD, Method.HYBRID_DIRECT):
+        assert abs(estimate("4-5", 0.5, method, hybrid).m - 0.5) < 1e-9
+    assert feasibility_check(ieee14, "4-5", hybrid, zbus) == (True, "ok")
+    assert built == ["4-5", "9-14", "4-5", "4-5"]
 
 
 def test_estimate_refuses_as_locate_does_on_every_call(fourbus, fourbus_study):

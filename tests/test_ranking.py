@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from faultloc import (
+    CaseError,
     CurrentPlacement,
     DegenerateChannelError,
     FaultScenario,
@@ -26,9 +27,13 @@ from faultloc import (
     Method,
     VoltagePlacement,
     estimate_for_placement,
+    build_zbus,
     parse_case,
     rank_line_hypotheses,
 )
+from faultloc.seqmatrix import TABLES
+
+from oracles import kept
 
 
 def mesh_text(n: int, seed: int) -> str:
@@ -311,3 +316,110 @@ def test_ranking_ties_keep_line_order(fourbus):
             first, second = ("T2b", "T2") if lines[0] is twin else ("T2", "T2b")
             ids = [line_id for line_id, _ in ranked]
             assert ids.index(first) + 1 == ids.index(second)
+
+
+# ---------------------------------------------------------------------------
+# Per-placement tables
+# ---------------------------------------------------------------------------
+
+
+def frozen(ms, placement):
+    """``ms`` with the placement's denominator channel showing no change."""
+    kind, ident = placement.channels[1]
+    if kind == "busV":
+        fault_v = dict(ms.fault_bus_v)
+        fault_v[ident] = (0j, ms.prefault_bus_v[ident], 0j)
+        return replace(ms, fault_bus_v=fault_v)
+    fault_i = dict(ms.fault_branch_i)
+    fault_i[ident] = (0j, ms.prefault_branch_i[ident], 0j)
+    return replace(ms, fault_branch_i=fault_i)
+
+
+def bits(ranked):
+    return [str(i) for i in ranked._ids], np.asarray(ranked._m_complex).tobytes()
+
+
+#: case -> (buses, branches, faulted lines); the 12x12 mesh has two blocks.
+TABLE_CASES = {
+    "ieee14": ((1, 14), ("2-3", "13-14"), ["4-5", "9-14", "6-12"]),
+    "mesh12": ((27, 118), ("h2_5", "v8_3"), ["h5_6", "v3_9", "h10_1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_warm_tables_rank_as_a_fresh_matrix(request, name):
+    """Each query, asked of a matrix that keeps its placements' tables, ranks
+    bit for bit as on a fresh matrix: live queries, a degenerate one, and a
+    live one right after it, under every ranking method."""
+    net = request.getfixturevalue(name) if name == "ieee14" else parse_case(mesh_text(12, 11))
+    buses, branches, faulted = TABLE_CASES[name]
+    study = FaultStudy(net)
+    warm = study.zbus(1)
+    assert name == "ieee14" or len(warm._blocks[0]) == 2
+    for line_id, m in zip(faulted, (0.3, 0.85, 0.02)):
+        ms = study.measurements(FaultScenario(line_id, m, FaultType.LG, 2.0))
+        for method in RANKING_METHODS:
+            placement = placement_for(method, buses, branches)
+            for query in (ms, frozen(ms, placement), ms):
+                got = rank_line_hypotheses(net, query, placement, method, warm)
+                want = rank_line_hypotheses(net, query, placement, method, build_zbus(net, 1))
+                assert bits(got) == bits(want), (line_id, method)
+                assert bool(got) is (query is ms)
+            assert got[0][0] == line_id
+    assert kept(warm) == (1, len(RANKING_METHODS))
+
+
+def test_failing_placements_raise_every_time_and_keep_no_table(fourbus, fourbus_study):
+    ms = fourbus_study.measurements(FaultScenario("T2", 0.5, FaultType.LG, 0.0))
+    shorted = replace(fourbus, lines=tuple(
+        replace(rec, z1_per_km=0j) if rec.id == "T1" else rec for rec in fourbus.lines
+    ))
+    zbus = build_zbus(fourbus, 1)
+    cases = [
+        (shorted, CurrentPlacement("T1", "T3"), Method.SSCM, ValueError, "zero impedance"),
+        (fourbus, CurrentPlacement("T9", "T3"), Method.SSCM, CaseError, "unknown line"),
+        (fourbus, HybridPlacement("T1", 9), Method.HYBRID_DIRECT, ValueError, "bus 9"),
+        (fourbus, VoltagePlacement(1, 2), Method.SSCM, TypeError, "channel kinds"),
+    ]
+    for net, placement, method, error, match in cases:
+        for _ in range(2):
+            with pytest.raises(error, match=match):
+                rank_line_hypotheses(net, ms, placement, method, zbus)
+            assert kept(zbus) == (0, 0)
+    assert rank_line_hypotheses(fourbus, ms, CurrentPlacement("T1", "T3"), Method.SSCM, zbus)
+    assert kept(zbus) == (0, 1)
+
+
+def test_networks_sharing_a_matrix_get_their_own_line_ids(ieee14, ieee14_study):
+    """Two networks with the same buses and lines in other orders, ranked on
+    one matrix: each ranking names its own network's lines, ties in that
+    network's order, and equals the ranking on a matrix of its own."""
+    flipped = replace(ieee14, lines=tuple(reversed(ieee14.lines)))
+    zbus = build_zbus(ieee14, 1)
+    ms = ieee14_study.measurements(FaultScenario("9-14", 0.85, FaultType.LL, 0.0))
+    for method in RANKING_METHODS:
+        placement = placement_for(method, (1, 14), ("2-3", "13-14"))
+        for _ in range(2):
+            ranked = [
+                rank_line_hypotheses(net, ms, placement, method, zbus) for net in (ieee14, flipped)
+            ]
+            assert dict(ranked[0]) == dict(ranked[1])
+            for net, got in zip((ieee14, flipped), ranked):
+                assert list(got) == in_line_order_then_by_key(net, got)
+                want = rank_line_hypotheses(net, ms, placement, method, build_zbus(ieee14, 1))
+                assert bits(got) == bits(want)
+    assert kept(zbus) == (0, 2 * len(RANKING_METHODS))
+
+
+def test_tables_are_bounded(ieee14, ieee14_study):
+    """Ranking more placements than :data:`TABLES` keeps the last ones only;
+    a dropped placement is built again to the same bits."""
+    zbus = build_zbus(ieee14, 1)
+    ms = ieee14_study.measurements(FaultScenario("4-5", 0.3, FaultType.LG, 5.0))
+    placements = [VoltagePlacement(1, bus) for bus in range(2, 3 + TABLES)]
+    first = [bits(rank_line_hypotheses(ieee14, ms, p, Method.SSVM, zbus)) for p in placements]
+    assert kept(zbus) == (0, TABLES)
+    assert (id(ieee14), placements[0]) not in zbus._tables
+    assert (id(ieee14), placements[-1]) in zbus._tables
+    again = [bits(rank_line_hypotheses(ieee14, ms, p, Method.SSVM, zbus)) for p in placements]
+    assert again == first and kept(zbus) == (0, TABLES)

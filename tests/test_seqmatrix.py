@@ -22,7 +22,7 @@ from faultloc import (
 from faultloc import seqmatrix
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
-from oracles import assemble_y, dense_z, invert_y, tap_network
+from oracles import assemble_y, dense_z, invert_y, kept, tap_network
 from test_ranking import mesh_text
 
 M_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -307,7 +307,7 @@ def _check_block_inverse(net: Network, seq: int) -> seqmatrix.SequenceZbus:
     assert np.max(np.abs(z - want)) <= tol
     assert np.max(np.abs(y @ z - np.eye(net.n))) <= 1e-9
     order = np.argsort(zb._pos)  # indices in block order
-    starts, diag, off, _, _ = zb._blocks
+    starts, diag, off, _ = zb._blocks
     assert len(off) == len(diag) - 1
     ends = starts[1:] + [net.n]
     for i, (a, b, d) in enumerate(zip(starts, ends, diag)):
@@ -469,23 +469,23 @@ def test_memoised_laws_equal_reference_laws_bit_for_bit(request, name):
 
 def test_memo_holds_one_faulted_line(ieee14):
     """A matrix keeps the table of one faulted line, Z's columns at its two
-    ends, outside the shared column cache: asking about another line
-    replaces it, and a line asked about again is rebuilt to the same bits."""
+    ends, and caches no column: asking about another line replaces it, and a
+    line asked about again is rebuilt to the same bits."""
     zb = build_zbus(ieee14, 1)
     first, second = ieee14.lines[:2]
     channels = [(rec, end) for rec in ieee14.lines for end in ("", "from", "to")]
-    kept = [branch_coefficients(zb, first, ch) for ch in channels]
-    kept += [transfer_coefficients(zb, first, bus) for bus in ieee14.buses]
+    first_laws = [branch_coefficients(zb, first, ch) for ch in channels]
+    first_laws += [transfer_coefficients(zb, first, bus) for bus in ieee14.buses]
     line, zp, zq, _ = zb.faulted_line(first)
     assert line is first and len(zp) == len(zq) == ieee14.n
-    assert zb._blocks[-1] == {}
+    assert kept(zb) == (1, 0)
     transfer_coefficients(zb, second, 14)
     assert zb.faulted_line(second)[0] is second
     again = [branch_coefficients(zb, first, ch) for ch in channels]
     again += [transfer_coefficients(zb, first, bus) for bus in ieee14.buses]
     assert zb.faulted_line(first)[1] is not zp and zb.faulted_line(first)[1] == zp
-    assert [_bits(law) for law in again] == [_bits(law) for law in kept]
-    assert zb._blocks[-1] == {}
+    assert [_bits(law) for law in again] == [_bits(law) for law in first_laws]
+    assert kept(zb) == (1, 0)
 
 
 def test_sequence_two_copy_keeps_its_own_laws(fourbus):
