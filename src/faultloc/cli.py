@@ -6,8 +6,8 @@ measurements to the selected estimators, and emits one report row per
 terminals of any line (``T2@from``); only a faulted line's own current is
 refused.  Inputs are checked before the first scenario runs, bar unknown
 lines, buses and channels and infeasible placements.  Scenarios run one
-faulted line at a time on one shared study, and each placement's verdict
-and laws are worked out once per line.  Only the channels the methods
+faulted line at a time on one shared study, whose matrix keeps each
+placement's laws and verdicts for every line.  Only the channels the methods
 read, plus the distorted ones, are simulated, each as with every channel
 tapped, so reports and errors do not depend on it.  Reports are
 deterministic: rows are sorted by (line, type, m, rf, method), identical

@@ -13,10 +13,10 @@ The methods differ only in which two channels feed that ratio:
   satisfied by the ratio magnitude instead of in the complex plane.
 
 :func:`locate` solves one ratio; placements name the two channels they
-measure, and the other estimators take those channels' laws, for one line
-or for all, from one builder and keep them per matrix.  Ranking solves and
-orders as arrays, builds an entry only when it is read, and refuses
-``hybrid-quad``.
+measure, and the other estimators read those channels' laws under a fault
+on each line from one table per (matrix, network, placement).  Ranking
+solves and orders as arrays, builds an entry only when it is read, and
+refuses ``hybrid-quad``.
 All estimators consume positive-sequence phasors only and need no
 fault-type or phase-selection information.
 """
@@ -25,16 +25,16 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import product
 
 import math
 
 import numpy as np
 
 from .faultsim import PhasorMeasurementSet
-from .netmodel import LineRecord, Network
+from .netmodel import Network
 from .seqmatrix import (
     LinearLaw,
-    Lines,
     SequenceZbus,
     branch_coefficients,
     build_zbus,
@@ -353,63 +353,54 @@ def feasibility_check(
     """Decide whether a placement can observe faults on the given line.
 
     Three conditions: no current channel is the faulted line's own current,
-    which no instrument reads; a simple path must join the two measurement
-    locations through the faulted line (a branch channel counts as sitting
-    at either of its endpoints); and for placements with a current channel
-    the two channels' coefficient laws must not be proportional (numerical
-    rank test).  Returns (feasible, reason), kept with the line's table on
-    ``zbus`` when given.
-
-    Such a path exists exactly when the faulted line's block lies between
-    two distinct locations in :meth:`Network.block_forest`, which is built
-    once per network: a check takes linear time.
+    which no instrument reads; for placements with a current channel the
+    two channels' coefficient laws must not be proportional (numerical rank
+    test); and a simple path must join the two measurement locations
+    through the faulted line (a branch channel counts as sitting at either
+    of its endpoints), which holds exactly when the line's block lies on a
+    path between them in :meth:`Network.block_forest`.  Returns (feasible,
+    reason), read from the placement's table on ``zbus``, which decides
+    every line at once on its first check.  Without ``zbus``, a placement
+    with a current channel builds a matrix of its own; one of two voltages
+    needs none.
     """
-    return _kept(_feasibility, zbus, net.line(faulted_line_id), net, placement)
+    k = net.line_index(faulted_line_id)
+    if zbus is None and all(kind == "busV" for kind, _ in placement.channels):
+        on_path = net.block_forest()[2][k] in _path_nodes(net, _sources(net, placement))
+        return _verdict(faulted_line_id, False, False, on_path)
+    return _laws(zbus or build_zbus(net, 1), net, placement).verdict(k)
 
 
-def _kept(derive, zbus, line: LineRecord, net: Network, placement: Placement):
-    """``derive(zbus, line, net, placement)``, kept with the line's table on ``zbus`` if any."""
-    kept, key = {} if zbus is None else zbus.faulted_line(line)[3], (derive, id(net), placement)
-    entry = kept.get(key)
-    if entry is None:
-        entry = kept[key] = (derive(zbus, line, net, placement), net)  # net keeps its id taken
-    return entry[0]
+def _verdict(line_id: str, own: bool, dependent: bool, on_path: bool) -> tuple[bool, str]:
+    if own:
+        return False, _OWN_CURRENT.format(line_id)
+    if dependent:  # the decisive physical condition, so it names the reason first
+        return False, _DEPENDENT
+    if not on_path:
+        return False, f"no simple path through line {line_id!r} joins the measurement locations"
+    return True, "ok"
 
 
-def _feasibility(zbus, line: LineRecord, net: Network, placement: Placement) -> tuple[bool, str]:
-    sources = _sources(net, placement)
-    if (line, "") in sources:
-        return False, _OWN_CURRENT.format(line.id)
-    # The rank test is the decisive physical condition for placements with a
-    # current channel, so its verdict names the reason when both tests fail.
-    if any(isinstance(s, tuple) for s in sources):
-        if _kept(_placement_laws, zbus or build_zbus(net, 1), line, net, placement)[2]:
-            return False, _DEPENDENT
-
-    index = net.bus_index  # raises CaseError on unknown measurement buses
+def _path_nodes(net: Network, sources: list) -> set[int]:
+    """The block-cut forest nodes on the paths between the two channels'
+    locations: each walks up from its deeper end until both ends meet, and
+    counts for nothing if they never do (they lie in different trees)."""
+    parent, depth, _ = net.block_forest()
+    index = net.bus_index
     starts, goals = (
         [index(s[0].from_bus), index(s[0].to_bus)] if isinstance(s, tuple) else [index(s)]
         for s in sources
     )
-    parent, depth, line_block = net.block_forest()
-    block = line_block[line.id]
-    if not any(_on_tree_path(parent, depth, block, a, b) for a in starts for b in goals):
-        return False, f"no simple path through line {line.id!r} joins the measurement locations"
-    return True, "ok"
-
-
-def _on_tree_path(parent: list[int], depth: list[int], node: int, a: int, b: int) -> bool:
-    """Whether block ``node`` lies on the path between buses ``a`` and ``b``
-    in the block-cut forest (never, when a == b): walk up from the deeper
-    end until both ends meet."""
-    crossed = False
-    while a != b:
-        a, b = (a, b) if depth[a] >= depth[b] else (b, a)
-        crossed = crossed or a == node
-        a = parent[a]
-        if a < 0:
-            return False  # a and b lie in different trees
-    return crossed or a == node
+    nodes: set[int] = set()
+    for a, b in product(starts, goals):
+        path = []
+        while a != b and a >= 0:
+            a, b = (a, b) if depth[a] >= depth[b] else (b, a)
+            path.append(a)
+            a = parent[a]
+        if a >= 0:
+            nodes.update(path, (a,))
+    return nodes
 
 
 def percent_error(actual_km: float, estimated_km: float, line_length_km: float) -> float:
@@ -427,8 +418,11 @@ def percent_error(actual_km: float, estimated_km: float, line_length_km: float) 
 def _sources(net: Network, placement: Placement) -> list:
     """What the placement's channels measure: a bus, or a line and terminal parsed by
     :meth:`Network.channel` before any set is read, so that a malformed current id
-    is not reported as one a set lacks."""
-    return [net.channel(i) if kind == "branchI" else i for kind, i in placement.channels]
+    is not reported as one a set lacks, nor an unknown bus as one a matrix lacks."""
+    return [
+        net.channel(i) if kind == "branchI" else net.buses[net.bus_index(i)]
+        for kind, i in placement.channels
+    ]
 
 
 def _channels(placement: Placement, method: Method):
@@ -441,23 +435,55 @@ def _channels(placement: Placement, method: Method):
     return channels
 
 
-def _placement_laws(zbus: SequenceZbus, line: Lines, net: Network, placement: Placement):
-    """``(numer_law, denom_law, never)`` under a fault on ``line``, ``never`` where
-    the laws cannot judge: they are dependent, or a channel reads the line's own
-    current, which no instrument reads (``ValueError`` for one such line)."""
-    sources = _sources(net, placement)
-    own = [s[0].id for s in sources if isinstance(s, tuple) and not s[1]]
-    if isinstance(line, LineRecord) and line.id in own:
-        raise ValueError(_OWN_CURRENT.format(line.id))
-    numer, denom = (
-        branch_coefficients(zbus, line, s) if isinstance(s, tuple)
-        else transfer_coefficients(zbus, line, s)
-        for s in sources
-    )
-    never = _dependent(numer, denom)
-    if not isinstance(line, LineRecord):
-        never |= np.isin(line[2], own)
-    return numer, denom, never
+def _laws(zbus: SequenceZbus, net: Network, placement: Placement) -> _PlacementLaws:
+    """The placement's table on ``zbus``, built on first use."""
+    return zbus.table((id(net), placement), _PlacementLaws, net, placement)
+
+
+class _PlacementLaws:
+    """A placement's two channel laws, as laws of arrays over ``net.lines``, with
+    masks of the lines where they cannot judge: ``own`` where a channel reads
+    the faulted line's own current, ``dependent`` where the laws are
+    proportional, and ``never`` where either holds.  One line's laws, and
+    every line's verdict, are built when first read."""
+
+    def __init__(self, zbus: SequenceZbus, net: Network, placement: Placement):
+        self.net, self.sources = net, _sources(net, placement)  # net keeps its id taken
+        p, q, ids = net.line_end_indices()
+        order = np.array([zbus.index(b) for b in net.buses], dtype=np.intp)
+        lines = (order[p], order[q], ids)
+        self.numer, self.denom = (
+            (branch_coefficients if isinstance(s, tuple) else transfer_coefficients)(zbus, lines, s)
+            for s in self.sources
+        )
+        own = [s[0].id for s in self.sources if isinstance(s, tuple) and not s[1]]
+        self.own = np.isin(ids, own)
+        self.dependent = _dependent(self.numer, self.denom)
+        self.never = self.own | self.dependent
+        self._rows, self._verdicts = [None] * len(ids), None
+
+    def laws(self, k: int) -> tuple[LinearLaw, LinearLaw, bool]:
+        """Line k's ``(numer_law, denom_law, dependent)`` in ``complex``; raises
+        ``ValueError`` when a channel reads line k's own current."""
+        row = self._rows[k]
+        if row is None:
+            if self.own[k]:
+                raise ValueError(_OWN_CURRENT.format(self.net.lines[k].id))
+            laws = [LinearLaw(complex(w.b[k]), complex(w.c[k])) for w in (self.numer, self.denom)]
+            row = self._rows[k] = (*laws, bool(self.dependent[k]))
+        return row
+
+    def verdict(self, k: int) -> tuple[bool, str]:
+        """Line k's :func:`feasibility_check` verdict."""
+        if self._verdicts is None:
+            nodes = _path_nodes(self.net, self.sources)
+            currents = any(isinstance(s, tuple) for s in self.sources)
+            masks = (self.own.tolist(), self.dependent.tolist(), self.net.block_forest()[2])
+            self._verdicts = [
+                _verdict(rec.id, own, currents and dependent, block in nodes)
+                for rec, own, dependent, block in zip(self.net.lines, *masks)
+            ]
+        return self._verdicts[k]
 
 
 def estimate_for_placement(
@@ -468,17 +494,17 @@ def estimate_for_placement(
     ms: PhasorMeasurementSet,
     method: Method,
 ) -> LocationEstimate:
-    """Read the placement's channels, derive their laws and :func:`locate`.
+    """Read the placement's channels and their laws, and :func:`locate`.
 
-    The faulted line here is a hypothesis: coefficients are derived for it,
-    and an out-of-range result indicates the hypothesis is wrong.  Raises
-    ``TypeError`` when the placement does not measure the channel kinds the
-    method divides, and ``ValueError`` when it reads the faulted line's own
-    current.  The two laws are kept with the line's table on ``zbus``; each
-    call reads the two changes and solves, and raises, as :func:`locate` does.
+    The faulted line here is a hypothesis; an out-of-range result indicates
+    it is wrong.  Raises ``TypeError`` when the placement does not measure
+    the channel kinds the method divides, and ``ValueError`` when it reads
+    the faulted line's own current.  The laws come from the placement's
+    table on ``zbus``; each call reads the two changes and solves, and
+    raises, as :func:`locate` does.
     """
-    line, (numer, denom) = net.line(faulted_line_id), _channels(placement, method)
-    laws = _kept(_placement_laws, zbus, line, net, placement)
+    k, (numer, denom) = net.line_index(faulted_line_id), _channels(placement, method)
+    laws = _laws(zbus, net, placement).laws(k)
     return _solve(method, laws, _change(ms, *numer), _change(ms, *denom), denom[1])
 
 
@@ -498,10 +524,8 @@ def rank_line_hypotheses(
 ) -> Sequence[tuple[str, LocationEstimate]]:
     """Run the estimator against every line hypothesis, best first.
 
-    Every hypothesis is solved in one pass: the two channel laws of all
-    lines, kept per placement in :meth:`SequenceZbus.table`, are laws of
-    arrays and the ratio is solved as array expressions, with the checks of
-    :func:`locate`.
+    Every hypothesis is solved in one pass, as array expressions over the
+    placement's table of laws, with the checks of :func:`locate`.
     Hypotheses that those checks reject are skipped: all of them when the
     denominator channel is degenerate, one line when its two laws are
     dependent or its ratio does not depend on m.  So is the line whose own
@@ -521,29 +545,19 @@ def rank_line_hypotheses(
         )
     zbus = zbus if zbus is not None else build_zbus(net, 1)
     channels = _channels(placement, method)
-    _, ids, numer, denom = zbus.table((id(net), placement), _rank_table, net, placement)
+    laws = _laws(zbus, net, placement)
     try:
         ratio = _ratio(*(_change(ms, *channel) for channel in channels), channels[1][1])
     except DegenerateChannelError:
         return _Ranking(method, (), ())
 
-    num, den, singular = _ratio_terms(numer, denom, ratio)
-    keep = np.flatnonzero(~singular)
+    num, den, singular = _ratio_terms(laws.numer, laws.denom, ratio)
+    keep = np.flatnonzero(~(singular | laws.never))
     m_complex = num[keep] / den[keep]
     m = m_complex.real
     out = ~((-RANGE_SLACK <= m) & (m <= 1.0 + RANGE_SLACK))
     order = np.lexsort((np.abs(m_complex.imag), out))
-    return _Ranking(method, ids[keep[order]], m_complex[order])
-
-
-def _rank_table(zbus: SequenceZbus, net: Network, placement: Placement) -> tuple:
-    """``(net, ids, numer_law, denom_law)``: the ids of the lines whose two laws
-    can judge, in ``net.lines`` order, and those laws of arrays."""
-    p, q, ids = net.line_end_indices()
-    order = np.array([zbus.index(b) for b in net.buses], dtype=np.intp)
-    numer, denom, never = _placement_laws(zbus, (order[p], order[q], ids), net, placement)
-    live = np.flatnonzero(~never)
-    return net, ids[live], *(LinearLaw(law.b[live], law.c[live]) for law in (numer, denom))
+    return _Ranking(method, net.line_end_indices()[2][keep[order]], m_complex[order])
 
 
 class _Ranking(Sequence):

@@ -14,7 +14,8 @@ Case file format (UTF-8, one record per line, ``#`` starts a comment):
     source <bus> <r1> <x1> [r0 x0 r2 x2] [emf_mag emf_deg]
 
 A ``bus`` record must come before any ``line`` or ``source`` record that names
-it.  Numbers are finite decimals with optional exponent; all impedances in pu.
+it.  Numbers are finite decimals with optional exponent; base values are positive
+and all impedances in pu.
 """
 from __future__ import annotations
 
@@ -109,11 +110,11 @@ class Network:
     base_kv: float = 230.0
     frequency_hz: float = 50.0
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
-    _lines_by_id: dict[str, LineRecord] = field(init=False, repr=False, compare=False)
+    _line_index: dict[str, int] = field(init=False, repr=False, compare=False)
     _line_ends: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         init=False, repr=False, compare=False, default=None
     )
-    _forest: tuple[list[int], list[int], dict[str, int]] | None = field(
+    _forest: tuple[list[int], list[int], list[int]] | None = field(
         init=False, repr=False, compare=False, default=None
     )
     #: ``seqmatrix._level_blocks``'s result and the block size it was cut for.
@@ -121,8 +122,8 @@ class Network:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", {label: i for i, label in enumerate(self.buses)})
-        # Reversed, so that the first of several lines sharing an id wins.
-        object.__setattr__(self, "_lines_by_id", {rec.id: rec for rec in reversed(self.lines)})
+        ids = {rec.id: k for k, rec in reversed(list(enumerate(self.lines)))}  # first id wins
+        object.__setattr__(self, "_line_index", ids)
 
     @property
     def n(self) -> int:
@@ -140,8 +141,12 @@ class Network:
             raise CaseError(f"unknown bus {label}") from None
 
     def line(self, line_id: str) -> LineRecord:
+        return self.lines[self.line_index(line_id)]
+
+    def line_index(self, line_id: str) -> int:
+        """The position in ``lines`` of the first line with id ``line_id``."""
         try:
-            return self._lines_by_id[line_id]
+            return self._line_index[line_id]
         except KeyError:
             raise CaseError(f"unknown line {line_id!r}") from None
 
@@ -157,8 +162,8 @@ class Network:
         name, sep, end = token.partition("@")
         if sep and end not in ("from", "to"):
             raise CaseError(f"bad terminal suffix in current channel {token!r}")
-        if name in self._lines_by_id:
-            return self._lines_by_id[name], end
+        if name in self._line_index:
+            return self.lines[self._line_index[name]], end
         try:
             a, b = (int(label) for label in name.split("-"))
         except ValueError:
@@ -194,14 +199,15 @@ class Network:
             )
         return hits[0]
 
-    def block_forest(self) -> tuple[list[int], list[int], dict[str, int]]:
+    def block_forest(self) -> tuple[list[int], list[int], list[int]]:
         """Block-cut forest ``(parent, depth, line_block)``, cached on first use.
 
         Nodes are the buses, by index, then the blocks (biconnected
         components; a bridge is a block of one line).  A bus's parent is the
         block of the DFS tree line that reached it, a block's the bus it hangs
-        from, a root's ``-1``.  ``line_block`` maps line ids to blocks, ``-1``
-        for a line joining a bus to itself.  An iterative Hopcroft-Tarjan pass.
+        from, a root's ``-1``.  ``line_block`` gives each line's block in
+        ``lines`` order, ``-1`` for a line joining a bus to itself.  An
+        iterative Hopcroft-Tarjan pass.
         """
         if self._forest is None:
             p, q = (ends.tolist() for ends in self.line_end_indices()[:2])
@@ -230,10 +236,9 @@ class Network:
                     depth.append(depth[u] + 1)
                 parent[v] = len(parent) - 1 if low[v] >= disc[u] else parent[u]
                 depth[v] = depth[parent[v]] + 1
-            line_block = {  # the block of the tree line into its deeper end
-                rec.id: parent[max(a, b, key=disc.__getitem__)] if a != b else -1
-                for rec, a, b in reversed(list(zip(self.lines, p, q)))  # first id wins
-            }
+            line_block = [  # the block of the tree line into its deeper end
+                parent[max(a, b, key=disc.__getitem__)] if a != b else -1 for a, b in zip(p, q)
+            ]
             object.__setattr__(self, "_forest", (parent, depth, line_block))
         return self._forest
 
@@ -262,8 +267,8 @@ def parse_case(text: str) -> Network:
 
     One pass over the records, linear in their number.  Raises
     :class:`CaseError` naming the offending source line on syntax errors,
-    unknown bus references, duplicate bus labels, non-positive line lengths
-    or an empty source list.
+    unknown bus references, duplicate bus labels, non-positive base values or
+    line lengths, or an empty source list.
     """
     base = (100.0, 230.0, 50.0)
     buses: dict[int, None] = {}  # in declaration order, with O(1) lookups
@@ -281,6 +286,9 @@ def parse_case(text: str) -> Network:
             if len(args) != 3:
                 raise CaseError(f"line {lineno}: base expects <mva> <kv> <hz>")
             base = tuple(_parse_float(a, lineno, "base value") for a in args)
+            bad = [a for a, value in zip(args, base) if value <= 0]  # the base is a divisor
+            if bad:
+                raise CaseError(f"line {lineno}: bad base value {bad[0]!r}")
 
         elif kind == "bus":
             if len(args) != 1:

@@ -17,11 +17,12 @@ rebuilding the matrix:
 * :class:`FaultPointCoefficients` ``a0 + a1*m + a2*m**2``: the
   driving-point impedance at the fault point, which sets the fault current.
 
-Z itself is never held whole.  It is symmetric, so a law of one faulted
-line reads Z's two columns at the line's ends
-(:meth:`SequenceZbus.faulted_line`) and the laws of every line read the
-tapped bus's column (:meth:`SequenceZbus.column`), kept by callers in
-:meth:`SequenceZbus.table`.  The pre-fault state is one block solve.
+Z itself is never held whole.  It is symmetric, so the simulator's laws of
+one faulted line read Z's two columns at the line's ends
+(:meth:`SequenceZbus.faulted_line`), and the locator's laws of every line
+read the tapped bus's column (:meth:`SequenceZbus.column`), kept per
+placement in :meth:`SequenceZbus.table`.  The pre-fault state is one block
+solve.
 """
 from __future__ import annotations
 
@@ -107,21 +108,22 @@ class SequenceZbus:
         return self._substitute(np.eye(1, len(self._pos), t, dtype=complex)[0])[self._pos]
 
     def faulted_line(self, line: LineRecord) -> list:
-        """``[line, zp, zq, kept]``: Z's columns at ``line``'s ends as lists in Z order
-        and a dict for what callers derive, kept for the last line asked about only."""
+        """``[line, zp, zq]``: Z's columns at ``line``'s ends as lists in Z order,
+        kept for the last line asked about only."""
         if not self._line or self._line[0] is not line:
             ends = (line.from_bus, line.to_bus)
-            self._line[:] = [line, *(self.column(b).tolist() for b in ends), {}]
+            self._line[:] = [line, *(self.column(b).tolist() for b in ends)]
         return self._line
 
     def table(self, key, build, *args):
         """``build(self, *args)``, kept while ``key`` is one of the last :data:`TABLES` built."""
         tables = self._tables
-        if key not in tables:
-            tables[key] = build(self, *args)  # one that raises keeps nothing
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = build(self, *args)  # one that raises keeps nothing
             if len(tables) > TABLES:
                 del tables[next(iter(tables))]
-        return tables[key]
+        return table
 
     def solve(self, injections: np.ndarray) -> np.ndarray:
         """``Z @ injections``, by block substitution with the stored blocks."""
@@ -299,7 +301,7 @@ def _level_blocks(net: Network) -> tuple[np.ndarray, tuple[tuple[int, int, int],
 def transfer_coefficients(zbus: SequenceZbus, line: Lines, bus: int) -> LinearLaw:
     """Transfer impedance law from ``bus`` to a fault anywhere on ``line``."""
     if isinstance(line, LineRecord):
-        _, zp, zq, _ = zbus.faulted_line(line)
+        _, zp, zq = zbus.faulted_line(line)
         k = zbus.index(bus)
         return LinearLaw(zp[k], zq[k] - zp[k])
     col = zbus.column(bus)
@@ -374,7 +376,7 @@ def fault_point_coefficients(zbus: SequenceZbus, line: LineRecord) -> FaultPoint
     impedance fixes the curvature.  It reads Z[p, p], Z[q, q] and Z[p, q]
     from Z's columns at the line's ends.
     """
-    _, zp, zq, _ = zbus.faulted_line(line)
+    _, zp, zq = zbus.faulted_line(line)
     p, q = zbus.index(line.from_bus), zbus.index(line.to_bus)
     zpp, zqq, zpq, zl = zp[p], zq[q], zq[p], line.z(zbus.sequence)
     return FaultPointCoefficients(zpp, 2.0 * (zpq - zpp) + zl, zpp + zqq - 2.0 * zpq - zl)

@@ -48,9 +48,10 @@ def dense_z(zbus) -> np.ndarray:
 
 
 def kept(zbus) -> tuple[int, int]:
-    """What a matrix keeps beside its blocks: its faulted lines (at most one)
-    and its tables.  The blocks are the block starts, Z's stored blocks and
-    the factors, with no cached column among them."""
+    """What a matrix keeps beside its blocks: the faulted lines whose columns
+    the simulator's laws read (at most one) and the locator's placement
+    tables.  The blocks are the block starts, Z's stored blocks and the
+    factors, with no cached column among them."""
     starts, diag, off, right = zbus._blocks
     assert len(starts) == len(diag) == len(off) + 1 == len(right) + 1
     return len(zbus._line[:1]), len(zbus._tables)

@@ -227,6 +227,22 @@ def test_non_finite_case_number_exits_one(tmp_path, capsys, old, new):
     assert "nan" in captured.err
 
 
+@pytest.mark.parametrize("base", ["base 0 230 50", "base 100 0 50", "base -100 230 50"])
+def test_non_positive_case_base_exits_one(tmp_path, capsys, base):
+    """A zero MVA or kV base would divide by zero in the ohm-to-pu conversion,
+    and a negative one would flip the fault resistance's sign."""
+    text = Path(CASE_PATH).read_text(encoding="utf-8")
+    lineno = text.splitlines().index("base 100 230 50") + 1
+    case = tmp_path / "bad.case"
+    case.write_text(text.replace("base 100 230 50", base), encoding="utf-8")
+    argv = ["--case", str(case), "--line", "T2", "--type", "LG", "--m", "0.56", "--rf-ohm", "1"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    bad = next(tok for tok in base.split()[1:] if float(tok) <= 0)
+    assert captured.out == ""
+    assert captured.err == f"faultloc: error: line {lineno}: bad base value {bad!r}\n"
+
+
 @pytest.mark.parametrize(
     "distort",
     [

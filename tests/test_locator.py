@@ -33,6 +33,7 @@ from faultloc import (
     transfer_coefficients,
     voltage_channel,
 )
+from faultloc import seqmatrix
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
 from oracles import all_simple_paths, path_crosses_line
@@ -442,12 +443,13 @@ def test_faulted_line_current_is_refused(fourbus, fourbus_study):
     assert feasibility_check(fourbus, "T2", CurrentPlacement("T2@from", "T1")) == (True, "ok")
 
 
-def test_memoised_verdicts_equal_unmemoised_checks(ieee14, ieee14_study):
-    """Every (line, placement) pair, asked twice of one matrix, against a
-    check that builds its own: feasible and infeasible verdicts alike, the
-    second read from the line's table.  A check that raises keeps nothing
-    in the table and raises again."""
-    zbus = ieee14_study.zbus(1)
+def test_table_verdicts_equal_checks_without_a_matrix(ieee14):
+    """Every (line, placement) verdict read from a placement's table, asked
+    twice of one matrix, against a check that builds no table on it:
+    feasible and infeasible verdicts alike, for every reason, the second
+    read the same entry.  A check that raises keeps nothing on the matrix
+    and raises again."""
+    zbus = build_zbus(ieee14, 1)
     placements = [
         VoltagePlacement(1, 14),
         VoltagePlacement(7, 8),
@@ -455,64 +457,79 @@ def test_memoised_verdicts_equal_unmemoised_checks(ieee14, ieee14_study):
         CurrentPlacement("2-3", "13-14"),
         CurrentPlacement("1-2", "1-5"),
         CurrentPlacement("4-5@from", "4-5@to"),
+        CurrentPlacement("7-8", "7-8"),
         HybridPlacement("7-8", 8),
         HybridPlacement("2-3@to", 14),
     ]
-    verdicts = set()
-    for rec in ieee14.lines:
-        for placement in placements:
+    reasons = set()
+    for placement in placements:
+        for rec in ieee14.lines:
             want = feasibility_check(ieee14, rec.id, placement)
             got = feasibility_check(ieee14, rec.id, placement, zbus)
             assert got == want, (rec.id, placement)
             assert feasibility_check(ieee14, rec.id, placement, zbus) is got
-            verdicts.add(got[0])
-        size = len(zbus.faulted_line(rec)[3])
-        for _ in range(2):
-            with pytest.raises(CaseError, match="unknown bus 99"):
-                feasibility_check(ieee14, rec.id, VoltagePlacement(1, 99), zbus)
-        assert len(zbus.faulted_line(rec)[3]) == size
-    assert verdicts == {True, False}
+            reasons.add(got[1].split()[0])
+    assert reasons == {"ok", "current", "channel", "no"}  # own current, dependent, no path
+    assert len(zbus._tables) == seqmatrix.TABLES < len(placements)
+    kept = list(zbus._tables)
+    for rec in ieee14.lines:
+        for placement in (VoltagePlacement(1, 99), HybridPlacement("2-3", 99)):
+            for _ in range(2):
+                with pytest.raises(CaseError, match="unknown bus 99"):
+                    feasibility_check(ieee14, rec.id, placement, zbus)
+    assert list(zbus._tables) == kept
 
 
-def test_placement_laws_hold_one_faulted_line(ieee14, ieee14_study, monkeypatch):
-    """An estimate builds its placement's two laws once per (matrix, faulted
-    line, placement), for every method and the feasibility rank test alike,
-    and keeps them while that line is the last one asked about; another line
-    drops them, and a rebuild gives the same estimates.  A method of the
-    wrong channel kinds raises on every call and builds nothing."""
+def test_placement_laws_are_built_once_per_matrix_network_and_placement(
+    ieee14, ieee14_study, monkeypatch
+):
+    """A placement's table of laws is built once per (matrix, network,
+    placement): estimates on every faulted line, both hybrid methods, the
+    feasibility rank test and ranking read it.  Another matrix or network
+    builds its own, to the same estimates.  A method of the wrong channel
+    kinds raises on every call and builds nothing."""
     from faultloc import locator
 
     built = []
-    build = locator._placement_laws
+    build = locator._PlacementLaws
 
-    def counted(zbus, line, *args):
-        built.append(line.id)
-        return build(zbus, line, *args)
+    def counted(zbus, net, placement):
+        built.append(placement)
+        return build(zbus, net, placement)
 
-    monkeypatch.setattr(locator, "_placement_laws", counted)
-    zbus = ieee14_study.zbus(1)
-    placement = CurrentPlacement("2-3", "13-14")
+    monkeypatch.setattr(locator, "_PlacementLaws", counted)
+    zbus = build_zbus(ieee14, 1)
+    placement, hybrid = CurrentPlacement("2-3", "13-14"), HybridPlacement("2-3", 14)
+    sets = {
+        (line_id, m): ieee14_study.measurements(FaultScenario(line_id, m, FaultType.LG, 1.0))
+        for line_id in ("4-5", "9-14") for m in (0.2, 0.5, 0.8)
+    }
 
-    def estimate(line_id, m, method=Method.SSCM, placement=placement):
-        ms = ieee14_study.measurements(FaultScenario(line_id, m, FaultType.LG, 1.0))
-        return estimate_for_placement(ieee14, zbus, line_id, placement, ms, method)
+    def estimates(method=Method.SSCM, placement=placement, zbus=zbus, net=ieee14):
+        return [
+            estimate_for_placement(net, zbus, line_id, placement, ms, method)
+            for (line_id, _), ms in sets.items()
+        ]
 
-    first = [estimate("4-5", m) for m in (0.2, 0.5, 0.8)]
-    assert built == ["4-5"]
+    first = estimates()
     assert feasibility_check(ieee14, "4-5", placement, zbus) == (True, "ok")
-    estimate("9-14", 0.5)
-    again = [estimate("4-5", m) for m in (0.2, 0.5, 0.8)]
-    assert built == ["4-5", "9-14", "4-5"]
-    assert again == first
+    ranked = rank_line_hypotheses(ieee14, sets["4-5", 0.5], placement, Method.SSCM, zbus)
+    assert ranked[0][0] == "4-5" and estimates() == first
+    assert built == [placement]
+    for method in (Method.HYBRID_DIRECT, Method.HYBRID_QUAD, Method.HYBRID_DIRECT):
+        got = estimates(method, hybrid)
+        assert all(abs(est.m - m) < 1e-9 for est, (_, m) in zip(got, sets)), method
+    assert feasibility_check(ieee14, "9-14", hybrid, zbus) == (True, "ok")
+    assert rank_line_hypotheses(ieee14, sets["9-14", 0.8], hybrid, Method.HYBRID_DIRECT, zbus)
+    assert built == [placement, hybrid]
     for _ in range(2):
         with pytest.raises(TypeError, match="channel kinds"):
-            estimate("4-5", 0.5, Method.SSVM)
-    assert estimate("4-5", 0.2) == first[0] and len(built) == 3
-    hybrid = HybridPlacement("2-3", 14)
-    for method in (Method.HYBRID_DIRECT, Method.HYBRID_QUAD, Method.HYBRID_DIRECT):
-        assert abs(estimate("4-5", 0.5, method, hybrid).m - 0.5) < 1e-9
-    assert feasibility_check(ieee14, "4-5", hybrid, zbus) == (True, "ok")
-    assert built == ["4-5", "9-14", "4-5", "4-5"]
+            estimates(Method.SSVM)
+    assert built == [placement, hybrid]
+    flipped = replace(ieee14, lines=tuple(reversed(ieee14.lines)))
+    assert estimates(zbus=build_zbus(ieee14, 1)) == first
+    assert estimates(net=flipped) == first and estimates(net=flipped) == first
+    assert built == [placement, hybrid, placement, placement]
 
 
 def test_estimate_refuses_as_locate_does_on_every_call(fourbus, fourbus_study):

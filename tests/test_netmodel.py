@@ -202,6 +202,10 @@ def test_current_channel_ids(fourbus, ieee14, parallel_pair):
     [
         "base nan 230 50",
         "base 100 inf 50",
+        "base 0 230 50",
+        "base 100 0 50",
+        "base -100 230 50",
+        "base 100 230 -0",
         "line L 1 2 nan 0.01 0.1 0.03 0.3",
         "line L 1 2 10 0.01 -inf 0.03 0.3",
         "source 1 0.0006 0.037343 nan 0",

@@ -24,6 +24,7 @@ from faultloc import (
     FaultType,
     HybridPlacement,
     LinearDependenceError,
+    MeasurementTaps,
     Method,
     VoltagePlacement,
     estimate_for_placement,
@@ -367,6 +368,54 @@ def test_warm_tables_rank_as_a_fresh_matrix(request, name):
                 assert bool(got) is (query is ms)
             assert got[0][0] == line_id
     assert kept(warm) == (1, len(RANKING_METHODS))
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_estimates_read_the_tables_ranking_warmed(request, name):
+    """Estimates on a matrix whose placement tables ranking built are bit-identical
+    to those on a cold matrix, build no table of their own, and agree with
+    ranking's entry for the true line up to numpy's complex division, which
+    rounds differently from CPython's.  A dependent placement and a channel on
+    the faulted line's own current raise what they raised before the
+    tables were shared, on both matrices."""
+    net = request.getfixturevalue(name) if name == "ieee14" else parse_case(mesh_text(12, 11))
+    buses, branches, faulted = TABLE_CASES[name]
+    study = FaultStudy(net)
+    warm = study.zbus(1)
+    assert name == "ieee14" or len(warm._blocks[0]) == 2
+    own = f"current channel {faulted[0]!r} measures faulted line {faulted[0]!r}"
+    refused = [
+        (CurrentPlacement(faulted[0], branches[0]), Method.SSCM, ValueError, own),
+        (HybridPlacement(faulted[0], buses[0]), Method.HYBRID_DIRECT, ValueError, own),
+        (VoltagePlacement(buses[0], buses[0]), Method.SSVM, LinearDependenceError,
+         "channel fault responses are linearly dependent"),
+        (CurrentPlacement(branches[1], branches[1]), Method.SSCM, LinearDependenceError,
+         "channel fault responses are linearly dependent"),
+    ]
+    for line_id, m in zip(faulted, (0.3, 0.85, 0.02)):
+        ms = study.measurements(FaultScenario(line_id, m, FaultType.LG, 2.0))
+        for method in RANKING_METHODS:
+            placement = placement_for(method, buses, branches)
+            entry = dict(rank_line_hypotheses(net, ms, placement, method, warm))[line_id]
+            got = estimate_for_placement(net, warm, line_id, placement, ms, method)
+            cold = estimate_for_placement(net, build_zbus(net, 1), line_id, placement, ms, method)
+            assert (got.m.hex(), got.residual.hex()) == (cold.m.hex(), cold.residual.hex())
+            assert abs(got.m - entry.m) <= 1e-12 and abs(got.residual - entry.residual) <= 1e-12
+            assert abs(got.m - m) <= 1e-6, (line_id, method)
+        assert kept(warm) == (1, len(RANKING_METHODS))
+    # The set holds a reading under the faulted line's own id, so no lookup refuses it.
+    ms = study.measurements(FaultScenario(faulted[0], 0.4, FaultType.LG, 2.0), MeasurementTaps())
+    terminal = f"{faulted[0]}@from"
+    ms = replace(
+        ms,
+        prefault_branch_i={**ms.prefault_branch_i, faulted[0]: ms.prefault_branch_i[terminal]},
+        fault_branch_i={**ms.fault_branch_i, faulted[0]: ms.fault_branch_i[terminal]},
+    )
+    for placement, method, error, message in refused:
+        for zbus in (warm, warm, build_zbus(net, 1)):
+            with pytest.raises(error) as raised:
+                estimate_for_placement(net, zbus, faulted[0], placement, ms, method)
+            assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_failing_placements_raise_every_time_and_keep_no_table(fourbus, fourbus_study):

@@ -476,7 +476,7 @@ def test_memo_holds_one_faulted_line(ieee14):
     channels = [(rec, end) for rec in ieee14.lines for end in ("", "from", "to")]
     first_laws = [branch_coefficients(zb, first, ch) for ch in channels]
     first_laws += [transfer_coefficients(zb, first, bus) for bus in ieee14.buses]
-    line, zp, zq, _ = zb.faulted_line(first)
+    line, zp, zq = zb.faulted_line(first)
     assert line is first and len(zp) == len(zq) == ieee14.n
     assert kept(zb) == (1, 0)
     transfer_coefficients(zb, second, 14)
