@@ -282,10 +282,7 @@ def aggregates_by_method(rows: list[ReportRow]) -> dict[str, dict[str, float]]:
     out: dict[str, dict[str, float]] = {}
     for method in sorted({r.method for r in rows}):
         errs = [r.pct_error for r in rows if r.method == method]
-        out[method] = {
-            "max_pct_error": max(errs),
-            "mean_pct_error": sum(errs) / len(errs),
-        }
+        out[method] = {"max_pct_error": max(errs), "mean_pct_error": sum(errs) / len(errs)}
     return out
 
 
@@ -407,10 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CaseError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"faultloc: error: {exc}", file=sys.stderr)
         return 1
-    print(
-        f"faultloc: {len(rows)} rows in {time.perf_counter() - started:.3f}s",
-        file=sys.stderr,
-    )
+    print(f"faultloc: {len(rows)} rows in {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return 0
 
 

@@ -127,11 +127,7 @@ def prefault_solve(
         j[zbus.index(src.bus)] += src.emf / src.z(1)
     e = zbus.solve(j).tolist()
     bus_v = {b: e[zbus.index(b)] for b in net.buses}
-    branch_i = {
-        rec.id: (bus_v[rec.from_bus] - bus_v[rec.to_bus]) / rec.z1
-        for rec in net.lines
-    }
-    return bus_v, branch_i
+    return bus_v, {rec.id: (bus_v[rec.from_bus] - bus_v[rec.to_bus]) / rec.z1 for rec in net.lines}
 
 
 def fault_sequence_currents(
@@ -163,17 +159,14 @@ def fault_sequence_currents(
     rf = complex(rf_pu)
 
     if fault_type is FaultType.LLL:
-        loop = z1 + rf
-        return (zero, e_prefault_r / loop, zero)
+        return (zero, e_prefault_r / (z1 + rf), zero)
 
     if fault_type is FaultType.LG:
-        loop = z0 + z1 + z2 + 3.0 * rf
-        i = e_prefault_r / loop
+        i = e_prefault_r / (z0 + z1 + z2 + 3.0 * rf)
         return (i, i, i)
 
     if fault_type is FaultType.LL:
-        loop = z1 + z2 + rf
-        i1 = e_prefault_r / loop
+        i1 = e_prefault_r / (z1 + z2 + rf)
         return (zero, i1, -i1)
 
     # LLG
@@ -306,11 +299,8 @@ def apply_distortion(
     Channels not named by any distortion are carried over bit-identical.
     Raises ``KeyError`` for unknown channels.
     """
-    pre_v = dict(ms.prefault_bus_v)
-    fault_v = dict(ms.fault_bus_v)
-    pre_i = dict(ms.prefault_branch_i)
-    fault_i = dict(ms.fault_branch_i)
-
+    pre_v, fault_v = dict(ms.prefault_bus_v), dict(ms.fault_bus_v)
+    pre_i, fault_i = dict(ms.prefault_branch_i), dict(ms.fault_branch_i)
     for d in spec:
         if d.kind == "busV":
             pre, fault, key, name = pre_v, fault_v, int(d.channel), "voltage"
@@ -376,12 +366,9 @@ def measurements_from_csv(text: str) -> PhasorMeasurementSet:
         if len(fields) != 6:
             raise ValueError(f"measurement CSV row {ln!r}: expected 6 fields, got {len(fields)}")
         kind, ident, stage, seq_s, re_s, im_s = fields
-        if kind == "busV":
-            pre, fault = pre_v, fault_v
-        elif kind == "branchI":
-            pre, fault = pre_i, fault_i
-        else:
+        if kind not in ("busV", "branchI"):
             raise ValueError(f"measurement CSV row {ln!r}: unknown channel kind {kind!r}")
+        pre, fault = (pre_v, fault_v) if kind == "busV" else (pre_i, fault_i)
         if stage not in ("pre", "fault"):
             raise ValueError(f"measurement CSV row {ln!r}: stage must be pre or fault")
         try:

@@ -175,13 +175,9 @@ def locate(
     method = Method(method)
     kinds = (numer.kind, denom.kind)
     if kinds != _KINDS[method]:
-        raise ValueError(
-            f"{method.value} expects channel kinds {_KINDS[method]}, got {kinds}"
-        )
+        raise ValueError(f"{method.value} expects channel kinds {_KINDS[method]}, got {kinds}")
     if numer.token and denom.token and numer.token != denom.token:
-        raise ValueError(
-            f"channels are not synchronized: tokens {numer.token!r} != {denom.token!r}"
-        )
+        raise ValueError(f"channels are not synchronized: tokens {numer.token!r} != {denom.token!r}")
     laws = (numer_law, denom_law, _dependent(numer_law, denom_law))
     return _solve(method, laws, numer.delta, denom.delta, denom.ident)
 
@@ -269,8 +265,7 @@ def _quadratic_solve(
     roots, off_axis = _real_roots(c2, c1, c0)
     in_range = [r for r in roots if -RANGE_SLACK <= r <= 1.0 + RANGE_SLACK]
 
-    ambiguous = False
-    notes = ""
+    ambiguous, notes = False, ""
     if len(in_range) == 1:
         m = in_range[0]
     elif len(in_range) == 2:

@@ -111,13 +111,9 @@ class Network:
     frequency_hz: float = 50.0
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
     _line_index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _line_ends: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    _forest: tuple[list[int], list[int], list[int]] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    #: ``seqmatrix._level_blocks``'s result and the block size it was cut for.
+    #: Caches of line_end_indices, block_forest and seqmatrix._level_blocks (by block size).
+    _line_ends: tuple | None = field(init=False, repr=False, compare=False, default=None)
+    _forest: tuple | None = field(init=False, repr=False, compare=False, default=None)
     _levels: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
@@ -187,9 +183,7 @@ class Network:
 
     def line_between(self, a: int, b: int) -> LineRecord:
         """The unique line joining buses a and b, in either orientation."""
-        hits = [
-            rec for rec in self.lines if {rec.from_bus, rec.to_bus} == {a, b}
-        ]
+        hits = [rec for rec in self.lines if {rec.from_bus, rec.to_bus} == {a, b}]
         if not hits:
             raise CaseError(f"no line between buses {a} and {b}")
         if len(hits) > 1:
@@ -257,9 +251,7 @@ def _parse_label(token: str, lineno: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise CaseError(
-            f"line {lineno}: bus label must be an integer, got {token!r}"
-        ) from None
+        raise CaseError(f"line {lineno}: bus label must be an integer, got {token!r}") from None
 
 
 def parse_case(text: str) -> Network:
@@ -268,7 +260,7 @@ def parse_case(text: str) -> Network:
     One pass over the records, linear in their number.  Raises
     :class:`CaseError` naming the offending source line on syntax errors,
     unknown bus references, duplicate bus labels, non-positive base values or
-    line lengths, or an empty source list.
+    line lengths, zero line or source impedances, or an empty source list.
     """
     base = (100.0, 230.0, 50.0)
     buses: dict[int, None] = {}  # in declaration order, with O(1) lookups
@@ -321,6 +313,8 @@ def parse_case(text: str) -> Network:
             rec = LineRecord(lid, from_bus, to_bus, length, z1_per_km=z1, z0_per_km=z0)
             if rec.z1_per_km.real < 0 or rec.z0_per_km.real < 0:
                 raise CaseError(f"line {lineno}: negative resistance on {lid!r}")
+            if 0 in (z1, z0):  # an infinite admittance
+                raise CaseError(f"line {lineno}: line {lid!r} has zero sequence-{int(z1 == 0)} impedance")
             lines[lid] = rec
 
         elif kind == "source":
@@ -334,9 +328,9 @@ def parse_case(text: str) -> Network:
                 raise CaseError(f"line {lineno}: unknown bus {bus}")
             nums = [_parse_float(a, lineno, "source value") for a in args[1:]]
             z1 = complex(nums[0], nums[1])
-            if abs(z1) == 0.0:
-                raise CaseError(f"line {lineno}: source at bus {bus} has zero impedance")
             z0, z2 = (complex(*nums[2:4]), complex(*nums[4:6])) if len(nums) >= 6 else (None, None)
+            if 0 in (z1, z0, z2):  # None when z0 and z2 default to z1
+                raise CaseError(f"line {lineno}: source at bus {bus} has zero impedance")
             emf = cmath.rect(nums[-2], math.radians(nums[-1])) if len(nums) in (4, 8) else 1.0 + 0.0j
             sources.append(SourceRecord(bus=bus, z1=z1, z2=z2, z0=z0, emf=emf))
 

@@ -17,16 +17,17 @@ rebuilding the matrix:
 * :class:`FaultPointCoefficients` ``a0 + a1*m + a2*m**2``: the
   driving-point impedance at the fault point, which sets the fault current.
 
-Z itself is never held whole.  It is symmetric, so the simulator's laws of
-one faulted line read Z's two columns at the line's ends
-(:meth:`SequenceZbus.faulted_line`), and the locator's laws of every line
-read the tapped bus's column (:meth:`SequenceZbus.column`), kept per
-placement in :meth:`SequenceZbus.table`.  The pre-fault state is one block
-solve.
+Z is never held whole, only its factors and its diagonal and next blocks, from
+which a bound on its 1-norm certifies Y's condition.  Z is symmetric, so the
+simulator's laws of one faulted line read Z's two columns at the line's ends
+(:meth:`SequenceZbus.faulted_line`), and the locator's laws of every line the
+tapped bus's column (:meth:`SequenceZbus.column`), kept per placement in
+:meth:`SequenceZbus.table`.  The pre-fault state is one block solve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -76,23 +77,37 @@ class SequenceZbus:
     injected at bus ``bus_order[k]``, reference node implicit.  ``_blocks``
     holds :func:`build_zbus`'s block starts, Z[i, i], Z[i, i+1] and factors,
     shared by sequences with equal Y; ``_pos`` gives each index's block
-    position.  ``condition`` is Y's 1-norm condition number.  The last
-    faulted line's table and the tables of :meth:`table` are fields that
-    equality and ``repr`` ignore; each instance, a ``replace`` copy too,
-    starts with its own.
+    position; ``_y_norm`` is ||Y||_1.  The last faulted line's table and the
+    tables of :meth:`table` are fields that equality and ``repr`` ignore;
+    each instance, a ``replace`` copy too, starts with its own.
     """
 
     sequence: int
     bus_order: tuple[int, ...]
-    condition: float
     _pos: np.ndarray = field(repr=False, compare=False)
     _blocks: tuple = field(repr=False, compare=False)
+    _y_norm: float = field(repr=False, compare=False)
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
     _line: list = field(default_factory=list, init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", {b: i for i, b in enumerate(self.bus_order)})
+
+    @cached_property
+    def condition(self) -> float:
+        """Y's exact 1-norm condition number ``||Y||_1 * ||Z||_1``, on first read:
+        Z's row blocks ``Z[i, i:] = [Z[i, i], -right_i Z[i+1, i+1:]]``, bottom up, add
+        their |entries| to their rows' sums and, Z being symmetric, the rows' below."""
+        starts, diag, _, right = self._blocks
+        z_sum = np.zeros(len(self._pos))
+        for i in reversed(range(len(diag))):
+            a, b = starts[i], starts[i] + len(diag[i])
+            row = diag[i] if i == len(right) else np.hstack((diag[i], -(right[i] @ row)))
+            mag = np.abs(row)
+            z_sum[a:b] += mag[:, b - a :].sum(axis=1) + mag[:, : b - a].sum(axis=0)
+            z_sum[b:] += mag[:, b - a :].sum(axis=0)
+        return self._y_norm * float(z_sum.max())
 
     def index(self, bus: int) -> int:
         try:
@@ -180,57 +195,45 @@ class FaultPointCoefficients:
 
 def build_ybus(net: Network, sequence: int) -> np.ndarray:
     """Assemble the dense nodal admittance matrix for one sequence network."""
-    return _block_rows(net, sequence, np.arange(net.n), [(0, net.n, net.n)])[0]
+    _, spans, pos, gather = _level_blocks(net)
+    y = np.zeros((net.n, net.n), dtype=complex)
+    for (a, b, c), rows in zip(spans, _block_rows(net, sequence, spans, *gather)):
+        y[a:b, a:c], y[b:c, a:b] = rows, rows[:, b - a :].T
+    return y[np.ix_(pos, pos)]
 
 
-def _block_rows(net: Network, sequence: int, pos: np.ndarray, spans) -> list[np.ndarray]:
-    """Y's block rows ``[Y[i, i] Y[i, i+1]]``, the buses at block positions
-    ``pos`` and the blocks ``spans`` as :func:`_level_blocks` gives them."""
+def _block_rows(net: Network, sequence: int, spans, index, keep, start) -> list[np.ndarray]:
+    """Y's block rows ``[Y[i, i] Y[i, i+1]]``, as :func:`_level_blocks` gathers them."""
     if sequence not in (0, 1, 2):
         raise ValueError(f"sequence must be 0, 1 or 2, got {sequence}")
-    p, q, _ = net.line_end_indices()
     ys = np.array([1.0 / rec.z(sequence) for rec in net.lines], dtype=complex)
-    src, zs = [net.bus_index(s.bus) for s in net.sources], [1.0 / s.z(sequence) for s in net.sources]
-    # Line by line +ys at (p, p), (q, q), -ys at (p, q), (q, p), then sources: a loop's rounding.
-    rows = pos[np.concatenate((np.array([p, q, p, q]).T.ravel(), src))]
-    cols = pos[np.concatenate((np.array([p, q, q, p]).T.ravel(), src))]
+    zs = [1.0 / s.z(sequence) for s in net.sources]
     vals = np.concatenate((np.array([ys, ys, -ys, -ys]).T.ravel(), zs))
-    if len(spans) == 1:  # the one block row is all of Y
-        y = np.zeros(len(pos) ** 2, dtype=complex)
-        np.add.at(y, rows * len(pos) + cols, vals)
-        return [y.reshape(len(pos), len(pos))]
-    a, b, c = np.array(spans, dtype=np.intp).T
-    start = np.concatenate(([0], np.cumsum((b - a) * (c - a))))
-    i = np.searchsorted(b, rows, side="right")  # each entry's block row
-    keep = cols >= a[i]  # Y[i, i-1] is Y[i-1, i] transposed
     y = np.zeros(start[-1], dtype=complex)
-    np.add.at(y, (start[i] + (rows - a[i]) * (c - a)[i] + cols - a[i])[keep], vals[keep])
-    return [y[o : o + (e - d) * (f - d)].reshape(e - d, f - d) for o, d, e, f in zip(start, a, b, c)]
+    np.add.at(y, index, vals[keep])
+    return [y[o : o + (e - d) * (f - d)].reshape(e - d, f - d) for o, (d, e, f) in zip(start, spans)]
 
 
 def build_zbus(net: Network, sequence: int) -> SequenceZbus:
     """Invert the sequence admittance matrix into a bus impedance matrix.
 
-    Y is block tridiagonal over :func:`_level_blocks`; only its block rows
-    are gathered.  A forward pass inverts each Schur complement S_i; a
-    backward pass streams Z two row blocks at a time, ``Z[i, i+1:] =
-    -right_i Z[i+1, i+1:]`` with ``right_i = S_i^-1 Y[i, i+1]`` and ``Z[i, i]
-    = S_i^-1 - right_i Z[i+1, i]`` symmetrised, keeping Z[i, i] and Z[i, i+1]
+    Y is block tridiagonal over :func:`_level_blocks`.  A forward pass inverts
+    each Schur complement S_i; a backward pass builds, in O(n b^2), only the
+    blocks kept: ``Z[i, i+1] = -right_i Z[i+1, i+1]`` with ``right_i = S_i^-1
+    Y[i, i+1]`` and ``Z[i, i] = S_i^-1 - right_i Z[i+1, i]`` symmetrised
     (Takahashi, Fagan and Chin 1973).  No pivoting: Re Y is positive definite
     with positive resistances (Higham 1998).  Below ``2 * MIN_BLOCK`` buses
-    one block, found without a BFS, is all of Z: ``np.linalg.inv(y)``
-    symmetrised.  Raises :class:`UngroundedNetworkError` when Y is singular
-    and :class:`IllConditionedNetworkError` when ``||Y||_1 * ||Z||_1``, both
-    largest row sums of symmetric matrices, exceeds :data:`CONDITION_LIMIT`.
+    one block is all of Z: ``np.linalg.inv(y)`` symmetrised.  Raises
+    :class:`UngroundedNetworkError` when Y is singular and
+    :class:`IllConditionedNetworkError` when ``condition``, exact but only
+    read here when :func:`_z_norm_bound` is too big, exceeds :data:`CONDITION_LIMIT`.
     """
     if not net.sources:
         raise UngroundedNetworkError("network has no sources")
-    n = net.n
-    order, spans = _level_blocks(net) if n >= 2 * MIN_BLOCK else (np.arange(n), [(0, n, n)])
-    pos = np.argsort(order)
-    inv, right, y_sum, z_sum = [], [], np.zeros(n), np.zeros(n)
+    _, spans, pos, gather = _level_blocks(net)
+    inv, right, y_sum = [], [], np.zeros(net.n)
     try:
-        for i, ((a, b, c), rows) in enumerate(zip(spans, _block_rows(net, sequence, pos, spans))):
+        for i, ((a, b, c), rows) in enumerate(zip(spans, _block_rows(net, sequence, spans, *gather))):
             s, link = rows[:, : b - a], rows[:, b - a :]
             y_sum[a:b] += np.abs(s).sum(axis=0)
             inv.append(np.linalg.inv(s - prev.T @ right[-1] if i else s))
@@ -242,59 +245,86 @@ def build_zbus(net: Network, sequence: int) -> SequenceZbus:
             prev = link
     except np.linalg.LinAlgError as exc:
         raise UngroundedNetworkError(f"sequence-{sequence} network is singular: {exc}") from None
-    del rows, s, link, prev  # the streamed Z takes their place
+    del rows, s, link, prev  # views of Y's block rows: free them for Z's
     diag, off = [], []
     for i in reversed(range(len(spans))):
-        (a, b, c), g = spans[i], inv.pop()
-        full = np.empty((b - a, n - a), dtype=complex) if a else None  # Z[i, i:], read next
-        if diag:  # Z[i, i+1:] from ``below``, Z[i+1, i+1:]
-            row = np.matmul(right[i], below, out=None if full is None else full[:, b - a :])
-            np.negative(row, out=row)
-            off.append(row[:, : c - b].copy())
+        g = inv.pop()
+        if diag:  # Z[i, i+1], and Z[i+1, i] as its transpose
+            off.append(-(right[i] @ diag[-1]))
             g = g - right[i] @ off[-1].T
-            mag = np.abs(row)
-            z_sum[a:b] += mag.sum(axis=1)
-            z_sum[b:] += mag.sum(axis=0)
         diag.append(0.5 * (g + g.T))
-        z_sum[a:b] += np.abs(diag[-1]).sum(axis=0)
-        if a:
-            full[:, : b - a], below = diag[-1], full
-    cond = y_sum.max() * z_sum.max()
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    blocks = ([a for a, _, _ in spans], diag[::-1], off[::-1], right)
+    zbus = SequenceZbus(sequence, net.buses, pos, blocks, float(y_sum.max()))
+    # The slack covers the bound's rounding: it accepts nothing the exact test refuses.
+    bounded = zbus._y_norm * _z_norm_bound(blocks) <= CONDITION_LIMIT / (1 + 1e-9)
+    if not bounded and not zbus.condition <= CONDITION_LIMIT:  # NaN included
         raise IllConditionedNetworkError(
-            f"sequence-{sequence} admittance matrix condition {cond:.3e}"
+            f"sequence-{sequence} admittance matrix condition {zbus.condition:.3e}"
             f" exceeds {CONDITION_LIMIT:.0e}"
         )
-    blocks = ([a for a, _, _ in spans], diag[::-1], off[::-1], right)
-    return SequenceZbus(sequence, net.buses, float(cond), pos, blocks)
+    return zbus
 
 
-def _level_blocks(net: Network) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
-    """Bus indices in block order and each block's (start, end, next block's end).
-    A block is a run of whole BFS levels (each island's from its first bus) of at
-    least :data:`MIN_BLOCK` buses, ascending; a line joins it to itself or the next.
-    Cached on ``net`` per ``MIN_BLOCK``: a network's matrices share one BFS."""
+def _z_norm_bound(blocks: tuple) -> float:
+    """An O(n b) upper bound on ||Z||_1 from the stored blocks.  By ``|AB| <= |A||B|``
+    on ``Z[i, j] = -right_i Z[i+1, j]`` (j > i; Higham 2002), a row's sum right of its
+    block is at most ``far_i = |Z[i, i+1]| 1 + |right_i| far_{i+1}``, and left of it, its
+    column's above, ``(u_{i-1} + 1)^T |Z[i-1, i]|`` with ``u_i^T = (u_{i-1} + 1)^T
+    |right_{i-1}|``.  Z[i, i]'s sums are exact, as is one block's bound."""
+    _, diag, off, right = blocks
+    mo, mr = [np.abs(o) for o in off], [np.abs(r) for r in right]
+    sums, far, u = [np.abs(d).sum(0) for d in diag], np.zeros(len(diag[-1])), np.zeros(len(diag[0]))
+    for i in reversed(range(len(off))):
+        sums[i] += (far := mo[i].sum(axis=1) + mr[i] @ far)
+    for i in range(len(off)):
+        sums[i + 1] += (u + 1.0) @ mo[i]
+        u = (u + 1.0) @ mr[i]
+    return max(s.max() for s in sums)
+
+
+def _level_blocks(net: Network) -> tuple:
+    """``(order, spans, pos, gather)``: bus indices in block order, each block's (start,
+    end, next block's end), each index's block position, and where Y's entries go in the
+    block rows.  A block is a run of whole BFS levels (each island's from its first bus)
+    of at least :data:`MIN_BLOCK` buses, ascending; a line joins it to itself or the next.
+    Below ``2 * MIN_BLOCK`` buses: one block in bus order, no BFS.  Cached on ``net``."""
     if net._levels is not None and net._levels[0] == MIN_BLOCK:
         return net._levels[1:]
-    adj: list[list[int]] = [[] for _ in net.buses]
-    for a, b in zip(*(ends.tolist() for ends in net.line_end_indices()[:2])):
-        adj[a].append(b)
-        adj[b].append(a)
-    level = np.full(net.n, -1)
-    for root in (r for r in range(net.n) if level[r] < 0):
-        depth, frontier = 0, [root]
-        while frontier:
-            level[frontier], depth = depth, depth + 1
-            frontier = list(dict.fromkeys(w for v in frontier for w in adj[v] if level[w] < 0))
-    ends = np.cumsum(np.bincount(level))  # where each level ends, in level order
-    cut = [0]
-    for end in ends.tolist():
-        if end - cut[-1] >= MIN_BLOCK:
-            cut.append(end)
-    cut[max(len(cut) - 1, 1):] = [net.n]  # a short last run joins the block before
-    order = np.argsort((np.searchsorted(cut, ends) - 1)[level], kind="stable")
-    order.setflags(write=False)
-    object.__setattr__(net, "_levels", (MIN_BLOCK, order, tuple(zip(cut, cut[1:], cut[2:] + [net.n]))))
+    cut, order = [0, net.n], np.arange(net.n)
+    if net.n >= 2 * MIN_BLOCK:
+        adj: list[list[int]] = [[] for _ in net.buses]
+        for a, b in zip(*(ends.tolist() for ends in net.line_end_indices()[:2])):
+            adj[a].append(b)
+            adj[b].append(a)
+        level = np.full(net.n, -1)
+        for root in (r for r in range(net.n) if level[r] < 0):
+            depth, frontier = 0, [root]
+            while frontier:
+                level[frontier], depth = depth, depth + 1
+                frontier = list(dict.fromkeys(w for v in frontier for w in adj[v] if level[w] < 0))
+        ends = np.cumsum(np.bincount(level))  # where each level ends, in level order
+        cut = [0]
+        for end in ends.tolist():
+            if end - cut[-1] >= MIN_BLOCK:
+                cut.append(end)
+        cut[max(len(cut) - 1, 1):] = [net.n]  # a short last run joins the block before
+        order = np.argsort((np.searchsorted(cut, ends) - 1)[level], kind="stable")
+    spans, pos = tuple(zip(cut, cut[1:], cut[2:] + [net.n])), np.argsort(order)
+    # Y's entries in a loop's order: (p, p), (q, q), (p, q), (q, p) line by line, then sources.
+    p, q, _ = net.line_end_indices()
+    src = [net.bus_index(s.bus) for s in net.sources]
+    rows, cols = (pos[np.concatenate((np.array(e).T.ravel(), src))] for e in ([p, q, p, q], [p, q, q, p]))
+    if len(spans) == 1:  # the one block row is all of Y
+        gather = (rows * net.n + cols, slice(None), [0, net.n * net.n])
+    else:
+        a, b, c = np.array(spans, dtype=np.intp).T
+        start = np.concatenate(([0], np.cumsum((b - a) * (c - a))))
+        i = np.searchsorted(b, rows, side="right")  # each entry's block row
+        keep = cols >= a[i]  # Y[i, i-1] is Y[i-1, i] transposed
+        gather = ((start[i] + (rows - a[i]) * (c - a)[i] + cols - a[i])[keep], keep, start)
+    for x in (order, pos):
+        x.setflags(write=False)
+    object.__setattr__(net, "_levels", (MIN_BLOCK, order, spans, pos, gather))
     return net._levels[1:]
 
 

@@ -244,6 +244,30 @@ def test_non_positive_case_base_exits_one(tmp_path, capsys, base):
 
 
 @pytest.mark.parametrize(
+    "old,new,error",
+    [
+        ("0.015455  0.116066", "0 0", "line 'T2' has zero sequence-1 impedance"),
+        ("0.098871  0.365188", "0.0 -0.0", "line 'T2' has zero sequence-0 impedance"),
+        ("source 3 0.0006 0.037343", "source 3 0.0006 0.037343 0 0 0.0006 0.037343",
+         "source at bus 3 has zero impedance"),
+    ],
+)
+def test_zero_impedance_case_record_exits_one(tmp_path, capsys, old, new, error):
+    """A zero line or source impedance is an infinite admittance: the case is
+    refused with the record's line, not left to a division by zero."""
+    text = Path(CASE_PATH).read_text(encoding="utf-8")
+    lineno = next(k for k, row in enumerate(text.splitlines(), 1) if old in row)
+    case = tmp_path / "bad.case"
+    case.write_text(text.replace(old, new), encoding="utf-8")
+    argv = ["--case", str(case), "--line", "T1", "--type", "LG", "--m", "0.5", "--method", "all",
+            "--buses", "1,2", "--branches", "T1,T3"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"faultloc: error: line {lineno}: {error}\n"
+
+
+@pytest.mark.parametrize(
     "distort",
     [
         "busV:2:gain:nan",

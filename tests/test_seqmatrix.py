@@ -227,6 +227,33 @@ def test_multi_block_ill_conditioned_network_rejected(source):
         build_zbus(net, 1)
 
 
+def test_multi_block_condition_is_computed_when_first_read():
+    """The bound accepts a three-block mesh from the stored blocks alone:
+    ``build_zbus`` streams no row of Z, and the exact condition number is
+    computed on its first read, once."""
+    net = parse_case(mesh_text(16, seed=11))
+    for seq in (0, 1):
+        zb = build_zbus(net, seq)
+        assert len(zb._blocks[0]) == 3 and "condition" not in vars(zb)
+        assert zb.condition == pytest.approx(np.linalg.cond(build_ybus(net, seq), 1), rel=1e-9)
+        assert vars(zb)["condition"] is zb.condition
+
+
+@pytest.mark.parametrize("bound", [np.inf, np.nan])
+def test_exact_condition_decides_what_the_bound_cannot(monkeypatch, bound):
+    """A bound that is infinite or NaN accepts nothing: the exact condition
+    number decides, and accepts a well-conditioned mesh with the blocks and
+    condition number of a matrix the bound accepted."""
+    net = parse_case(mesh_text(16, seed=11))
+    accepted = [build_zbus(net, seq) for seq in (0, 1)]
+    monkeypatch.setattr(seqmatrix, "_z_norm_bound", lambda blocks: bound)
+    for seq, want in zip((0, 1), accepted):
+        zb = build_zbus(net, seq)
+        assert "condition" in vars(zb) and zb.condition == want.condition
+        for got, blocks in zip(zb._blocks[1:], want._blocks[1:]):
+            assert [b.tobytes() for b in got] == [b.tobytes() for b in blocks]
+
+
 @pytest.mark.parametrize("n", [12, 16])
 def test_multi_block_columns_match_the_dense_inverse(n):
     """At the default MIN_BLOCK a 12x12 or 16x16 mesh is two or three blocks:
@@ -244,9 +271,9 @@ def test_multi_block_columns_match_the_dense_inverse(n):
 
 
 def test_matrices_of_one_network_share_one_bfs(monkeypatch):
-    """A set-up runs the BFS of its blocks once, for Z0 and Z1 both, and
-    gets the matrices a network without that cache gets; another MIN_BLOCK
-    cuts its blocks afresh."""
+    """A set-up runs the BFS of its blocks and Y's gather indices once, for
+    Z0 and Z1 both, and gets the matrices a network without that cache gets;
+    another MIN_BLOCK cuts its blocks afresh."""
     text = mesh_text(12, seed=11)
     net = parse_case(text)
     levels = []
@@ -260,8 +287,10 @@ def test_matrices_of_one_network_share_one_bfs(monkeypatch):
     study = FaultStudy(net)
     matrices = [study.zbus(seq) for seq in (0, 1, 2)]
     assert len(levels) == 1
-    order, spans = seqmatrix._level_blocks(net)
+    order, spans, pos, gather = seqmatrix._level_blocks(net)
     assert seqmatrix._level_blocks(net)[0] is order and not order.flags.writeable
+    assert all(zb._pos is pos for zb in matrices) and not pos.flags.writeable
+    assert seqmatrix._level_blocks(net)[3] is gather
     for seq, zb in zip((0, 1), matrices):
         fresh = build_zbus(parse_case(text), seq)
         assert dense_z(zb).tobytes() == dense_z(fresh).tobytes()
@@ -327,6 +356,7 @@ def _check_block_inverse(net: Network, seq: int) -> seqmatrix.SequenceZbus:
     e = want @ j
     assert np.max(np.abs(zb.solve(j) - e)) <= 1e-9 * max(1.0, np.max(np.abs(e)))
     assert zb.condition == pytest.approx(np.linalg.cond(y, 1), rel=1e-9)
+    assert zb._y_norm * seqmatrix._z_norm_bound(zb._blocks) >= zb.condition * (1 - 1e-12)
     return zb
 
 
@@ -337,7 +367,7 @@ def test_block_inverse_matches_the_dense_inverse(monkeypatch, request, min_block
     """Blocks of one or two buses put even small networks through many blocks."""
     monkeypatch.setattr(seqmatrix, "MIN_BLOCK", min_block)
     net = _block_net(request, name)
-    order, spans = seqmatrix._level_blocks(net)
+    order, spans = seqmatrix._level_blocks(net)[:2]
     # fourbus's BFS levels hold 1, 2 and 1 buses: one block of at least two.
     assert len(spans) > 1 or (name, min_block) == ("fourbus", 2)
     assert sorted(order) == list(range(net.n)) and all(b - a >= min_block for a, b, _ in spans)
