@@ -106,6 +106,9 @@ def _check_spec_types(raw) -> None:
             raise TypeError(f"field {name!r} must list strings")
     if not all(type(v) is int for v in raw.get("buses", [])):  # not 1.9, not true
         raise TypeError("field 'buses' must list integer bus labels")
+    for name in ("m_values", "rf_ohm"):
+        if not all(type(v) in (int, float) for v in raw.get(name, [])):  # not "0.3", not true
+            raise TypeError(f"field {name!r} must list numbers")
 
 
 def load_sweep_spec(path: str, default_case: str | None = None) -> SweepSpec:

@@ -13,10 +13,10 @@ The methods differ only in which two channels feed that ratio:
   satisfied by the ratio magnitude instead of in the complex plane.
 
 :func:`locate` solves one ratio; placements name the two channels they
-measure, and the other estimators read those channels' laws under a fault
-on each line from one table per (matrix, network, placement).  Ranking
-solves and orders as arrays, builds an entry only when it is read, and
-refuses ``hybrid-quad``.
+measure, and the other entries take the caller's positive-sequence matrix
+and read those channels' laws under a fault on each line, and every verdict,
+from one table per (matrix, network, placement).  Ranking solves and orders
+as arrays, builds an entry only when it is read, and refuses ``hybrid-quad``.
 All estimators consume positive-sequence phasors only and need no
 fault-type or phase-selection information.
 """
@@ -37,7 +37,7 @@ from .seqmatrix import (
     LinearLaw,
     SequenceZbus,
     branch_coefficients,
-    build_zbus,
+    build_zbus,  # not called here; perfbench traces this import site
     transfer_coefficients,
 )
 
@@ -340,10 +340,7 @@ Placement = VoltagePlacement | CurrentPlacement | HybridPlacement
 
 
 def feasibility_check(
-    net: Network,
-    faulted_line_id: str,
-    placement: Placement,
-    zbus: SequenceZbus | None = None,
+    net: Network, faulted_line_id: str, placement: Placement, zbus: SequenceZbus
 ) -> tuple[bool, str]:
     """Decide whether a placement can observe faults on the given line.
 
@@ -354,16 +351,12 @@ def feasibility_check(
     through the faulted line (a branch channel counts as sitting at either
     of its endpoints), which holds exactly when the line's block lies on a
     path between them in :meth:`Network.block_forest`.  Returns (feasible,
-    reason), read from the placement's table on ``zbus``, which decides
-    every line at once on its first check.  Without ``zbus``, a placement
-    with a current channel builds a matrix of its own; one of two voltages
-    needs none.
+    reason), read from the placement's table on ``zbus``, the network's
+    positive-sequence matrix, which decides every line at once on its first
+    check.
     """
     k = net.line_index(faulted_line_id)
-    if zbus is None and all(kind == "busV" for kind, _ in placement.channels):
-        on_path = net.block_forest()[2][k] in _path_nodes(net, _sources(net, placement))
-        return _verdict(faulted_line_id, False, False, on_path)
-    return _laws(zbus or build_zbus(net, 1), net, placement).verdict(k)
+    return _laws(zbus, net, placement).verdict(k)
 
 
 def _verdict(line_id: str, own: bool, dependent: bool, on_path: bool) -> tuple[bool, str]:
@@ -511,16 +504,13 @@ def _change(ms: PhasorMeasurementSet, kind: str, ident) -> complex:
 
 
 def rank_line_hypotheses(
-    net: Network,
-    ms: PhasorMeasurementSet,
-    placement: Placement,
-    method: Method,
-    zbus: SequenceZbus | None = None,
+    net: Network, ms: PhasorMeasurementSet, placement: Placement, method: Method, zbus: SequenceZbus
 ) -> Sequence[tuple[str, LocationEstimate]]:
     """Run the estimator against every line hypothesis, best first.
 
     Every hypothesis is solved in one pass, as array expressions over the
-    placement's table of laws, with the checks of :func:`locate`.
+    placement's table of laws on ``zbus``, the network's positive-sequence
+    matrix, with the checks of :func:`locate`.
     Hypotheses that those checks reject are skipped: all of them when the
     denominator channel is degenerate, one line when its two laws are
     dependent or its ratio does not depend on m.  So is the line whose own
@@ -538,7 +528,6 @@ def rank_line_hypotheses(
             "hybrid-quad cannot rank lines: its magnitude-only quadratic solves"
             " to residual 0 on most wrong lines, so it ranks a wrong line first"
         )
-    zbus = zbus if zbus is not None else build_zbus(net, 1)
     channels = _channels(placement, method)
     laws = _laws(zbus, net, placement)
     try:

@@ -372,6 +372,8 @@ def validate(net: Network) -> list[str]:
             diags.append(f"line {rec.id}: non-positive length {rec.length_km}")
         if rec.z1_per_km.real < 0 or rec.z0_per_km.real < 0:
             diags.append(f"line {rec.id}: negative per-km resistance")
+        if 0 in (rec.z1_per_km, rec.z0_per_km):  # an infinite admittance
+            diags.append(f"line {rec.id}: zero sequence-{int(rec.z1_per_km == 0)} impedance")
         for b in (rec.from_bus, rec.to_bus):
             if b not in seen:
                 diags.append(f"line {rec.id}: unknown bus {b}")
@@ -381,7 +383,7 @@ def validate(net: Network) -> list[str]:
     for src in net.sources:
         if src.bus not in seen:
             diags.append(f"source at unknown bus {src.bus}")
-        if abs(src.z1) == 0.0:
+        if 0 in (src.z1, src.z0, src.z2):  # None when z0 and z2 default to z1
             diags.append(f"source at bus {src.bus}: zero internal impedance")
 
     # Every bus must reach a source bus through lines, otherwise its

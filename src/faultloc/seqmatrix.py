@@ -195,11 +195,12 @@ class FaultPointCoefficients:
 
 def build_ybus(net: Network, sequence: int) -> np.ndarray:
     """Assemble the dense nodal admittance matrix for one sequence network."""
-    _, spans, pos, gather = _level_blocks(net)
+    order, spans, _, gather = _level_blocks(net)
     y = np.zeros((net.n, net.n), dtype=complex)
     for (a, b, c), rows in zip(spans, _block_rows(net, sequence, spans, *gather)):
-        y[a:b, a:c], y[b:c, a:b] = rows, rows[:, b - a :].T
-    return y[np.ix_(pos, pos)]
+        y[np.ix_(order[a:b], order[a:c])] = rows  # each block row to its buses' places
+        y[np.ix_(order[b:c], order[a:b])] = rows[:, b - a :].T
+    return y
 
 
 def _block_rows(net: Network, sequence: int, spans, index, keep, start) -> list[np.ndarray]:
@@ -340,18 +341,18 @@ def transfer_coefficients(zbus: SequenceZbus, line: Lines, bus: int) -> LinearLa
 
 
 def branch_coefficients(
-    zbus: SequenceZbus, faulted_line: Lines, branch: LineRecord | tuple[LineRecord, str]
+    zbus: SequenceZbus, faulted_line: Lines, branch: tuple[LineRecord, str]
 ) -> LinearLaw:
     """Current-change law for a current channel under a fault on ``faulted_line``.
 
     ``branch`` is a channel as :meth:`Network.channel` returns it: a line
     and a terminal, ``""`` for the line's current or ``"from"``/``"to"``
-    for the current that end's terminal feeds into the line.  A bare line
-    stands for its current.  ``at(m)`` gives the share of the fault current
-    that the channel sheds: its during-fault current is the pre-fault
-    current minus ``at(m)`` times the fault current.  A line's current
-    flows from-bus -> to-bus, and its law ``t`` is the voltage difference
-    of its ends over its impedance; a ``@to`` terminal feeds ``-t``.
+    for the current that end's terminal feeds into the line.  ``at(m)``
+    gives the share of the fault current that the channel sheds: its
+    during-fault current is the pre-fault current minus ``at(m)`` times the
+    fault current.  A line's current flows from-bus -> to-bus, and its law
+    ``t`` is the voltage difference of its ends over its impedance; a
+    ``@to`` terminal feeds ``-t``.
 
     On the faulted line itself ``t`` is the through current, which neither
     terminal feeds while the fault draws current: the ``@from`` terminal
@@ -360,7 +361,7 @@ def branch_coefficients(
     shift goes to the channel's own line only.  The line's current keeps
     ``t``, which no instrument reads; callers refuse it or skip that line.
     """
-    rec, end = (branch, "") if isinstance(branch, LineRecord) else branch
+    rec, end = branch
     zb = rec.z(zbus.sequence)
     if abs(zb) == 0.0:
         raise ValueError(f"branch {rec.id!r} has zero impedance")

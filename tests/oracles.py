@@ -252,3 +252,52 @@ def bus_adjacency(net: Network) -> dict[int, list[int]]:
         adj[rec.from_bus].append(rec.to_bus)
         adj[rec.to_bus].append(rec.from_bus)
     return adj
+
+
+def feasibility_reason(net: Network, line_id: str, placement) -> str:
+    """Why ``placement`` can or cannot observe faults on line ``line_id``:
+
+    * ``"own"`` when a current channel is that line's own current, its id
+      with no terminal suffix;
+    * ``"dependent"`` when the placement reads a current and its two
+      channels' laws under a fault on the line, from a dense inverse of Y,
+      form a 2x2 matrix of numerical rank one;
+    * ``"path"`` when no simple path through the line joins the channels'
+      locations, a current channel sitting at either end of its line;
+    * ``"ok"`` otherwise.
+    """
+    parsed = [
+        ident.partition("@")[::2] if kind == "branchI" else ident for kind, ident in placement.channels
+    ]
+    currents = [c for c in parsed if isinstance(c, tuple)]
+    if any(branch == (line_id, "") for branch in currents):
+        return "own"
+    if currents:
+        z, idx = invert_y(net, 1), {b: i for i, b in enumerate(net.buses)}
+        faulted = net.line(line_id)
+        p, q = idx[faulted.from_bus], idx[faulted.to_bus]
+
+        def transfer(bus):  # Z's column at the fault point is linear in m
+            k = idx[bus]
+            return np.array([z[k, p], z[k, q] - z[k, p]])
+
+        def law(channel):  # (b, c) of the change b + c*m per unit fault current
+            if not isinstance(channel, tuple):
+                return transfer(channel)
+            rec, end = net.line(channel[0]), channel[1]
+            t = (transfer(rec.from_bus) - transfer(rec.to_bus)) / rec.z1
+            if rec.id != line_id:
+                return -t if end == "to" else t
+            # A terminal of the faulted line feeds the through current less the
+            # share of the fault current it carries, 1 - m at the from-end and
+            # m at the to-end: the two shares sum to the fault current.
+            return t - [1.0, -1.0] if end == "from" else -t - [0.0, 1.0]
+
+        s = np.linalg.svd(np.array([law(c) for c in parsed]), compute_uv=False)
+        if s[1] <= 1e-8 * s[0]:
+            return "dependent"
+    locations = [
+        [net.line(c[0]).from_bus, net.line(c[0]).to_bus] if isinstance(c, tuple) else [c]
+        for c in parsed
+    ]
+    return "ok" if path_crosses_line(net, line_id, *locations) else "path"

@@ -254,18 +254,17 @@ def test_feasibility_detection(fourbus, ieee14, bridge_five, parallel_pair):
     """Counterexamples must be rejected with the right reason, study
     placements accepted."""
     ok_bridge, reason_bridge = feasibility_check(
-        bridge_five, "A", VoltagePlacement(4, 5)
+        bridge_five, "A", VoltagePlacement(4, 5), build_zbus(bridge_five, 1)
     )
     ok_par, reason_par = feasibility_check(
-        parallel_pair, "T", CurrentPlacement("P1", "P2")
+        parallel_pair, "T", CurrentPlacement("P1", "P2"), build_zbus(parallel_pair, 1)
     )
     accepted = []
-    for line_id, by_method in FOURBUS_PLACEMENTS.items():
-        for placement in by_method.values():
-            accepted.append(feasibility_check(fourbus, line_id, placement)[0])
-    for line_id, by_method in IEEE14_PLACEMENTS.items():
-        for placement in by_method.values():
-            accepted.append(feasibility_check(ieee14, line_id, placement)[0])
+    for net, placements in ((fourbus, FOURBUS_PLACEMENTS), (ieee14, IEEE14_PLACEMENTS)):
+        zbus = build_zbus(net, 1)
+        for line_id, by_method in placements.items():
+            for placement in by_method.values():
+                accepted.append(feasibility_check(net, line_id, placement, zbus)[0])
     ok = (
         not ok_bridge
         and "simple path" in reason_bridge
@@ -297,8 +296,8 @@ def test_noise_sensitivity_sanity(fourbus, fourbus_study):
     line = fourbus.line("T2")
     ck = transfer_coefficients(zbus, line, 1)
     cl = transfer_coefficients(zbus, line, 2)
-    b1 = branch_coefficients(zbus, line, fourbus.line("T1"))
-    b3 = branch_coefficients(zbus, line, fourbus.line("T3"))
+    b1 = branch_coefficients(zbus, line, fourbus.channel("T1"))
+    b3 = branch_coefficients(zbus, line, fourbus.channel("T3"))
 
     def jitter(ch: Channel) -> Channel:
         return Channel(

@@ -12,7 +12,7 @@ MAX_PUBLIC_NAMES = 47
 
 #: Lines over ``src/faultloc/*.py``, as ``wc -l`` counts them.  The same rule:
 #: lower it when the code shrinks, never raise it.
-MAX_SOURCE_LINES = 2214
+MAX_SOURCE_LINES = 2209
 
 
 def test_package_reexports_every_library_name():

@@ -404,13 +404,14 @@ def test_terminal_of_unfaulted_line_runs_and_recovers(tmp_path, capsys):
     assert capsys.readouterr().out == clean
 
 
-def test_terminal_pair_dependent_under_its_own_line_exits_two(fourbus, capsys):
+def test_terminal_pair_dependent_under_its_own_line_exits_two(fourbus, fourbus_study, capsys):
     # On the chain 3-T1-1-T2-2-T3-4 the current bus 2 feeds into T2 is the
     # current T3 brings to bus 2: the pair cannot pin m, while the terminal
     # over T1, on the other side of the fault, recovers it.
-    ok, reason = feasibility_check(fourbus, "T2", CurrentPlacement("T2@from", "T3"))
+    zbus = fourbus_study.zbus(1)
+    ok, reason = feasibility_check(fourbus, "T2", CurrentPlacement("T2@from", "T3"), zbus)
     assert not ok and reason.endswith("dependent")
-    assert feasibility_check(fourbus, "T2", CurrentPlacement("T2@from", "T1")) == (True, "ok")
+    assert feasibility_check(fourbus, "T2", CurrentPlacement("T2@from", "T1"), zbus) == (True, "ok")
     assert run_cli(_SINGLE + ["--method", "sscm", "--branches", "T2@from,T3"]) == 2
     assert capsys.readouterr().err == (
         "faultloc: infeasible placement: sscm placement infeasible for line T2:"
@@ -446,6 +447,11 @@ def test_unknown_branch_token_exits_one(capsys):
         {"out": ["report.csv"]},
         {"buses": [1.9, 2.2]},
         {"buses": [True, 2]},
+        {"m_values": [True, "0.3"]},
+        {"m_values": [True]},
+        {"m_values": ["0.3"]},
+        {"rf_ohm": [False]},
+        {"rf_ohm": ["5"]},
     ],
 )
 def test_sweep_spec_with_wrong_json_types_exits_one(tmp_path, capsys, overrides):

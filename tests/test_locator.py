@@ -36,7 +36,7 @@ from faultloc import (
 from faultloc import seqmatrix
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
-from oracles import all_simple_paths, path_crosses_line
+from oracles import all_simple_paths, feasibility_reason, path_crosses_line
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +299,8 @@ def test_scale_invariance_of_all_methods(fourbus, fourbus_study):
     line = fourbus.line("T2")
     ck = transfer_coefficients(zb, line, 1)
     cl = transfer_coefficients(zb, line, 2)
-    b1 = branch_coefficients(zb, line, fourbus.line("T1"))
-    b3 = branch_coefficients(zb, line, fourbus.line("T3"))
+    b1 = branch_coefficients(zb, line, fourbus.channel("T1"))
+    b3 = branch_coefficients(zb, line, fourbus.channel("T3"))
     vk, vl = voltage_channel(ms, 1), voltage_channel(ms, 2)
     i1, i3 = current_channel(ms, "T1"), current_channel(ms, "T3")
 
@@ -351,13 +351,13 @@ def test_channel_isolation_is_bit_exact(fourbus, fourbus_study):
 # ---------------------------------------------------------------------------
 
 
-def test_feasibility_buses_either_side(fourbus):
-    ok, reason = feasibility_check(fourbus, "T2", VoltagePlacement(1, 2))
+def test_feasibility_buses_either_side(fourbus, fourbus_study):
+    ok, reason = feasibility_check(fourbus, "T2", VoltagePlacement(1, 2), fourbus_study.zbus(1))
     assert ok and reason == "ok"
 
 
 def test_feasibility_bridge_counterexample(bridge_five):
-    ok, reason = feasibility_check(bridge_five, "A", VoltagePlacement(4, 5))
+    ok, reason = feasibility_check(bridge_five, "A", VoltagePlacement(4, 5), build_zbus(bridge_five, 1))
     assert not ok
     assert "simple path" in reason
 
@@ -374,19 +374,20 @@ def test_feasibility_bridge_counterexample(bridge_five):
 
 
 def test_feasibility_identical_parallel_pair(parallel_pair):
-    ok, reason = feasibility_check(parallel_pair, "T", CurrentPlacement("P1", "P2"))
+    zbus = build_zbus(parallel_pair, 1)
+    ok, reason = feasibility_check(parallel_pair, "T", CurrentPlacement("P1", "P2"), zbus)
     assert not ok
     assert "dependent" in reason
 
 
-def test_feasibility_accepts_study_placements(fourbus, ieee14):
+def test_feasibility_accepts_study_placements(fourbus, fourbus_study, ieee14, ieee14_study):
     fourbus_placements = [
         VoltagePlacement(1, 2),
         CurrentPlacement("T1", "T3"),
         HybridPlacement("T1", 2),
     ]
     for placement in fourbus_placements:
-        ok, reason = feasibility_check(fourbus, "T2", placement)
+        ok, reason = feasibility_check(fourbus, "T2", placement, fourbus_study.zbus(1))
         assert ok, reason
     ieee14_placements = [
         ("1-5", VoltagePlacement(1, 5)),
@@ -397,14 +398,14 @@ def test_feasibility_accepts_study_placements(fourbus, ieee14):
         ("9-14", HybridPlacement("13-14", 9)),
     ]
     for line_id, placement in ieee14_placements:
-        ok, reason = feasibility_check(ieee14, line_id, placement)
+        ok, reason = feasibility_check(ieee14, line_id, placement, ieee14_study.zbus(1))
         assert ok, reason
 
 
-def test_feasibility_infeasible_voltage_pair_same_side(fourbus):
+def test_feasibility_infeasible_voltage_pair_same_side(fourbus, fourbus_study):
     # Buses 3 and 1 sit on the same side of T2; the only simple path between
     # them is the direct line T1.
-    ok, reason = feasibility_check(fourbus, "T2", VoltagePlacement(3, 1))
+    ok, reason = feasibility_check(fourbus, "T2", VoltagePlacement(3, 1), fourbus_study.zbus(1))
     assert not ok
 
 
@@ -412,11 +413,11 @@ def test_bad_terminal_suffix_is_rejected_by_every_entry_point(fourbus, fourbus_s
     placement = CurrentPlacement("T1@bogus", "T3")
     ms = fourbus_study.measurements(FaultScenario("T2", 0.4, FaultType.LG, 1.0))
     calls = [
-        lambda: feasibility_check(fourbus, "T2", placement),
+        lambda: feasibility_check(fourbus, "T2", placement, fourbus_study.zbus(1)),
         lambda: estimate_for_placement(
             fourbus, fourbus_study.zbus(1), "T2", placement, ms, Method.SSCM
         ),
-        lambda: rank_line_hypotheses(fourbus, ms, placement, Method.SSCM),
+        lambda: rank_line_hypotheses(fourbus, ms, placement, Method.SSCM, fourbus_study.zbus(1)),
     ]
     for call in calls:
         with pytest.raises(CaseError, match="'T1@bogus'"):
@@ -428,7 +429,7 @@ def test_faulted_line_current_is_refused(fourbus, fourbus_study):
     while the fault draws current, and its law is the through current."""
     placement = CurrentPlacement("T2", "T1")
     message = "current channel 'T2' measures faulted line 'T2'"
-    assert feasibility_check(fourbus, "T2", placement) == (False, message)
+    assert feasibility_check(fourbus, "T2", placement, build_zbus(fourbus, 1)) == (False, message)
     assert feasibility_check(fourbus, "T2", placement, fourbus_study.zbus(1)) == (False, message)
     ms = fourbus_study.measurements(FaultScenario("T2", 0.56, FaultType.LG, 1.0))
     renamed = replace(
@@ -440,15 +441,26 @@ def test_faulted_line_current_is_refused(fourbus, fourbus_study):
         with pytest.raises(ValueError, match=message):
             estimate_for_placement(fourbus, fourbus_study.zbus(1), "T2", placement, renamed, Method.SSCM)
     # Its terminal is a channel: a CT there reads the current it feeds in.
-    assert feasibility_check(fourbus, "T2", CurrentPlacement("T2@from", "T1")) == (True, "ok")
+    zbus = fourbus_study.zbus(1)
+    assert feasibility_check(fourbus, "T2", CurrentPlacement("T2@from", "T1"), zbus) == (True, "ok")
 
 
-def test_table_verdicts_equal_checks_without_a_matrix(ieee14):
+def _oracle_verdict(net, line_id, placement):
+    """:func:`feasibility_check`'s verdict from the oracle's reason."""
+    return {
+        "ok": (True, "ok"),
+        "own": (False, f"current channel {line_id!r} measures faulted line {line_id!r}"),
+        "dependent": (False, "channel fault responses are linearly dependent"),
+        "path": (False, f"no simple path through line {line_id!r} joins the measurement locations"),
+    }[feasibility_reason(net, line_id, placement)]
+
+
+def test_table_verdicts_match_the_oracle(ieee14):
     """Every (line, placement) verdict read from a placement's table, asked
-    twice of one matrix, against a check that builds no table on it:
-    feasible and infeasible verdicts alike, for every reason, the second
-    read the same entry.  A check that raises keeps nothing on the matrix
-    and raises again."""
+    twice of one matrix, against the oracle's own-current, rank and path
+    tests: feasible and infeasible verdicts alike, for every reason, the
+    second read the same entry.  A check that raises keeps nothing on the
+    matrix and raises again."""
     zbus = build_zbus(ieee14, 1)
     placements = [
         VoltagePlacement(1, 14),
@@ -464,7 +476,7 @@ def test_table_verdicts_equal_checks_without_a_matrix(ieee14):
     reasons = set()
     for placement in placements:
         for rec in ieee14.lines:
-            want = feasibility_check(ieee14, rec.id, placement)
+            want = _oracle_verdict(ieee14, rec.id, placement)
             got = feasibility_check(ieee14, rec.id, placement, zbus)
             assert got == want, (rec.id, placement)
             assert feasibility_check(ieee14, rec.id, placement, zbus) is got
@@ -567,21 +579,23 @@ def test_estimate_refuses_as_locate_does_on_every_call(fourbus, fourbus_study):
                 estimate_for_placement(fourbus, zbus, "T2", placement, ms, method)
 
 
-def test_feasibility_unknown_measurement_bus(fourbus):
-    from faultloc import CaseError
-
+def test_feasibility_unknown_measurement_bus(fourbus, fourbus_study):
+    zbus = fourbus_study.zbus(1)
     with pytest.raises(CaseError, match="unknown bus"):
-        feasibility_check(fourbus, "T2", VoltagePlacement(99, 2))
+        feasibility_check(fourbus, "T2", VoltagePlacement(99, 2), zbus)
+    with pytest.raises(CaseError, match="unknown line"):  # the line is checked first
+        feasibility_check(fourbus, "T9", VoltagePlacement(99, 2), zbus)
 
 
-def _network(n_buses, edges):
+def _network(n_buses, edges, grounded=(1,)):
     """Buses 1..n joined by lines ``L0``, ``L1``, ... along ``edges``, each
-    line with its own impedance, grounded at bus 1."""
+    line with its own impedance, with a source at each bus of ``grounded``."""
     lines = tuple(
         LineRecord(f"L{k}", a, b, 1.0 + k, complex(0.01, 0.1 + 0.01 * k), complex(0.03, 0.3))
         for k, (a, b) in enumerate(edges)
     )
-    return Network(tuple(range(1, n_buses + 1)), lines, (SourceRecord(1, 0.05j),))
+    sources = tuple(SourceRecord(bus, 0.05j) for bus in grounded)
+    return Network(tuple(range(1, n_buses + 1)), lines, sources)
 
 
 def _path_verdicts_match(net, zbus, line_id, placement):
@@ -642,10 +656,10 @@ def test_feasibility_on_meshes_is_fast(n):
     edges = [(k, k + 1) for k in range(1, n * n + 1) if k % n]
     edges += [(k, k + n) for k in range(1, n * n - n + 1)]
     net = _network(n * n + 1, edges + [(1, n * n + 1)])
-    tail = net.lines[-1].id
+    tail, zbus = net.lines[-1].id, build_zbus(net, 1)
     started = time.perf_counter()
-    across = [feasibility_check(net, rec.id, VoltagePlacement(1, n * n))[0] for rec in net.lines]
-    on_tail = [feasibility_check(net, rec.id, VoltagePlacement(n * n + 1, 1))[0] for rec in net.lines]
+    across = [feasibility_check(net, rec.id, VoltagePlacement(1, n * n), zbus)[0] for rec in net.lines]
+    on_tail = [feasibility_check(net, rec.id, VoltagePlacement(n * n + 1, 1), zbus)[0] for rec in net.lines]
     elapsed = time.perf_counter() - started
     assert across == [rec.id != tail for rec in net.lines]
     assert on_tail == [rec.id == tail for rec in net.lines]
@@ -654,23 +668,26 @@ def test_feasibility_on_meshes_is_fast(n):
 
 def test_feasibility_on_a_long_chain_does_not_recurse():
     n = 3000  # deeper than Python's default recursion limit
-    net = _network(n, [(k, k + 1) for k in range(1, n)])
-    middle = net.line_between(1500, 1501).id
-    assert feasibility_check(net, middle, VoltagePlacement(1, n))[0]
-    assert not feasibility_check(net, middle, VoltagePlacement(1, 1500))[0]
+    # A source every 100 buses keeps Y well conditioned along the chain.
+    net = _network(n, [(k, k + 1) for k in range(1, n)], grounded=range(1, n, 100))
+    zbus, middle = build_zbus(net, 1), net.line_between(1500, 1501).id
+    assert feasibility_check(net, middle, VoltagePlacement(1, n), zbus)[0]
+    assert not feasibility_check(net, middle, VoltagePlacement(1, 1500), zbus)[0]
 
 
 def test_feasibility_edge_cases():
     # Two triangles with no line between them, and a self-loop at bus 2.
+    # Each island has a source of its own.
     edges = [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (2, 2)]
-    net = _network(6, edges)
-    ok, reason = feasibility_check(net, "L0", VoltagePlacement(1, 4))
+    net = _network(6, edges, grounded=(1, 4))
+    zbus = build_zbus(net, 1)
+    ok, reason = feasibility_check(net, "L0", VoltagePlacement(1, 4), zbus)
     assert not ok and "simple path" in reason  # locations in different islands
-    assert feasibility_check(net, "L0", VoltagePlacement(1, 3))[0]
-    assert not feasibility_check(net, "L6", VoltagePlacement(1, 3))[0]  # a self-loop
-    assert not feasibility_check(net, "L0", VoltagePlacement(1, 1))[0]
+    assert feasibility_check(net, "L0", VoltagePlacement(1, 3), zbus)[0]
+    assert not feasibility_check(net, "L6", VoltagePlacement(1, 3), zbus)[0]  # a self-loop
+    assert not feasibility_check(net, "L0", VoltagePlacement(1, 1), zbus)[0]
     with pytest.raises(CaseError, match="unknown bus 9"):
-        feasibility_check(net, "L0", VoltagePlacement(1, 9))
+        feasibility_check(net, "L0", VoltagePlacement(1, 9), zbus)
 
 
 # ---------------------------------------------------------------------------

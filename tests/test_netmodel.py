@@ -3,6 +3,8 @@ from __future__ import annotations
 import cmath
 import math
 
+from dataclasses import replace
+
 import pytest
 
 from faultloc import CaseError, build_zbus, parse_case, validate
@@ -152,6 +154,23 @@ def test_validate_reports_a_line_to_an_unknown_bus():
         sources=(SourceRecord(bus=1, z1=0.1j),),
     )
     assert validate(net) == ["line X: unknown bus 99"]
+
+
+@pytest.mark.parametrize(
+    "record, change, diagnostic",
+    [
+        ("T2", {"z1_per_km": 0j}, "line T2: zero sequence-1 impedance"),
+        ("T2", {"z0_per_km": 0j}, "line T2: zero sequence-0 impedance"),
+        (3, {"z0": 0j}, "source at bus 3: zero internal impedance"),
+        (3, {"z2": 0j}, "source at bus 3: zero internal impedance"),
+    ],
+)
+def test_validate_reports_zero_impedance_records(fourbus, record, change, diagnostic):
+    """A zero line or source impedance is an infinite admittance, which
+    ``parse_case`` refuses and no matrix can be built from."""
+    lines = tuple(replace(rec, **change) if rec.id == record else rec for rec in fourbus.lines)
+    sources = tuple(replace(src, **change) if src.bus == record else src for src in fourbus.sources)
+    assert validate(replace(fourbus, lines=lines, sources=sources)) == [diagnostic]
 
 
 def test_validate_unreachable_island():

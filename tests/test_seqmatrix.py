@@ -127,7 +127,7 @@ def test_branch_coefficients_symmetric_placement_vanish(diamond):
     """A branch bridging two electrically mirrored buses never sees the fault."""
     zb = build_zbus(diamond, 1)
     fault_line = diamond.line("F")
-    bc = branch_coefficients(zb, fault_line, diamond.line("W"))
+    bc = branch_coefficients(zb, fault_line, diamond.channel("W"))
     assert abs(bc.b) < 1e-12
     assert abs(bc.c) < 1e-12
 
@@ -145,7 +145,7 @@ def test_branch_law_matches_tap_rebuild_current_change(fourbus):
     for rec in fourbus.lines:
         if rec.id == "T2":
             continue
-        bc = branch_coefficients(zb, fault_line, rec)
+        bc = branch_coefficients(zb, fault_line, (rec, ""))
         dv = -(zt[idx[rec.from_bus], idx[r]] - zt[idx[rec.to_bus], idx[r]])
         di_oracle = dv / rec.z1
         assert abs(-bc.at(m) - di_oracle) < 1e-9
@@ -155,7 +155,7 @@ def test_parallel_healthy_branch_beta_varies_with_m(parallel_pair):
     """Fault on one of two parallel lines: the healthy twin's share moves."""
     zb = build_zbus(parallel_pair, 1)
     fault_line = parallel_pair.line("P1")
-    bc = branch_coefficients(zb, fault_line, parallel_pair.line("P2"))
+    bc = branch_coefficients(zb, fault_line, parallel_pair.channel("P2"))
     assert abs(bc.at(0.0) - bc.at(1.0)) > 1e-3
     # and the tap oracle agrees at an interior point
     m = 0.4
@@ -178,7 +178,7 @@ def test_all_lines_laws_equal_one_line_laws_bit_for_bit(ieee14):
         ) + (np.array([rec.id for rec in ieee14.lines]),)
         for law_of, source in (
             (transfer_coefficients, 14),
-            (branch_coefficients, ieee14.line("13-14")),
+            (branch_coefficients, ieee14.channel("13-14")),
             (branch_coefficients, ieee14.channel("13-14@from")),
             (branch_coefficients, ieee14.channel("4-5@to")),
         ):
@@ -195,7 +195,7 @@ def test_branch_coefficients_zero_impedance_rejected(fourbus):
     zb = build_zbus(fourbus, 1)
     degenerate = LineRecord("Z", 1, 2, 1.0, 0j, 0j)
     with pytest.raises(ValueError, match="zero impedance"):
-        branch_coefficients(zb, fourbus.line("T2"), degenerate)
+        branch_coefficients(zb, fourbus.line("T2"), (degenerate, ""))
 
 
 def test_ungrounded_network_rejected():
@@ -420,12 +420,11 @@ def test_zbus_matrix_is_read_only(fourbus):
 def test_channel_laws_on_their_own_line_and_elsewhere(fourbus):
     """A channel's law is its line's branch law ``t`` (negated at ``@to``)
     under a fault elsewhere, and ``t - (1 - m)`` at ``@from`` or ``-t - m``
-    at ``@to`` under a fault on its own line; a bare line is its current."""
+    at ``@to`` under a fault on its own line."""
     zb = build_zbus(fourbus, 1)
     t2 = fourbus.line("T2")
     for faulted in fourbus.lines:
-        t = branch_coefficients(zb, faulted, t2)
-        assert branch_coefficients(zb, faulted, (t2, "")) == t
+        t = branch_coefficients(zb, faulted, (t2, ""))
         own = faulted is t2
         for end, want in (
             ("from", (t.b - 1, t.c + 1) if own else (t.b, t.c)),
@@ -456,7 +455,7 @@ def _reference_law(zb, line, source):
     if isinstance(source, int):
         zp, zq = _at(zb, line.from_bus, source), _at(zb, line.to_bus, source)
         return LinearLaw(zp, zq - zp)
-    rec, end = source if isinstance(source, tuple) else (source, "")
+    rec, end = source
     ck, cl = (_reference_law(zb, line, bus) for bus in (rec.from_bus, rec.to_bus))
     zl = rec.z(zb.sequence)
     b, c = (ck.b - cl.b) / zl, (ck.c - cl.c) / zl
@@ -556,7 +555,7 @@ def test_records_sharing_an_id_get_their_own_laws(fourbus):
     for law_of, other in (
         (lambda z, line: transfer_coefficients(z, line, 4), swapped),
         (fault_point_coefficients, longer),
-        (lambda z, line: branch_coefficients(z, t1, line), longer),
+        (lambda z, line: branch_coefficients(z, t1, (line, "")), longer),
         (lambda z, line: branch_coefficients(z, line, (t2, "from")), swapped),
     ):
         mine = law_of(zb, t2)
