@@ -373,7 +373,7 @@ def _build_parser() -> _Parser:
         " kind:channel:clamp:PU (repeatable)",
     )
     p.add_argument("--out", help="report path (default: stdout)")
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
+    p.add_argument("--format", choices=["csv", "json"], help="report format (default: csv)")
     return p
 
 
@@ -396,10 +396,9 @@ def main(argv: list[str] | None = None) -> int:
                 buses=tuple(int(b) for b in args.buses.split(",") if b),
                 branches=tuple(b for b in args.branches.split(",") if b),
                 distort=tuple(args.distort),
-                format=args.format,
             )
         rows = run_sweep(spec)
-        text = render_csv(rows) if spec.format == "csv" else render_json(rows)
+        text = render_csv(rows) if (args.format or spec.format) == "csv" else render_json(rows)
         write_report(text, args.out if args.out is not None else spec.out)
     except PlacementError as exc:
         print(f"faultloc: infeasible placement: {exc}", file=sys.stderr)

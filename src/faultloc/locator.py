@@ -13,10 +13,12 @@ The methods differ only in which two channels feed that ratio:
   satisfied by the ratio magnitude instead of in the complex plane.
 
 :func:`locate` solves one ratio; placements name the two channels they
-measure, and the other entries take the caller's positive-sequence matrix
-and read those channels' laws under a fault on each line, and every verdict,
-from one table per (matrix, network, placement).  Ranking solves and orders
-as arrays, builds an entry only when it is read, and refuses ``hybrid-quad``.
+measure as ``(kind, id)`` pairs, each read from one measurement set by
+:func:`voltage_channel` or :func:`current_channel`, and the other entries
+take the caller's positive-sequence matrix and read those channels' laws
+under a fault on each line, and every verdict, from one table per (matrix,
+network, placement).  Ranking solves and orders as arrays, builds an entry
+only when it is read, and refuses ``hybrid-quad``.
 All estimators consume positive-sequence phasors only and need no
 fault-type or phase-selection information.
 """
@@ -45,7 +47,6 @@ __all__ = [
     "DegenerateChannelError",
     "LinearDependenceError",
     "Method",
-    "Channel",
     "LocationEstimate",
     "VoltagePlacement",
     "CurrentPlacement",
@@ -103,30 +104,14 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Channel:
-    """One synchronized phasor channel: pre-fault and during-fault values."""
-
-    kind: str  # "busV" | "branchI"
-    ident: str
-    pre: complex
-    fault: complex
-    token: str = ""
-
-    @property
-    def delta(self) -> complex:
-        return self.fault - self.pre
+def voltage_channel(ms: PhasorMeasurementSet, bus: int) -> complex:
+    """A bus voltage's positive-sequence change in a measurement set."""
+    return ms.fault_bus_v[bus][1] - ms.prefault_bus_v[bus]
 
 
-def voltage_channel(ms: PhasorMeasurementSet, bus: int) -> Channel:
-    """Positive-sequence voltage channel of one bus from a measurement set."""
-    return Channel("busV", str(bus), ms.prefault_bus_v[bus], ms.fault_bus_v[bus][1], ms.token)
-
-
-def current_channel(ms: PhasorMeasurementSet, channel_id: str) -> Channel:
-    """Positive-sequence current channel of one line or line terminal."""
-    pre, fault = ms.prefault_branch_i[channel_id], ms.fault_branch_i[channel_id][1]
-    return Channel("branchI", channel_id, pre, fault, ms.token)
+def current_channel(ms: PhasorMeasurementSet, channel_id: str) -> complex:
+    """A line or line-terminal current's positive-sequence change in a measurement set."""
+    return ms.fault_branch_i[channel_id][1] - ms.prefault_branch_i[channel_id]
 
 
 @dataclass(frozen=True)
@@ -153,50 +138,50 @@ class LocationEstimate:
 
 def locate(
     method: Method,
-    numer: Channel,
-    denom: Channel,
+    ms: PhasorMeasurementSet,
+    placement: Placement,
     numer_law: LinearLaw,
     denom_law: LinearLaw,
 ) -> LocationEstimate:
-    """Fault position from the ratio of two measured changes.
+    """Fault position from the ratio of the placement's two changes in ``ms``.
 
     ``numer_law``/``denom_law`` give each channel's change per unit fault
-    current for a fault on the hypothesized line, so that
-    ``numer.delta / denom.delta == numer_law.at(m) / denom_law.at(m)``.
-    The channels' kinds must be those the method divides (two voltages for
-    ssvm, two currents for sscm, current over voltage for the hybrids) and
-    their tokens must match.  A current channel on the faulted line must be
-    one of its terminals: the line's own current is no channel there.
+    current for a fault on the hypothesized line, so that the changes'
+    ratio equals ``numer_law.at(m) / denom_law.at(m)``.  The placement must
+    measure the kinds the method divides (two voltages for ssvm, two
+    currents for sscm, current over voltage for the hybrids), else
+    ``TypeError``.  A current channel on the faulted line must be one of its
+    terminals: the line's own current is no channel there.
 
     Raises :class:`LinearDependenceError` when the two laws are
     proportional and :class:`DegenerateChannelError` when the denominator
     shows no fault signature.
     """
     method = Method(method)
-    kinds = (numer.kind, denom.kind)
-    if kinds != _KINDS[method]:
-        raise ValueError(f"{method.value} expects channel kinds {_KINDS[method]}, got {kinds}")
-    if numer.token and denom.token and numer.token != denom.token:
-        raise ValueError(f"channels are not synchronized: tokens {numer.token!r} != {denom.token!r}")
     laws = (numer_law, denom_law, _dependent(numer_law, denom_law))
-    return _solve(method, laws, numer.delta, denom.delta, denom.ident)
+    return _solve(method, laws, ms, _channels(placement, method))
 
 
-def _solve(method: Method, laws, numer: complex, denom: complex, ident) -> LocationEstimate:
-    """:func:`locate` from ``(numer_law, denom_law, dependent)`` and the changes."""
+def _solve(method: Method, laws, ms: PhasorMeasurementSet, channels) -> LocationEstimate:
+    """:func:`locate` from ``(numer_law, denom_law, dependent)`` and the channels."""
     numer_law, denom_law, dependent = laws
     if dependent:
         raise LinearDependenceError(_DEPENDENT)
-    ratio = _ratio(numer, denom, ident)
+    ratio = _ratio(ms, channels)
     if method is Method.HYBRID_QUAD:
         return _quadratic_solve(numer_law, denom_law, ratio)
     return _estimate(_ratio_solve(numer_law, denom_law, ratio), method)
 
 
-def _ratio(numer: complex, denom: complex, ident) -> complex:
+def _ratio(ms: PhasorMeasurementSet, channels) -> complex:
+    """The ratio of the two channels' changes in ``ms``: the locator's only
+    channel reads, each by :func:`voltage_channel` or :func:`current_channel`."""
+    (numer_kind, numer_id), (denom_kind, denom_id) = channels
+    numer = (voltage_channel if numer_kind == "busV" else current_channel)(ms, numer_id)
+    denom = (voltage_channel if denom_kind == "busV" else current_channel)(ms, denom_id)
     if abs(denom) < DEGENERACY_THRESHOLD:
         raise DegenerateChannelError(
-            f"channel {str(ident)!r} change {abs(denom):.3e} pu is below"
+            f"channel {str(denom_id)!r} change {abs(denom):.3e} pu is below"
             f" the observability threshold {DEGENERACY_THRESHOLD:g}"
         )
     return numer / denom
@@ -345,12 +330,12 @@ def feasibility_check(
     """Decide whether a placement can observe faults on the given line.
 
     Three conditions: no current channel is the faulted line's own current,
-    which no instrument reads; for placements with a current channel the
-    two channels' coefficient laws must not be proportional (numerical rank
-    test); and a simple path must join the two measurement locations
-    through the faulted line (a branch channel counts as sitting at either
-    of its endpoints), which holds exactly when the line's block lies on a
-    path between them in :meth:`Network.block_forest`.  Returns (feasible,
+    which no instrument reads; the two channels' coefficient laws must not
+    be proportional (numerical rank test; an off-path voltage pair is refused
+    as off the path); and a simple path must join the two measurement
+    locations through the faulted line (a branch channel counts as sitting
+    at either of its endpoints), which holds exactly when the line's block
+    lies on a path between them in :meth:`Network.block_forest`.  Returns (feasible,
     reason), read from the placement's table on ``zbus``, the network's
     positive-sequence matrix, which decides every line at once on its first
     check.
@@ -468,7 +453,7 @@ class _PlacementLaws:
             currents = any(isinstance(s, tuple) for s in self.sources)
             masks = (self.own.tolist(), self.dependent.tolist(), self.net.block_forest()[2])
             self._verdicts = [
-                _verdict(rec.id, own, currents and dependent, block in nodes)
+                _verdict(rec.id, own, dependent and (currents or block in nodes), block in nodes)
                 for rec, own, dependent, block in zip(self.net.lines, *masks)
             ]
         return self._verdicts[k]
@@ -482,7 +467,7 @@ def estimate_for_placement(
     ms: PhasorMeasurementSet,
     method: Method,
 ) -> LocationEstimate:
-    """Read the placement's channels and their laws, and :func:`locate`.
+    """Read the placement's laws, and :func:`locate`.
 
     The faulted line here is a hypothesis; an out-of-range result indicates
     it is wrong.  Raises ``TypeError`` when the placement does not measure
@@ -491,16 +476,8 @@ def estimate_for_placement(
     table on ``zbus``; each call reads the two changes and solves, and
     raises, as :func:`locate` does.
     """
-    k, (numer, denom) = net.line_index(faulted_line_id), _channels(placement, method)
-    laws = _laws(zbus, net, placement).laws(k)
-    return _solve(method, laws, _change(ms, *numer), _change(ms, *denom), denom[1])
-
-
-def _change(ms: PhasorMeasurementSet, kind: str, ident) -> complex:
-    """A channel's positive-sequence change in ``ms``, as :attr:`Channel.delta`."""
-    if kind == "busV":
-        return ms.fault_bus_v[ident][1] - ms.prefault_bus_v[ident]
-    return ms.fault_branch_i[ident][1] - ms.prefault_branch_i[ident]
+    k, channels = net.line_index(faulted_line_id), _channels(placement, method)
+    return _solve(method, _laws(zbus, net, placement).laws(k), ms, channels)
 
 
 def rank_line_hypotheses(
@@ -531,7 +508,7 @@ def rank_line_hypotheses(
     channels = _channels(placement, method)
     laws = _laws(zbus, net, placement)
     try:
-        ratio = _ratio(*(_change(ms, *channel) for channel in channels), channels[1][1])
+        ratio = _ratio(ms, channels)
     except DegenerateChannelError:
         return _Ranking(method, (), ())
 

@@ -359,6 +359,9 @@ def validate(net: Network) -> list[str]:
     programmatically rather than parsed.
     """
     diags: list[str] = []
+    base = (net.base_mva, net.base_kv, net.frequency_hz)
+    if not all(0 < value < math.inf for value in base):  # the base is a divisor
+        diags.append(f"non-positive or non-finite base value in {base}")
     seen: set[int] = set()
     for b in net.buses:
         if b in seen:
@@ -374,6 +377,8 @@ def validate(net: Network) -> list[str]:
             diags.append(f"line {rec.id}: negative per-km resistance")
         if 0 in (rec.z1_per_km, rec.z0_per_km):  # an infinite admittance
             diags.append(f"line {rec.id}: zero sequence-{int(rec.z1_per_km == 0)} impedance")
+        if not all(map(cmath.isfinite, (rec.length_km, rec.z1_per_km, rec.z0_per_km))):
+            diags.append(f"line {rec.id}: non-finite length or impedance")
         for b in (rec.from_bus, rec.to_bus):
             if b not in seen:
                 diags.append(f"line {rec.id}: unknown bus {b}")
@@ -385,6 +390,8 @@ def validate(net: Network) -> list[str]:
             diags.append(f"source at unknown bus {src.bus}")
         if 0 in (src.z1, src.z0, src.z2):  # None when z0 and z2 default to z1
             diags.append(f"source at bus {src.bus}: zero internal impedance")
+        if not all(cmath.isfinite(v) for v in (src.z1, src.z0, src.z2, src.emf) if v is not None):
+            diags.append(f"source at bus {src.bus}: non-finite impedance or EMF")
 
     # Every bus must reach a source bus through lines, otherwise its
     # driving-point impedance is infinite.

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from faultloc.faultsim import PhasorMeasurementSet
 from faultloc.netmodel import LineRecord, Network
 
 
@@ -55,6 +56,18 @@ def kept(zbus) -> tuple[int, int]:
     starts, diag, off, right = zbus._blocks
     assert len(starts) == len(diag) == len(off) + 1 == len(right) + 1
     return len(zbus._line[:1]), len(zbus._tables)
+
+
+def measurement_set(values: dict) -> PhasorMeasurementSet:
+    """A set of hand-picked channels: ``values`` maps a placement's
+    ``(kind, id)`` channel to its positive-sequence (pre-fault, during-fault)
+    pair.  The during-fault zero and negative sequences read zero."""
+    buses: tuple[dict, dict] = ({}, {})
+    branches: tuple[dict, dict] = ({}, {})
+    for (kind, ident), (pre, fault) in values.items():
+        prefault, during = buses if kind == "busV" else branches
+        prefault[ident], during[ident] = pre, (0j, fault, 0j)
+    return PhasorMeasurementSet(*buses, *branches)
 
 
 _ALPHA = cmath.exp(2j * math.pi / 3.0)

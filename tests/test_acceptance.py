@@ -30,7 +30,7 @@ from faultloc import (
     transfer_coefficients,
 )
 
-from oracles import assemble_y, dense_z, tap_network
+from oracles import assemble_y, dense_z, measurement_set, tap_network
 
 RF_GRID = (0.1, 1.0, 10.0)
 M_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
@@ -282,13 +282,7 @@ def test_feasibility_detection(fourbus, ieee14, bridge_five, parallel_pair):
 
 def test_noise_sensitivity_sanity(fourbus, fourbus_study):
     """0.1% multiplicative channel noise: median error < 0.05 everywhere."""
-    from faultloc import (
-        Channel,
-        branch_coefficients,
-        current_channel,
-        locate,
-        voltage_channel,
-    )
+    from faultloc import branch_coefficients, locate
 
     started = time.perf_counter()
     rng = np.random.default_rng(20240803)
@@ -298,42 +292,40 @@ def test_noise_sensitivity_sanity(fourbus, fourbus_study):
     cl = transfer_coefficients(zbus, line, 2)
     b1 = branch_coefficients(zbus, line, fourbus.channel("T1"))
     b3 = branch_coefficients(zbus, line, fourbus.channel("T3"))
-
-    def jitter(ch: Channel) -> Channel:
-        return Channel(
-            ch.kind,
-            ch.ident,
-            ch.pre * (1.0 + rng.normal(0.0, 0.001)),
-            ch.fault * (1.0 + rng.normal(0.0, 0.001)),
-            ch.token,
-        )
+    runs = [
+        (Method.SSVM, VoltagePlacement(1, 2), ck, cl),
+        (Method.SSCM, CurrentPlacement("T1", "T3"), b1, b3),
+        (Method.HYBRID_DIRECT, HybridPlacement("T1", 2), b1, cl),
+        (Method.HYBRID_QUAD, HybridPlacement("T1", 2), b1, cl),
+    ]
 
     m_true = 0.56
     worst_median = 0.0
     for ftype in FaultType:
         for rf in (1.0, 10.0):
             ms = fourbus_study.measurements(FaultScenario("T2", m_true, ftype, rf))
-            vk, vl = voltage_channel(ms, 1), voltage_channel(ms, 2)
-            i1, i3 = current_channel(ms, "T1"), current_channel(ms, "T3")
+            clean = {
+                ("busV", 1): (ms.prefault_bus_v[1], ms.fault_bus_v[1][1]),
+                ("busV", 2): (ms.prefault_bus_v[2], ms.fault_bus_v[2][1]),
+                ("branchI", "T1"): (ms.prefault_branch_i["T1"], ms.fault_branch_i["T1"][1]),
+                ("branchI", "T3"): (ms.prefault_branch_i["T3"], ms.fault_branch_i["T3"][1]),
+            }
             errs: dict[str, list[float]] = {m.value: [] for m in Method}
             for _ in range(1000):
-                jk, jl = jitter(vk), jitter(vl)
-                j1, j3 = jitter(i1), jitter(i3)
-                runs = [
-                    (Method.SSVM, lambda: locate(Method.SSVM, jk, jl, ck, cl)),
-                    (Method.SSCM, lambda: locate(Method.SSCM, j1, j3, b1, b3)),
-                    (
-                        Method.HYBRID_DIRECT,
-                        lambda: locate(Method.HYBRID_DIRECT, j1, jl, b1, cl),
-                    ),
-                    (
-                        Method.HYBRID_QUAD,
-                        lambda: locate(Method.HYBRID_QUAD, j1, jl, b1, cl),
-                    ),
-                ]
-                for method, run in runs:
+                # Each channel's pre-fault, then during-fault, gain in turn.
+                jittered = measurement_set(
+                    {
+                        ch: (
+                            pre * (1.0 + rng.normal(0.0, 0.001)),
+                            fault * (1.0 + rng.normal(0.0, 0.001)),
+                        )
+                        for ch, (pre, fault) in clean.items()
+                    }
+                )
+                for method, placement, numer_law, denom_law in runs:
                     try:
-                        errs[method.value].append(abs(run().m - m_true))
+                        est = locate(method, jittered, placement, numer_law, denom_law)
+                        errs[method.value].append(abs(est.m - m_true))
                     except ValueError:
                         errs[method.value].append(float("nan"))
             for method, err_list in errs.items():

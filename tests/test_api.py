@@ -8,11 +8,11 @@ from faultloc import cli, faultsim, locator, netmodel, seqmatrix
 
 #: Public names over the five modules' ``__all__``.  The surface may shrink;
 #: lower this bound when it does, never raise it.
-MAX_PUBLIC_NAMES = 47
+MAX_PUBLIC_NAMES = 46
 
 #: Lines over ``src/faultloc/*.py``, as ``wc -l`` counts them.  The same rule:
 #: lower it when the code shrinks, never raise it.
-MAX_SOURCE_LINES = 2209
+MAX_SOURCE_LINES = 2192
 
 
 def test_package_reexports_every_library_name():

@@ -159,6 +159,39 @@ def test_sweep_json_schema(tmp_path, capsys):
         assert agg["max_pct_error"] <= 1e-4
 
 
+def test_format_flag_overrides_the_sweep_spec(tmp_path, capsys):
+    """``--format``, when given, wins over the spec's ``format``, as ``--out``
+    does over ``out``; without it the spec's format holds, and csv without both."""
+    plain, as_json = _write_sweep(tmp_path, "plain.json"), _write_sweep(tmp_path, format="json")
+    for spec, flag, want in [
+        (plain, [], "csv"),
+        (plain, ["--format", "json"], "json"),
+        (as_json, [], "json"),
+        (as_json, ["--format", "csv"], "csv"),
+    ]:
+        assert run_cli(["--case", CASE_PATH, "--sweep", spec, *flag]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("{" if want == "json" else "line,type,"), (spec, flag)
+
+
+def test_proportional_voltage_pair_exits_two_with_the_placement_message(tmp_path, capsys):
+    """Buses 3 and 4 of the diamond mirror each other about line F, so their
+    changes are proportional under a fault on F: the placement check refuses
+    the pair before any estimate divides them."""
+    from conftest import DIAMOND
+
+    case = tmp_path / "diamond.case"
+    case.write_text(DIAMOND)
+    spec = _write_sweep(
+        tmp_path, case=str(case), lines=["F", "U1"], methods=["ssvm"], buses=[3, 4], branches=[]
+    )
+    assert run_cli(["--case", str(case), "--sweep", spec]) == 2
+    assert capsys.readouterr().err == (
+        "faultloc: infeasible placement: ssvm placement infeasible for line F:"
+        " channel fault responses are linearly dependent\n"
+    )
+
+
 def test_sweep_empty_type_list_rejected(tmp_path, capsys):
     out = tmp_path / "never.csv"
     spec = _write_sweep(tmp_path, types=[])

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from faultloc import (
     CaseError,
-    Channel,
     CurrentPlacement,
     DegenerateChannelError,
     FaultScenario,
@@ -36,7 +35,7 @@ from faultloc import (
 from faultloc import seqmatrix
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
-from oracles import all_simple_paths, feasibility_reason, path_crosses_line
+from oracles import all_simple_paths, feasibility_reason, measurement_set, path_crosses_line
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +88,10 @@ def test_ssvm_out_of_range_solution_is_flagged():
     ck, cl = LinearLaw(1.0, 1.0), LinearLaw(2.0, 0.5)
     m_true = 1.7
     ratio = ck.at(m_true) / cl.at(m_true)
-    est = locate(
-        Method.SSVM,
-        Channel("busV", "1", 1.0 + 0j, 1.0 - ratio * 0.01),
-        Channel("busV", "2", 1.0 + 0j, 1.0 - 0.01),
-        ck,
-        cl,
+    ms = measurement_set(
+        {("busV", 1): (1.0 + 0j, 1.0 - ratio * 0.01), ("busV", 2): (1.0 + 0j, 1.0 - 0.01)}
     )
+    est = locate(Method.SSVM, ms, VoltagePlacement(1, 2), ck, cl)
     assert est.m == pytest.approx(1.7, abs=1e-9)
     assert not est.in_range
     assert "hypothesis" in est.notes
@@ -164,8 +160,8 @@ def test_hybrid_quadratic_double_root():
     # the quadratic is (m - 0.5)^2, a double root at the fault.
     est = locate(
         Method.HYBRID_QUAD,
-        Channel("branchI", "T1", 0j, 0j),
-        Channel("busV", "2", 1.0 + 0j, 0.7 + 0j),
+        measurement_set({("branchI", "T1"): (0j, 0j), ("busV", 2): (1.0 + 0j, 0.7 + 0j)}),
+        HybridPlacement("T1", 2),
         LinearLaw(-0.5 + 0j, 1.0 + 0j),
         LinearLaw(1.0 + 0j, 0j),
     )
@@ -178,8 +174,8 @@ def test_hybrid_quadratic_linear_fallback():
     # Engineered so the quadratic term cancels: c2 = 0, c1 = 2, c0 = -1.
     est = locate(
         Method.HYBRID_QUAD,
-        Channel("branchI", "T1", 0j, 0.2 + 0j),
-        Channel("busV", "2", 1.0 + 0j, 1.2 + 0j),
+        measurement_set({("branchI", "T1"): (0j, 0.2 + 0j), ("busV", 2): (1.0 + 0j, 1.2 + 0j)}),
+        HybridPlacement("T1", 2),
         LinearLaw(0j, 1.0 + 0j),
         LinearLaw(-1.0 + 0j, 1.0 + 0j),
     )
@@ -242,17 +238,17 @@ def test_methods_exact_with_circulating_prefault_flow():
 # ---------------------------------------------------------------------------
 
 
-def test_pair_kind_and_token_validation():
-    v = Channel("busV", "1", 1 + 0j, 0.9 + 0j, token="a")
-    i = Channel("branchI", "T1", 0j, 0.1j, token="a")
+def test_locate_checks_the_placement_kinds():
+    ms = measurement_set({("busV", 1): (1 + 0j, 0.9 + 0j), ("branchI", "T1"): (0j, 0.1j)})
     laws = (LinearLaw(1 + 0j, 1 + 0j), LinearLaw(2 + 0j, 0.5 + 0j))
-    with pytest.raises(ValueError, match="channel kinds"):
-        locate(Method.SSVM, v, i, *laws)
-    with pytest.raises(ValueError, match="channel kinds"):
-        locate(Method.HYBRID_DIRECT, v, i, *laws)  # current over voltage
-    with pytest.raises(ValueError, match="not synchronized"):
-        locate(Method.SSCM, i, Channel("branchI", "T3", 0j, 0.1j, token="b"), *laws)
-    locate(Method.HYBRID_DIRECT, i, v, *laws)  # matching kinds and tokens solve
+    for method, placement in [
+        (Method.SSVM, HybridPlacement("T1", 1)),
+        (Method.SSCM, VoltagePlacement(1, 1)),
+        (Method.HYBRID_DIRECT, CurrentPlacement("T1", "T1")),
+    ]:
+        with pytest.raises(TypeError, match="channel kinds"):
+            locate(method, ms, placement, *laws)
+    locate(Method.HYBRID_DIRECT, ms, HybridPlacement("T1", 1), *laws)  # matching kinds solve
 
 
 @pytest.mark.parametrize(
@@ -268,10 +264,13 @@ def test_near_proportional_laws_are_dependent(method, kinds):
     # ratio solve alone would accept it and return an arbitrary position.
     a = LinearLaw(1.0 + 0.3j, 0.5 - 0.2j)
     b = LinearLaw(2.0 * a.b, 2.0 * a.c * (1.0 + 1e-10))
-    numer = Channel(kinds[0], "x", 0j, a.at(0.4) * 1e-3)
-    denom = Channel(kinds[1], "y", 0j, b.at(0.4) * 1.0001e-3)
+    placement = {
+        ("busV", "busV"): VoltagePlacement(1, 2),
+        ("branchI", "busV"): HybridPlacement("T1", 2),
+    }[kinds]
+    changes = [(0j, a.at(0.4) * 1e-3), (0j, b.at(0.4) * 1.0001e-3)]
     with pytest.raises(LinearDependenceError):
-        locate(method, numer, denom, a, b)
+        locate(method, measurement_set(dict(zip(placement.channels, changes))), placement, a, b)
 
 
 def test_estimate_for_placement_type_checks(fourbus, fourbus_study):
@@ -293,29 +292,67 @@ def test_scale_invariance_of_all_methods(fourbus, fourbus_study):
     ms = fourbus_study.measurements(FaultScenario("T2", 0.56, FaultType.LLG, 10.0))
     scale = cmath.rect(0.83, math.radians(25.0))
 
-    def scaled(ch: Channel) -> Channel:
-        return Channel(ch.kind, ch.ident, ch.pre * scale, ch.fault * scale, ch.token)
+    buses = {("busV", b): (ms.prefault_bus_v[b], v[1]) for b, v in ms.fault_bus_v.items()}
+    branches = {("branchI", i): (ms.prefault_branch_i[i], v[1]) for i, v in ms.fault_branch_i.items()}
+    scaled = measurement_set(
+        {ch: (pre * scale, fault * scale) for ch, (pre, fault) in (buses | branches).items()}
+    )
 
     line = fourbus.line("T2")
     ck = transfer_coefficients(zb, line, 1)
     cl = transfer_coefficients(zb, line, 2)
     b1 = branch_coefficients(zb, line, fourbus.channel("T1"))
     b3 = branch_coefficients(zb, line, fourbus.channel("T3"))
-    vk, vl = voltage_channel(ms, 1), voltage_channel(ms, 2)
-    i1, i3 = current_channel(ms, "T1"), current_channel(ms, "T3")
-
     runs = [
-        (Method.SSVM, vk, vl, ck, cl),
-        (Method.SSCM, i1, i3, b1, b3),
-        (Method.HYBRID_DIRECT, i1, vl, b1, cl),
-        (Method.HYBRID_QUAD, i1, vl, b1, cl),
+        (Method.SSVM, VoltagePlacement(1, 2), ck, cl),
+        (Method.SSCM, CurrentPlacement("T1", "T3"), b1, b3),
+        (Method.HYBRID_DIRECT, HybridPlacement("T1", 2), b1, cl),
+        (Method.HYBRID_QUAD, HybridPlacement("T1", 2), b1, cl),
     ]
-    baselines = [locate(method, a, b, la, lb) for method, a, b, la, lb in runs]
-    rescaled = [
-        locate(method, scaled(a), scaled(b), la, lb) for method, a, b, la, lb in runs
-    ]
-    for a, b in zip(baselines, rescaled):
-        assert abs(a.m - b.m) < 1e-12
+    for method, placement, numer_law, denom_law in runs:
+        a = locate(method, ms, placement, numer_law, denom_law)
+        b = locate(method, scaled, placement, numer_law, denom_law)
+        assert abs(a.m - b.m) < 1e-12, method
+
+
+def test_every_channel_read_goes_through_the_two_readers(fourbus, fourbus_study, monkeypatch):
+    """``estimate_for_placement``, ``rank_line_hypotheses`` and ``locate`` each
+    read exactly their placement's two channels, in order, from the set they
+    are given, through ``voltage_channel`` and ``current_channel``."""
+    from faultloc import locator
+
+    reads = []
+    for kind, read in (("busV", voltage_channel), ("branchI", current_channel)):
+
+        def counted(ms, ident, kind=kind, read=read):
+            reads.append((ms, kind, ident))
+            return read(ms, ident)
+
+        monkeypatch.setattr(locator, read.__name__, counted)
+    zbus, line = fourbus_study.zbus(1), fourbus.line("T2")
+    ms = fourbus_study.measurements(FaultScenario("T2", 0.56, FaultType.LG, 1.0))
+    for method, placement in [
+        (Method.SSVM, VoltagePlacement(1, 2)),
+        (Method.SSCM, CurrentPlacement("T1", "T3")),
+        (Method.HYBRID_DIRECT, HybridPlacement("T1", 2)),
+        (Method.HYBRID_QUAD, HybridPlacement("T1", 2)),
+    ]:
+        laws = [
+            branch_coefficients(zbus, line, fourbus.channel(i)) if kind == "branchI"
+            else transfer_coefficients(zbus, line, i)
+            for kind, i in placement.channels
+        ]
+        calls = [
+            lambda: estimate_for_placement(fourbus, zbus, "T2", placement, ms, method),
+            lambda: locate(method, ms, placement, *laws),
+        ]
+        if method is not Method.HYBRID_QUAD:
+            calls.append(lambda: rank_line_hypotheses(fourbus, ms, placement, method, zbus))
+        for call in calls:
+            reads.clear()
+            assert call()
+            assert [(kind, i) for _, kind, i in reads] == list(placement.channels), method
+            assert all(read_from is ms for read_from, _, _ in reads), method
 
 
 def test_channel_isolation_is_bit_exact(fourbus, fourbus_study):
@@ -378,6 +415,16 @@ def test_feasibility_identical_parallel_pair(parallel_pair):
     ok, reason = feasibility_check(parallel_pair, "T", CurrentPlacement("P1", "P2"), zbus)
     assert not ok
     assert "dependent" in reason
+
+
+def test_feasibility_refuses_a_proportional_voltage_pair(diamond):
+    # Buses 3 and 4 mirror each other about line F, which lies on a path
+    # between them: under a fault on F their changes are proportional.
+    zbus = build_zbus(diamond, 1)
+    assert feasibility_check(diamond, "F", VoltagePlacement(3, 4), zbus) == (
+        False, "channel fault responses are linearly dependent"
+    )
+    assert feasibility_check(diamond, "U1", VoltagePlacement(3, 4), zbus) == (True, "ok")
 
 
 def test_feasibility_accepts_study_placements(fourbus, fourbus_study, ieee14, ieee14_study):
@@ -557,17 +604,13 @@ def test_estimate_refuses_as_locate_does_on_every_call(fourbus, fourbus_study):
         (Method.HYBRID_QUAD, HybridPlacement("T1", 2), dead, DegenerateChannelError),
     ]
     for method, placement, ms, error in cases:
-        numer, denom = (
-            voltage_channel(ms, i) if kind == "busV" else current_channel(ms, i)
-            for kind, i in placement.channels
-        )
         laws = [
             branch_coefficients(zbus, t2, fourbus.channel(i)) if kind == "branchI"
             else transfer_coefficients(zbus, t2, i)
             for kind, i in placement.channels
         ]
         with pytest.raises(error) as want:
-            locate(method, numer, denom, *laws)
+            locate(method, ms, placement, *laws)
         for _ in range(2):
             with pytest.raises(error) as got:
                 estimate_for_placement(fourbus, zbus, "T2", placement, ms, method)

@@ -163,14 +163,24 @@ def test_validate_reports_a_line_to_an_unknown_bus():
         ("T2", {"z0_per_km": 0j}, "line T2: zero sequence-0 impedance"),
         (3, {"z0": 0j}, "source at bus 3: zero internal impedance"),
         (3, {"z2": 0j}, "source at bus 3: zero internal impedance"),
+        ("T2", {"length_km": math.nan}, "line T2: non-finite length or impedance"),
+        ("T2", {"length_km": math.inf}, "line T2: non-finite length or impedance"),
+        ("T2", {"z1_per_km": complex(math.nan, 0.1)}, "line T2: non-finite length or impedance"),
+        (3, {"z1": complex(math.nan, 0.0)}, "source at bus 3: non-finite impedance or EMF"),
+        (3, {"emf": complex(math.inf, 0.0)}, "source at bus 3: non-finite impedance or EMF"),
+        (None, {"base_mva": 0.0}, "non-positive or non-finite base value in (0.0, 230.0, 50.0)"),
+        (None, {"base_kv": math.nan}, "non-positive or non-finite base value in (100.0, nan, 50.0)"),
     ],
 )
 def test_validate_reports_zero_impedance_records(fourbus, record, change, diagnostic):
     """A zero line or source impedance is an infinite admittance, which
-    ``parse_case`` refuses and no matrix can be built from."""
+    ``parse_case`` refuses and no matrix can be built from.  It refuses
+    non-finite numbers and non-positive base values too, and so does
+    ``validate``.  A ``record`` of None changes the network itself."""
     lines = tuple(replace(rec, **change) if rec.id == record else rec for rec in fourbus.lines)
     sources = tuple(replace(src, **change) if src.bus == record else src for src in fourbus.sources)
-    assert validate(replace(fourbus, lines=lines, sources=sources)) == [diagnostic]
+    net = replace(fourbus, lines=lines, sources=sources, **(change if record is None else {}))
+    assert validate(net) == [diagnostic]
 
 
 def test_validate_unreachable_island():
