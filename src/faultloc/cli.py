@@ -4,12 +4,12 @@ A run simulates the requested fault(s) on a case, feeds the synthetic
 measurements to the selected estimators, and emits one report row per
 (scenario, method).  Current channels are line ids, ``a-b`` pairs or
 terminals of any line (``T2@from``); only a faulted line's own current is
-refused.  Inputs are checked before the first scenario runs, bar unknown
-lines, buses and channels and infeasible placements.  Scenarios run one
-faulted line at a time on one shared study, whose matrix keeps each
-placement's laws and verdicts for every line.  Only the channels the methods
-read, plus the distorted ones, are simulated, each as with every channel
-tapped, so reports and errors do not depend on it.  Reports are
+refused.  Every input is checked, and every name resolved against the case,
+before the first scenario runs; only infeasible placements are found after
+it.  Scenarios run one faulted line at a time on one shared study, whose
+matrix keeps each placement's laws and verdicts for every line.  Only the
+channels the methods read, plus the distorted ones, are simulated, each as
+with every channel tapped, so reports do not depend on it.  Reports are
 deterministic: rows are sorted by (line, type, m, rf, method), identical
 inputs give byte-identical files, and timing goes to stderr only.
 
@@ -17,7 +17,8 @@ Exit codes: 0 success, 1 parse/validation failure, 2 infeasible placement.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from itertools import product
 
 import argparse
@@ -140,18 +141,31 @@ def load_sweep_spec(path: str, default_case: str | None = None) -> SweepSpec:
 def parse_distortion(token: str) -> Distortion:
     """Parse ``kind:channel:gain:MAG[:PHASE_DEG]`` or ``kind:channel:clamp:PU``."""
     parts = token.split(":")
-    if len(parts) < 4:
+    if len(parts) not in ((4, 5) if parts[2:3] == ["gain"] else (4,)):
         raise ValueError(f"bad distortion spec {token!r}")
-    kind, channel, op = parts[0], parts[1], parts[2]
+    kind, channel, op, value, phase = (parts + ["0"])[:5]  # PHASE_DEG defaults to 0
     if kind not in ("busV", "branchI"):
         raise ValueError(f"bad distortion channel kind {kind!r}")
     if op == "gain":
-        gain = float(parts[3])
-        phase = float(parts[4]) if len(parts) > 4 else 0.0
-        return Distortion(kind=kind, channel=channel, gain=gain, phase_deg=phase)
+        return Distortion(kind, channel, gain=float(value), phase_deg=float(phase))
     if op == "clamp":
-        return Distortion(kind=kind, channel=channel, clamp_pu=float(parts[3]))
+        return Distortion(kind, channel, clamp_pu=float(value))
     raise ValueError(f"bad distortion op {op!r} (expected gain or clamp)")
+
+
+def _channel_id(net: Network, faulted: tuple[str, ...], kind: str, token: int | str) -> int | str:
+    """A channel's canonical id in the case: a bus label, or a current channel
+    under its line's id, as measurement sets key it (``1-3@from`` is ``T1@from``).
+    A faulted line's own current is refused: only its terminals measure it."""
+    if kind == "branchI":
+        line, end = net.channel(token)
+        if not end and line.id in faulted:
+            raise ValueError(f"current channel {line.id!r} measures faulted line {line.id!r}")
+        return f"{line.id}@{end}" if end else line.id
+    try:
+        return net.buses[net.bus_index(int(token))]
+    except ValueError:  # not an integer, or no bus of the case
+        raise CaseError(f"unknown bus {token!r}") from None
 
 
 def _placement_for(
@@ -187,35 +201,16 @@ class ReportRow:
 
 
 def _taps(
-    net: Network,
-    line_id: str,
-    placements: dict[Method, Placement],
-    distortions: tuple[Distortion, ...],
+    plan: list[tuple[Method, Placement]], distortions: tuple[Distortion, ...]
 ) -> MeasurementTaps:
-    """The channels a scenario on ``line_id`` reads: the placements' own
-    and the distorted ones, under their canonical ids.
-
-    A channel that no tap set holds (an unknown bus or line, the faulted
-    line's own id) is left out, so that the check that rejects it raises
-    just as it would with every channel tapped.  An ``a-b`` pair taps its
-    line, which the check on the pair's own id does not read.
-    """
-    channels = [ch for p in placements.values() for ch in p.channels]
-    channels.extend((d.kind, d.channel) for d in distortions)
-    buses: dict[int, None] = {}
-    branches: dict[str, None] = {}
-    for kind, ident in channels:
-        try:
-            if kind == "busV":
-                net.bus_index(int(ident))
-                buses[int(ident)] = None
-                continue
-            line, end = net.channel(ident)
-        except ValueError:  # CaseError included: the check that rejects it runs later
-            continue
-        if end or line.id != line_id:
-            branches[f"{line.id}@{end}" if end else line.id] = None
-    return MeasurementTaps(tuple(buses), tuple(branches))
+    """The channels a sweep reads, under their canonical ids: the
+    placements' own and the distorted ones."""
+    channels = [ch for _, placement in plan for ch in placement.channels]
+    channels.extend((d.kind, int(d.channel) if d.kind == "busV" else d.channel) for d in distortions)
+    return MeasurementTaps(
+        tuple(dict.fromkeys(i for kind, i in channels if kind == "busV")),
+        tuple(dict.fromkeys(i for kind, i in channels if kind == "branchI")),
+    )
 
 
 def _evaluate(
@@ -252,30 +247,26 @@ def _evaluate(
 def run_sweep(spec: SweepSpec) -> list[ReportRow]:
     """Evaluate the sweep's full scenario cross-product, deterministically.
 
-    Every scenario is built, and so checked, before the first is evaluated,
-    and so is every current channel against every faulted line: a line's
-    own current may not be read while it is faulted, only its terminals.
-    Scenarios are evaluated one faulted line at a time.
+    Every faulted line, placement bus and branch and distorted channel is
+    resolved against the case once, and every scenario built, before the
+    first is evaluated.  Scenarios are evaluated one faulted line at a time.
     """
     spec.validate()
     distortions = tuple(parse_distortion(t) for t in spec.distort)
     net = load_case(spec.case)
-    # Measurement sets name a line by its id, never by an a-b pair.
-    branches = tuple(
-        f"{line.id}@{end}" if end else line.id for line, end in map(net.channel, spec.branches)
-    )
-    placements = {m: _placement_for(m, spec.buses, branches) for m in spec.methods}
+    for line_id in spec.lines:
+        net.line(line_id)  # an unknown line raises
+    resolve = partial(_channel_id, net, spec.lines)
+    buses = tuple(resolve("busV", b) for b in spec.buses)
+    branches = tuple(resolve("branchI", b) for b in spec.branches)
+    distortions = tuple(replace(d, channel=str(resolve(d.kind, d.channel))) for d in distortions)
+    plan = [(method, _placement_for(method, buses, branches)) for method in spec.methods]
     grid = list(product(spec.types, spec.m_values, spec.rf_ohm))
     scenarios = [[FaultScenario(line_id, m, t, rf) for t, m, rf in grid] for line_id in spec.lines]
-    currents = {i for p in placements.values() for kind, i in p.channels if kind == "branchI"}
-    for line_id in spec.lines:
-        if line_id in currents:
-            raise ValueError(f"current channel {line_id!r} measures faulted line {line_id!r}")
-    plan = [(method, placements[method]) for method in spec.methods]
+    taps = _taps(plan, distortions)
     study = FaultStudy(net)
     rows: list[ReportRow] = []
-    for line_id, group in zip(spec.lines, scenarios):
-        taps = _taps(net, line_id, placements, distortions)
+    for group in scenarios:
         rows.extend(_evaluate(study, group, taps, plan, distortions))
     rows.sort(key=ReportRow.sort_key)
     return rows
@@ -317,20 +308,25 @@ def render_json(rows: list[ReportRow]) -> str:
 
 
 def write_report(text: str, out: str | None) -> None:
-    """Write atomically: a failed run must not leave a partial file."""
+    """Write atomically: a failed run must not leave a partial file, and a
+    failed write names the report, not the temporary file."""
     if out is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".faultloc-", suffix=".tmp")
+    tmp = None
     try:
+        directory = os.path.dirname(os.path.abspath(out))
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".faultloc-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, out)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        tmp = None
+    except OSError as exc:
+        raise OSError(f"cannot write report {out!r}: {exc.strerror}") from None
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -370,7 +366,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--distort", action="append", default=[], metavar="SPEC",
         help="channel distortion kind:channel:gain:MAG[:PHASE_DEG] or"
-        " kind:channel:clamp:PU (repeatable)",
+        " kind:channel:clamp:PU, on a bus label or a --branches channel (repeatable)",
     )
     p.add_argument("--out", help="report path (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], help="report format (default: csv)")
@@ -397,9 +393,12 @@ def main(argv: list[str] | None = None) -> int:
                 branches=tuple(b for b in args.branches.split(",") if b),
                 distort=tuple(args.distort),
             )
+        out = args.out if args.out is not None else spec.out
+        if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            raise ValueError(f"cannot write report {out!r}: no such directory")
         rows = run_sweep(spec)
         text = render_csv(rows) if (args.format or spec.format) == "csv" else render_json(rows)
-        write_report(text, args.out if args.out is not None else spec.out)
+        write_report(text, out)
     except PlacementError as exc:
         print(f"faultloc: infeasible placement: {exc}", file=sys.stderr)
         return 2

@@ -20,12 +20,17 @@ from faultloc import cli, seqmatrix
 from faultloc.cli import main
 from faultloc import FaultStudy
 
+from functools import partial
 from importlib import resources
 from itertools import product
 from pathlib import Path
 
 CASE_PATH = str(resources.files("faultloc").joinpath("cases", "fourbus.case"))
 CASE14_PATH = str(resources.files("faultloc").joinpath("cases", "ieee14.case"))
+
+
+#: A single T2 fault on the four-bus case; a test adds the methods and placements.
+_SINGLE = ["--case", CASE_PATH, "--line", "T2", "--type", "LG", "--m", "0.5"]
 
 
 def run_cli(args):
@@ -376,7 +381,7 @@ def test_unknown_distortion_channel_exits_one(capsys):
         ]
     )
     assert rc == 1
-    assert "unknown voltage channel" in capsys.readouterr().err
+    assert capsys.readouterr().err == "faultloc: error: unknown bus '77'\n"
 
 
 def test_bad_distortion_spec_exits_one(capsys):
@@ -387,6 +392,13 @@ def test_bad_distortion_spec_exits_one(capsys):
         ]
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize("token", ["busV:1:gain:1:2:3", "branchI:T1:clamp:0.5:9"])
+def test_distortion_with_extra_fields_exits_one(capsys, token):
+    argv = _SINGLE + ["--method", "all", "--buses", "1,2", "--branches", "T1,T3", "--distort", token]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"faultloc: error: bad distortion spec {token!r}\n"
 
 
 def test_bad_sweep_distortion_exits_before_any_scenario(tmp_path, capsys, monkeypatch):
@@ -507,12 +519,13 @@ def test_sweep_spec_that_is_not_an_object_exits_one(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def _all_taps(net, line_id, placements, distortions):
-    """Every channel: every bus, every line but the faulted one, and both
-    terminals of every line."""
+def _all_taps(net, faulted, plan, distortions):
+    """Every channel a sweep that faults ``faulted`` may read: every bus, every
+    line but the faulted ones, and both terminals of every line.  A sweep
+    refuses a faulted line's own current, so this holds every channel it taps."""
     terminals = tuple(f"{rec.id}@{end}" for rec in net.lines for end in ("from", "to"))
     return MeasurementTaps(
-        branches=tuple(rec.id for rec in net.lines if rec.id != line_id) + terminals
+        branches=tuple(rec.id for rec in net.lines if rec.id not in faulted) + terminals
     )
 
 
@@ -559,22 +572,25 @@ def _sweep_specs(tmp_path):
     ]
 
 
-#: Runs the all-tap set rejects, each with the error that rejects it.
-_SINGLE = ["--case", CASE_PATH, "--line", "T2", "--type", "LG", "--m", "0.5"]
+#: Runs refused before any channel is tapped, each with the error that refuses it.
 _REJECTED = [
     (_SINGLE + ["--method", "ssvm", "--buses", "1,2", "--distort", "busV:77:gain:1.01"],
-     "unknown voltage channel '77'"),
+     "unknown bus '77'"),
     (_SINGLE + ["--method", "ssvm", "--buses", "1,2", "--distort", "branchI:T2:gain:1.01"],
-     "unknown current channel 'T2'"),
+     "current channel 'T2' measures faulted line 'T2'"),
     (_SINGLE + ["--method", "all", "--buses", "1,2", "--branches", "T2,T3"], "'T2'"),
     (_SINGLE + ["--method", "ssvm", "--buses", "1,9"], "unknown bus 9"),
 ]
 
 
 def test_consumed_taps_match_all_taps(tmp_path, capsys, monkeypatch):
-    def runs():
+    def runs(all_taps=False):
         reports = []
         for k, spec in enumerate(_sweep_specs(tmp_path)):
+            if all_taps:
+                sweep = cli.load_sweep_spec(spec, default_case=CASE_PATH)
+                every = partial(_all_taps, cli.load_case(sweep.case), sweep.lines)
+                monkeypatch.setattr(cli, "_taps", every)
             out = tmp_path / f"report-{k}.csv"
             assert run_cli(["--case", CASE_PATH, "--sweep", spec, "--out", str(out)]) == 0
             reports.append(out.read_bytes())
@@ -583,8 +599,7 @@ def test_consumed_taps_match_all_taps(tmp_path, capsys, monkeypatch):
         return reports, errors
 
     consumed = runs()
-    monkeypatch.setattr(cli, "_taps", _all_taps)
-    assert runs() == consumed
+    assert runs(all_taps=True) == consumed
     for (rc, err), (_, message) in zip(consumed[1], _REJECTED):
         assert rc == 1
         assert err.startswith("faultloc: error: ") and message in err
@@ -694,3 +709,121 @@ def test_sweep_rows_match_a_fresh_study_per_scenario(tmp_path):
         got = [(r.line, r.type, r.m_true, r.rf_ohm, r.method, _bits(r.m_est, r.residual, r.pct_error))
                for r in rows]
         assert sorted(got) == sorted(want), path
+
+
+# ---------------------------------------------------------------------------
+# Every name is resolved before a study is built
+# ---------------------------------------------------------------------------
+
+
+def _no_study(net):
+    raise AssertionError("a study was built for a run with a bad name")
+
+
+_SSVM = _SINGLE + ["--method", "ssvm", "--buses", "1,2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--case", CASE_PATH, "--line", "T9", "--type", "LG", "--m", "0.5", "--method", "ssvm",
+          "--buses", "1,2"], "unknown line 'T9'"),
+        (_SINGLE + ["--method", "ssvm", "--buses", "1,9"], "unknown bus 9"),
+        (_SSVM + ["--distort", "busV:77:gain:1.01"], "unknown bus '77'"),
+        (_SSVM + ["--distort", "busV:1.9:gain:1.01"], "unknown bus '1.9'"),
+        (_SSVM + ["--distort", "busV:x:clamp:0.5"], "unknown bus 'x'"),
+        (_SSVM + ["--distort", "branchI:T9:gain:1.01"], "unknown line in current channel 'T9'"),
+        (_SSVM + ["--distort", "branchI:T9@to:gain:1.01"], "unknown line in current channel 'T9@to'"),
+        (_SSVM + ["--distort", "branchI:T2:gain:1.01"],
+         "current channel 'T2' measures faulted line 'T2'"),
+        (_SSVM + ["--distort", "branchI:1-2:clamp:0.5"],
+         "current channel 'T2' measures faulted line 'T2'"),
+    ],
+)
+def test_bad_names_exit_one_before_any_study(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "FaultStudy", _no_study)
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"faultloc: error: {message}\n"
+
+
+@pytest.mark.parametrize("lines", [["T9", "T2"], ["T2", "T3", "T9"]])
+def test_unknown_line_anywhere_in_a_sweep_exits_one_before_any_study(
+    tmp_path, capsys, monkeypatch, lines
+):
+    monkeypatch.setattr(cli, "FaultStudy", _no_study)
+    spec = _write_sweep(tmp_path, lines=lines, methods=["ssvm"])
+    assert run_cli(["--case", CASE_PATH, "--sweep", spec]) == 1
+    assert capsys.readouterr().err == "faultloc: error: unknown line 'T9'\n"
+
+
+@pytest.mark.parametrize(
+    "branches, pair, named, moves",
+    [
+        ("T1,T3", "branchI:1-3:gain:1.1", "branchI:T1:gain:1.1", True),
+        ("T1,T3", "branchI:3-1@from:clamp:0.2", "branchI:T1@from:clamp:0.2", False),
+        ("T1@from,T3", "branchI:3-1@from:clamp:0.01", "branchI:T1@from:clamp:0.01", True),
+    ],
+)
+def test_distortion_takes_the_channel_names_branches_take(tmp_path, branches, pair, named, moves):
+    """An a-b pair, or its terminal, distorts its line's channel, as
+    ``--branches`` reads it."""
+    reports = []
+    for distort in ([], ["--distort", pair], ["--distort", named]):
+        out = tmp_path / f"report-{len(reports)}.csv"
+        argv = _SINGLE + ["--method", "all", "--buses", "1,2", "--branches", branches]
+        assert run_cli(argv + distort + ["--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    plain, by_pair, by_id = reports
+    assert by_pair == by_id
+    assert (by_pair != plain) == moves
+
+
+# ---------------------------------------------------------------------------
+# Reports that cannot be written, usage errors and degenerate estimates
+# ---------------------------------------------------------------------------
+
+
+def test_missing_report_directory_exits_one_before_the_case_loads(tmp_path, capsys, monkeypatch):
+    def no_case(path):
+        raise AssertionError("the case was loaded for a report that cannot be written")
+
+    monkeypatch.setattr(cli, "load_case", no_case)
+    out = str(tmp_path / "missing" / "report.csv")
+    assert run_cli(_SSVM + ["--out", out]) == 1
+    assert capsys.readouterr().err == f"faultloc: error: cannot write report {out!r}: no such directory\n"
+    spec = _write_sweep(tmp_path, out=out)
+    assert run_cli(["--case", CASE_PATH, "--sweep", spec]) == 1
+    assert capsys.readouterr().err == f"faultloc: error: cannot write report {out!r}: no such directory\n"
+
+
+def test_failed_report_write_names_the_report_and_leaves_no_file(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    out.mkdir()  # a directory cannot be replaced by the report
+    assert run_cli(_SSVM + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"faultloc: error: cannot write report {str(out)!r}: ")
+    assert err.count("\n") == 1 and ".tmp" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+def test_usage_error_exits_one_with_one_error_line(capsys):
+    with pytest.raises(SystemExit) as stop:
+        run_cli(["--case", CASE_PATH, "--m", "half"])
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: faultloc")
+    assert [ln for ln in err.splitlines() if ln.startswith("faultloc: error: ")] == [
+        "faultloc: error: argument --m: invalid float value: 'half'"
+    ]
+    assert "Traceback" not in err
+
+
+def test_degenerate_estimate_in_a_run_exits_two(capsys):
+    """An rf so large that the fault barely shows: the voltage change at bus 2
+    is below the observability threshold, which the run reports per method."""
+    argv = _SINGLE + ["--rf-ohm", "1e15", "--method", "ssvm", "--buses", "1,2"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == (
+        "faultloc: infeasible placement: ssvm: channel '2' change 1.476e-12 pu is below"
+        " the observability threshold 1e-09\n"
+    )

@@ -314,6 +314,31 @@ def test_all_tap_measurements_on_a_multi_block_mesh_match_the_direct_solve():
         assert lines <= 1 and tables == 0, seq
 
 
+def test_named_taps_equal_all_taps_bit_for_bit_on_a_five_block_mesh():
+    """A few named channels read the same bits as with every channel tapped,
+    pre-fault and in every sequence, on a 20x20 mesh of five blocks: the CLI
+    taps only the channels it reads and relies on this."""
+    net = parse_case(mesh_text(20, seed=1))
+    assert len(seqmatrix._level_blocks(net)[1]) == 5
+    named_study, every_study = FaultStudy(net), FaultStudy(net)
+    for line_id in ("h0_0", "v9_9", "h12_5", "v18_19"):
+        taps = MeasurementTaps(
+            buses=(1, 210, 400), branches=("h19_18", f"{line_id}@from", f"{line_id}@to")
+        )
+        for ftype in FaultType:
+            sc = FaultScenario(line_id, 0.37, ftype, 2.0)
+            named, every = named_study.measurements(sc, taps), every_study.measurements(sc)
+            assert set(named.fault_bus_v) == set(taps.buses)
+            assert set(named.fault_branch_i) == set(taps.branches)
+            for field in ("prefault_bus_v", "fault_bus_v", "prefault_branch_i", "fault_branch_i"):
+                got, want = getattr(named, field), getattr(every, field)
+                for key, value in got.items():
+                    bits = np.asarray(value, dtype=complex).tobytes()
+                    assert bits == np.asarray(want[key], dtype=complex).tobytes(), (
+                        line_id, ftype, field, key
+                    )
+
+
 def test_infinite_rf_reproduces_prefault(fourbus_study):
     sc = FaultScenario("T2", 0.5, FaultType.LLL, rf_ohm=math.inf)
     ms = fourbus_study.measurements(sc)

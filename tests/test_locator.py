@@ -182,6 +182,23 @@ def test_hybrid_quadratic_linear_fallback():
     assert est.m == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("ratio, want", [(-0.5, 0.75), (0.5, 0.25)])
+def test_hybrid_quadratic_two_roots_in_range_take_the_direct_one(ratio, want):
+    # |1 - 2m| = |ratio| = 0.5 at m = 0.25 and 0.75; the direct solution
+    # 1 - 2m = ratio picks one of them.
+    est = locate(
+        Method.HYBRID_QUAD,
+        measurement_set({("branchI", "T1"): (0j, ratio + 0j), ("busV", 2): (1.0 + 0j, 2.0 + 0j)}),
+        HybridPlacement("T1", 2),
+        LinearLaw(1.0 + 0j, -2.0 + 0j),
+        LinearLaw(1.0 + 0j, 0j),
+    )
+    assert est.ambiguous
+    assert est.notes == "both roots in [0, 1]; tie broken toward the direct solution"
+    assert est.m == pytest.approx(want, abs=1e-12)
+    assert est.residual == 0.0
+
+
 @pytest.mark.parametrize("ftype", list(FaultType))
 @pytest.mark.parametrize("rf", [1.0, 10.0])
 def test_hybrid_quadratic_agrees_with_direct(fourbus, fourbus_study, ftype, rf):
