@@ -154,9 +154,9 @@ def parse_distortion(token: str) -> Distortion:
 
 
 def _channel_id(net: Network, faulted: tuple[str, ...], kind: str, token: int | str) -> int | str:
-    """A channel's canonical id in the case: a bus label, or a current channel
-    under its line's id, as measurement sets key it (``1-3@from`` is ``T1@from``).
-    A faulted line's own current is refused: only its terminals measure it."""
+    """A channel's canonical id in the case: a bus label, given as text or not, or a
+    current channel under its line's id, as measurement sets key it (``1-3@from`` is
+    ``T1@from``).  A faulted line's own current is refused: only its terminals measure it."""
     if kind == "branchI":
         line, end = net.channel(token)
         if not end and line.id in faulted:
@@ -389,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
                 m_values=(args.m,),
                 rf_ohm=(args.rf_ohm,),
                 methods=tuple(Method) if args.method == "all" else (Method(args.method),),
-                buses=tuple(int(b) for b in args.buses.split(",") if b),
+                buses=tuple(int(b) if b.isdecimal() else b for b in args.buses.split(",") if b),
                 branches=tuple(b for b in args.branches.split(",") if b),
                 distort=tuple(args.distort),
             )

@@ -111,7 +111,7 @@ class Network:
     frequency_hz: float = 50.0
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
     _line_index: dict[str, int] = field(init=False, repr=False, compare=False)
-    #: Caches of line_end_indices, block_forest and seqmatrix._level_blocks (by block size).
+    #: Caches of line_end_indices, block_forest and seqmatrix._level_blocks (by block rule).
     _line_ends: tuple | None = field(init=False, repr=False, compare=False, default=None)
     _forest: tuple | None = field(init=False, repr=False, compare=False, default=None)
     _levels: tuple | None = field(init=False, repr=False, compare=False, default=None)
@@ -167,18 +167,16 @@ class Network:
         return self.line_between(a, b), end
 
     def line_end_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every line's from- and to-bus index and its id, in ``lines`` order.
-
-        Built on first use and cached; the arrays are read-only.
-        """
+        """Every line's from- and to-bus index and its id, in ``lines`` order, as
+        read-only arrays built on first use and cached."""
         if self._line_ends is None:
-            index = self.bus_index
-            pairs = [(index(r.from_bus), index(r.to_bus)) for r in self.lines]
-            ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-            ids = np.array([r.id for r in self.lines], dtype=str)
+            index, lines = self.bus_index, self.lines
+            ends = [index(r.from_bus) for r in lines] + [index(r.to_bus) for r in lines]
+            ends = np.fromiter(ends, np.intp, len(ends)).reshape(2, -1)
+            ids = np.array([r.id for r in lines], dtype=str)
             for a in (ends, ids):
                 a.setflags(write=False)
-            object.__setattr__(self, "_line_ends", (ends[:, 0], ends[:, 1], ids))
+            object.__setattr__(self, "_line_ends", (*ends, ids))
         return self._line_ends
 
     def line_between(self, a: int, b: int) -> LineRecord:
@@ -206,9 +204,8 @@ class Network:
         if self._forest is None:
             p, q = (ends.tolist() for ends in self.line_end_indices()[:2])
             adj: list[list[int]] = [[] for _ in self.buses]
-            for a, b in zip(p, q):
+            for a, b in zip(p + q, q + p):  # each line from both ends
                 adj[a].append(b)
-                adj[b].append(a)
             disc, low, up, order = [-1] * self.n, [0] * self.n, [-1] * self.n, []
             for root in range(self.n):
                 stack = [(root, -1)]  # (bus, its DFS parent)

@@ -50,7 +50,10 @@ __all__ = [
 CONDITION_LIMIT = 1e12
 
 #: The fewest buses in a block of :func:`build_zbus`'s inverse.
-MIN_BLOCK = 64
+MIN_BLOCK = 20
+
+#: Networks of fewer buses are one block: Z is ``np.linalg.inv(Y)``.
+ONE_BLOCK_BELOW = 128
 
 #: The most tables :meth:`SequenceZbus.table` keeps, the oldest dropped first.
 TABLES = 8
@@ -116,18 +119,24 @@ class SequenceZbus:
             raise ValueError(f"bus {bus} is not in the sequence-{self.sequence} matrix") from None
 
     def column(self, bus: int) -> np.ndarray:
-        """Z's column of ``bus``: one block's stored column, else a unit injection's solve."""
-        t, diag = int(self._pos[self.index(bus)]), self._blocks[1]
-        if len(diag) == 1:
+        """Z's column of ``bus``: its block's, and the block recursions above and below it."""
+        t, (starts, diag, off, right) = int(self._pos[self.index(bus)]), self._blocks
+        if len(diag) == 1:  # all of Z
             return diag[0][:, t][self._pos]
-        return self._substitute(np.eye(1, len(self._pos), t, dtype=complex)[0])[self._pos]
+        k = int(np.searchsorted(starts, t, side="right")) - 1  # t's block
+        x, row = [diag[k][:, t - starts[k]]], np.eye(1, len(diag[k]), t - starts[k])[0]
+        for w in reversed(right[:k]):  # above: Z[i, t] = -right_i Z[i+1, t]
+            x.insert(0, -(w @ x[0]))
+        for o, w in zip(off[k:], right[k:]):  # below: row t of Z[k, i+1] = -right_k ... Z[i, i+1]
+            x.append(row @ o)
+            row = -(row @ w)
+        return np.concatenate(x)[self._pos]
 
     def faulted_line(self, line: LineRecord) -> list:
         """``[line, zp, zq]``: Z's columns at ``line``'s ends as lists in Z order,
         kept for the last line asked about only."""
         if not self._line or self._line[0] is not line:
-            ends = (line.from_bus, line.to_bus)
-            self._line[:] = [line, *(self.column(b).tolist() for b in ends)]
+            self._line[:] = [line, *(self.column(b).tolist() for b in (line.from_bus, line.to_bus))]
         return self._line
 
     def table(self, key, build, *args):
@@ -141,15 +150,10 @@ class SequenceZbus:
         return table
 
     def solve(self, injections: np.ndarray) -> np.ndarray:
-        """``Z @ injections``, by block substitution with the stored blocks."""
-        r = np.empty_like(injections)
-        r[self._pos] = injections
-        return self._substitute(r)[self._pos]
-
-    def _substitute(self, r: np.ndarray) -> np.ndarray:
-        """Z @ r in block order: block i is ``Z[i, i] s_i - right_i u_{i+1}``, with
-        ``s_i = r_i - right_{i-1}^T s_{i-1}`` and ``u_i = Z[i, i] r_i - right_i u_{i+1}``."""
+        """``Z @ injections`` by block substitution: block i is ``Z[i, i] s_i - right_i u_{i+1}``,
+        ``s_i = r_i - right_{i-1}^T s_{i-1}``, ``u_i = Z[i, i] r_i - right_i u_{i+1}``."""
         starts, diag, _, right = self._blocks
+        r = injections[np.argsort(self._pos)]
         r = [r[a:b] for a, b in zip(starts, starts[1:] + [len(r)])]
         s = r[:1]
         for part, w in zip(r[1:], right):
@@ -158,7 +162,7 @@ class SequenceZbus:
         for i in reversed(range(len(r))):
             x.append(diag[i] @ s[i] - u)
             u = right[i - 1] @ (diag[i] @ r[i] - u) if i else u
-        return np.concatenate(x[::-1])
+        return np.concatenate(x[::-1])[self._pos]
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,16 +222,14 @@ def _block_rows(net: Network, sequence: int, spans, index, keep, start) -> list[
 def build_zbus(net: Network, sequence: int) -> SequenceZbus:
     """Invert the sequence admittance matrix into a bus impedance matrix.
 
-    Y is block tridiagonal over :func:`_level_blocks`.  A forward pass inverts
-    each Schur complement S_i; a backward pass builds, in O(n b^2), only the
-    blocks kept: ``Z[i, i+1] = -right_i Z[i+1, i+1]`` with ``right_i = S_i^-1
-    Y[i, i+1]`` and ``Z[i, i] = S_i^-1 - right_i Z[i+1, i]`` symmetrised
-    (Takahashi, Fagan and Chin 1973).  No pivoting: Re Y is positive definite
-    with positive resistances (Higham 1998).  Below ``2 * MIN_BLOCK`` buses
-    one block is all of Z: ``np.linalg.inv(y)`` symmetrised.  Raises
-    :class:`UngroundedNetworkError` when Y is singular and
-    :class:`IllConditionedNetworkError` when ``condition``, exact but only
-    read here when :func:`_z_norm_bound` is too big, exceeds :data:`CONDITION_LIMIT`.
+    Y is block tridiagonal over :func:`_level_blocks`.  A forward pass inverts each Schur
+    complement S_i; a backward pass builds only the blocks kept, ``Z[i, i+1] = -right_i
+    Z[i+1, i+1]`` with ``right_i = S_i^-1 Y[i, i+1]`` and ``Z[i, i] = S_i^-1 - right_i
+    Z[i+1, i]`` symmetrised (Takahashi, Fagan and Chin 1973): O(b^3) a block of b buses.
+    No pivoting: Re Y is positive definite with positive resistances (Higham 1998).
+    Raises :class:`UngroundedNetworkError` when Y is singular and
+    :class:`IllConditionedNetworkError` when ``condition``, exact but only read here when
+    :func:`_z_norm_bound` is too big, exceeds :data:`CONDITION_LIMIT`.
     """
     if not net.sources:
         raise UngroundedNetworkError("network has no sources")
@@ -288,21 +290,22 @@ def _level_blocks(net: Network) -> tuple:
     end, next block's end), each index's block position, and where Y's entries go in the
     block rows.  A block is a run of whole BFS levels (each island's from its first bus)
     of at least :data:`MIN_BLOCK` buses, ascending; a line joins it to itself or the next.
-    Below ``2 * MIN_BLOCK`` buses: one block in bus order, no BFS.  Cached on ``net``."""
-    if net._levels is not None and net._levels[0] == MIN_BLOCK:
+    Below :data:`ONE_BLOCK_BELOW` buses: one block in bus order, no BFS.  Cached on ``net``."""
+    if net._levels is not None and net._levels[0] == (MIN_BLOCK, ONE_BLOCK_BELOW):
         return net._levels[1:]
     cut, order = [0, net.n], np.arange(net.n)
-    if net.n >= 2 * MIN_BLOCK:
+    if net.n >= ONE_BLOCK_BELOW:
+        p, q = (ends.tolist() for ends in net.line_end_indices()[:2])
         adj: list[list[int]] = [[] for _ in net.buses]
-        for a, b in zip(*(ends.tolist() for ends in net.line_end_indices()[:2])):
+        for a, b in zip(p + q, q + p):  # each line from both ends
             adj[a].append(b)
-            adj[b].append(a)
-        level = np.full(net.n, -1)
+        level = [-1] * net.n
         for root in (r for r in range(net.n) if level[r] < 0):
             depth, frontier = 0, [root]
             while frontier:
-                level[frontier], depth = depth, depth + 1
-                frontier = list(dict.fromkeys(w for v in frontier for w in adj[v] if level[w] < 0))
+                for v in frontier:
+                    level[v] = depth
+                depth, frontier = depth + 1, {w for v in frontier for w in adj[v] if level[w] < 0}
         ends = np.cumsum(np.bincount(level))  # where each level ends, in level order
         cut = [0]
         for end in ends.tolist():
@@ -325,7 +328,7 @@ def _level_blocks(net: Network) -> tuple:
         gather = ((start[i] + (rows - a[i]) * (c - a)[i] + cols - a[i])[keep], keep, start)
     for x in (order, pos):
         x.setflags(write=False)
-    object.__setattr__(net, "_levels", (MIN_BLOCK, order, spans, pos, gather))
+    object.__setattr__(net, "_levels", ((MIN_BLOCK, ONE_BLOCK_BELOW), order, spans, pos, gather))
     return net._levels[1:]
 
 

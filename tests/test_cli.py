@@ -738,6 +738,7 @@ _SSVM = _SINGLE + ["--method", "ssvm", "--buses", "1,2"]
          "current channel 'T2' measures faulted line 'T2'"),
         (_SSVM + ["--distort", "branchI:1-2:clamp:0.5"],
          "current channel 'T2' measures faulted line 'T2'"),
+        (_SINGLE + ["--method", "ssvm", "--buses", "1.9,2"], "unknown bus '1.9'"),
     ],
 )
 def test_bad_names_exit_one_before_any_study(capsys, monkeypatch, argv, message):

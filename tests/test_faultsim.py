@@ -289,11 +289,11 @@ def test_measurements_match_direct_solve_on_random_meshes(net, data):
 
 
 def test_all_tap_measurements_on_a_multi_block_mesh_match_the_direct_solve():
-    """Every channel of a 12x12 mesh, two blocks at the default MIN_BLOCK,
+    """Every channel of a 12x12 mesh, six blocks at the default MIN_BLOCK,
     against the direct solve; the set reads each matrix's two columns at
     the faulted line's ends and caches no other column."""
     net = parse_case(mesh_text(12, seed=11))
-    assert len(seqmatrix._level_blocks(net)[1]) == 2
+    assert len(seqmatrix._level_blocks(net)[1]) == 6
     line = net.line("h5_6")
     sc = FaultScenario(line.id, 0.37, FaultType.LLG, 4.0)
     study = FaultStudy(net)
@@ -314,12 +314,12 @@ def test_all_tap_measurements_on_a_multi_block_mesh_match_the_direct_solve():
         assert lines <= 1 and tables == 0, seq
 
 
-def test_named_taps_equal_all_taps_bit_for_bit_on_a_five_block_mesh():
+def test_named_taps_equal_all_taps_bit_for_bit_on_a_fifteen_block_mesh():
     """A few named channels read the same bits as with every channel tapped,
-    pre-fault and in every sequence, on a 20x20 mesh of five blocks: the CLI
-    taps only the channels it reads and relies on this."""
+    pre-fault and in every sequence, on a 20x20 mesh of fifteen blocks: the
+    CLI taps only the channels it reads and relies on this."""
     net = parse_case(mesh_text(20, seed=1))
-    assert len(seqmatrix._level_blocks(net)[1]) == 5
+    assert len(seqmatrix._level_blocks(net)[1]) == 15
     named_study, every_study = FaultStudy(net), FaultStudy(net)
     for line_id in ("h0_0", "v9_9", "h12_5", "v18_19"):
         taps = MeasurementTaps(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import fields, replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from faultloc import seqmatrix
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
 from oracles import assemble_y, dense_z, invert_y, kept, tap_network
+from test_locator import _network
 from test_ranking import mesh_text
 
 M_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -217,24 +219,24 @@ def test_ill_conditioned_network_rejected():
 @pytest.mark.parametrize("source", [0, 1])
 def test_multi_block_ill_conditioned_network_rejected(source):
     """The condition number streamed block by block rejects as the dense one
-    did: a 12x12 mesh, two blocks, with a 1e-13 pu source in either one."""
+    did: a 12x12 mesh, six blocks, with a 1e-13 pu source in either one."""
     net = parse_case(mesh_text(12, seed=11))
     sources = list(net.sources)
     sources[source] = replace(sources[source], z1=complex(1e-13, 0.0))
     net = replace(net, sources=tuple(sources))
-    assert len(seqmatrix._level_blocks(net)[1]) == 2
+    assert len(seqmatrix._level_blocks(net)[1]) == 6
     with pytest.raises(IllConditionedNetworkError, match="condition"):
         build_zbus(net, 1)
 
 
 def test_multi_block_condition_is_computed_when_first_read():
-    """The bound accepts a three-block mesh from the stored blocks alone:
+    """The bound accepts a ten-block mesh from the stored blocks alone:
     ``build_zbus`` streams no row of Z, and the exact condition number is
     computed on its first read, once."""
     net = parse_case(mesh_text(16, seed=11))
     for seq in (0, 1):
         zb = build_zbus(net, seq)
-        assert len(zb._blocks[0]) == 3 and "condition" not in vars(zb)
+        assert len(zb._blocks[0]) == 10 and "condition" not in vars(zb)
         assert zb.condition == pytest.approx(np.linalg.cond(build_ybus(net, seq), 1), rel=1e-9)
         assert vars(zb)["condition"] is zb.condition
 
@@ -256,18 +258,87 @@ def test_exact_condition_decides_what_the_bound_cannot(monkeypatch, bound):
 
 @pytest.mark.parametrize("n", [12, 16])
 def test_multi_block_columns_match_the_dense_inverse(n):
-    """At the default MIN_BLOCK a 12x12 or 16x16 mesh is two or three blocks:
+    """At the default MIN_BLOCK a 12x12 or 16x16 mesh is six or ten blocks:
     each column of Z is within 1e-12 of np.linalg.inv's, relative, and
     solves Y for its unit injection within 1e-9."""
     net = parse_case(mesh_text(n, seed=11))
     for seq in (0, 1):
         zb = build_zbus(net, seq)
-        assert len(zb._blocks[0]) > 1
+        assert len(zb._blocks[0]) == {12: 6, 16: 10}[n]
         want, y, eye = invert_y(net, seq), assemble_y(net, seq), np.eye(net.n)
         for k, bus in enumerate(net.buses):
             column = zb.column(bus)
             assert np.max(np.abs(column - want[:, k])) <= 1e-12 * np.max(np.abs(want))
             assert np.max(np.abs(y @ column - eye[k])) <= 1e-9
+
+
+def _grid_edges(n: int, first: int) -> list[tuple[int, int]]:
+    """The lines of an n x n grid whose buses are numbered row by row from ``first``."""
+    rows = [(first + r * n + c, first + r * n + c + 1) for r in range(n) for c in range(n - 1)]
+    return rows + [(first + r * n + c, first + (r + 1) * n + c) for r in range(n - 1) for c in range(n)]
+
+
+def _layout_net(name: str) -> Network:
+    if name == "mesh30":
+        return parse_case(mesh_text(30, seed=11))
+    if name == "chain3000":  # the chain of test_feasibility_on_a_long_chain_does_not_recurse
+        return _network(3000, [(k, k + 1) for k in range(1, 3000)], grounded=range(1, 3000, 100))
+    return _network(181, _grid_edges(10, 1) + _grid_edges(9, 101), grounded=(1, 101))
+
+
+def _bfs_levels(net: Network) -> np.ndarray:
+    """Each bus index's BFS level, every island's counted from its first bus."""
+    p, q, _ = net.line_end_indices()
+    adj: list[list[int]] = [[] for _ in net.buses]
+    for a, b in zip(p.tolist(), q.tolist()):
+        adj[a].append(b)
+        adj[b].append(a)
+    level = [-1] * net.n
+    for root in range(net.n):
+        if level[root] < 0:
+            level[root], queue = 0, deque([root])
+            while queue:
+                v = queue.popleft()
+                for w in adj[v]:
+                    if level[w] < 0:
+                        level[w] = level[v] + 1
+                        queue.append(w)
+    return np.array(level)
+
+
+@pytest.mark.parametrize("name", ["mesh30", "chain3000", "two_islands"])
+def test_level_blocks_are_runs_of_whole_levels_that_lines_join_to_the_next(name):
+    """The block layout against a BFS of its own: ``pos`` inverts ``order``; each
+    block, in bus order, is the shortest run of whole levels that holds
+    MIN_BLOCK buses, and a short last run joins the block before; each line's
+    ends lie in one block or in two adjacent ones."""
+    net = _layout_net(name)
+    order, spans, pos, _ = seqmatrix._level_blocks(net)
+    assert np.array_equal(np.sort(order), np.arange(net.n))
+    assert np.array_equal(order[pos], np.arange(net.n))
+    level = _bfs_levels(net)
+    sizes = np.bincount(level)
+    assert len(spans) > 1 and spans[0][0] == 0 and spans[-1][1:] == (net.n, net.n)
+    first = 0  # the first level of the next block
+    for i, (a, b, c) in enumerate(spans):
+        if i + 1 < len(spans):  # a block's span reaches to the next block's end
+            assert spans[i + 1][0] == b and c == spans[i + 1][1]
+        members = order[a:b]
+        assert np.all(np.diff(members) > 0)
+        levels = np.unique(level[members])
+        assert np.array_equal(levels, np.arange(first, levels[-1] + 1))
+        run = np.cumsum(sizes[first : levels[-1] + 1])
+        assert run[-1] == b - a  # whole levels
+        reached = int(np.searchsorted(run, seqmatrix.MIN_BLOCK))  # the level that reaches it
+        assert reached < len(run)
+        if i + 1 < len(spans):
+            assert reached == len(run) - 1
+        else:
+            assert levels[-1] == len(sizes) - 1 and run[-1] - run[reached] < seqmatrix.MIN_BLOCK
+        first = levels[-1] + 1
+    block = np.searchsorted([a for a, _, _ in spans], pos, side="right") - 1
+    p, q, _ = net.line_end_indices()
+    assert np.abs(block[p] - block[q]).max() <= 1
 
 
 def test_matrices_of_one_network_share_one_bfs(monkeypatch):
@@ -277,13 +348,13 @@ def test_matrices_of_one_network_share_one_bfs(monkeypatch):
     text = mesh_text(12, seed=11)
     net = parse_case(text)
     levels = []
-    full = np.full
+    bincount = np.bincount
 
-    def counted_full(*args, **kwargs):  # the BFS's level array
+    def counted_bincount(*args, **kwargs):  # the BFS's level sizes
         levels.append(args)
-        return full(*args, **kwargs)
+        return bincount(*args, **kwargs)
 
-    monkeypatch.setattr(np, "full", counted_full)
+    monkeypatch.setattr(np, "bincount", counted_bincount)
     study = FaultStudy(net)
     matrices = [study.zbus(seq) for seq in (0, 1, 2)]
     assert len(levels) == 1
@@ -307,11 +378,12 @@ def test_checked_condition_is_the_one_norm_condition_number(request, name, seq):
     assert build_zbus(net, seq).condition == pytest.approx(want, rel=1e-9)
 
 
-@pytest.mark.parametrize("name", ["fourbus", "ieee14"])
+@pytest.mark.parametrize("name", ["fourbus", "ieee14", "mesh11"])
 @pytest.mark.parametrize("seq", [0, 1, 2])
 def test_one_block_is_the_dense_inverse_bit_for_bit(request, name, seq):
-    """A network of at most MIN_BLOCK buses is one block: today's inverse."""
-    net = request.getfixturevalue(name)
+    """A network of fewer than ONE_BLOCK_BELOW buses, 121 for the 11x11 mesh,
+    is one block: np.linalg.inv's inverse, symmetrised."""
+    net = _block_net(request, name)
     assert len(seqmatrix._level_blocks(net)[1]) == 1
     z = np.linalg.inv(build_ybus(net, seq))
     assert dense_z(build_zbus(net, seq)).tobytes() == (0.5 * (z + z.T)).tobytes()
@@ -366,6 +438,7 @@ def _check_block_inverse(net: Network, seq: int) -> seqmatrix.SequenceZbus:
 def test_block_inverse_matches_the_dense_inverse(monkeypatch, request, min_block, name, seq):
     """Blocks of one or two buses put even small networks through many blocks."""
     monkeypatch.setattr(seqmatrix, "MIN_BLOCK", min_block)
+    monkeypatch.setattr(seqmatrix, "ONE_BLOCK_BELOW", 2 * min_block)
     net = _block_net(request, name)
     order, spans = seqmatrix._level_blocks(net)[:2]
     # fourbus's BFS levels hold 1, 2 and 1 buses: one block of at least two.
@@ -405,6 +478,7 @@ def _grounded_networks(draw):
 def test_block_inverse_on_random_networks(net):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(seqmatrix, "MIN_BLOCK", 1)
+        patch.setattr(seqmatrix, "ONE_BLOCK_BELOW", 2)
         for seq in (0, 1):
             _check_block_inverse(net, seq)
 
