@@ -5,13 +5,13 @@ measurements to the selected estimators, and emits one report row per
 (scenario, method).  Current channels are line ids, ``a-b`` pairs or
 terminals of any line (``T2@from``); only a faulted line's own current is
 refused.  Every input is checked, and every name resolved against the case,
-before the first scenario runs; only infeasible placements are found after
-it.  Scenarios run one faulted line at a time on one shared study, whose
-matrix keeps each placement's laws and verdicts for every line.  Only the
-channels the methods read, plus the distorted ones, are simulated, each as
-with every channel tapped, so reports do not depend on it.  Reports are
-deterministic: rows are sorted by (line, type, m, rf, method), identical
-inputs give byte-identical files, and timing goes to stderr only.
+before the first scenario runs.  Every scenario is then simulated, a line at
+a time on one study whose matrix keeps each placement's laws and verdicts,
+on only the channels read or distorted, each as with every channel tapped.
+Each method then checks and solves all rows at once, with the bits of a
+one-row estimate; the first failing row in spec order exits 2.  Reports are
+deterministic: rows sorted by (line, type, m, rf, method), byte-identical
+for identical inputs, timing on stderr only.
 
 Exit codes: 0 success, 1 parse/validation failure, 2 infeasible placement.
 """
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import product
+from operator import attrgetter
 
 import argparse
 import contextlib
@@ -29,19 +30,12 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 from .faultsim import Distortion, FaultScenario, FaultStudy, FaultType, MeasurementTaps, apply_distortion
-from .locator import (
-    CurrentPlacement,
-    DegenerateChannelError,
-    HybridPlacement,
-    LinearDependenceError,
-    Method,
-    Placement,
-    VoltagePlacement,
-    estimate_for_placement,
-    feasibility_check,
-    percent_error,
-)
+from .locator import CurrentPlacement, HybridPlacement, Method, Placement, VoltagePlacement, _estimates
+from .locator import estimate_for_placement  # not called here; perfbench traces this import site
+from .locator import feasibility_check, percent_error
 from .netmodel import CaseError, Network, load_case
 
 __all__ = ["main", "SweepSpec", "run_sweep"]
@@ -80,6 +74,10 @@ class SweepSpec:
         for name in ("lines", "types", "m_values", "rf_ohm", "methods"):
             if not getattr(self, name):
                 raise ValueError(f"sweep spec field {name!r} must be a non-empty list")
+            texts = [repr(getattr(v, "value", v)) for v in getattr(self, name)]  # -0.0 is not 0.0
+            if len(set(texts)) < len(texts):
+                twice = max(texts, key=texts.count)
+                raise ValueError(f"sweep spec field {name!r} lists {twice} twice")
         for rf in self.rf_ohm:
             if abs(rf) == float("inf"):
                 raise ValueError(f"fault resistance {rf} ohm must be finite")
@@ -196,9 +194,6 @@ class ReportRow:
     pct_error: float
     feasible: bool
 
-    def sort_key(self):
-        return (self.line, self.type, self.m_true, self.rf_ohm, self.method)
-
 
 def _taps(
     plan: list[tuple[Method, Placement]], distortions: tuple[Distortion, ...]
@@ -214,34 +209,35 @@ def _taps(
 
 
 def _evaluate(
-    study: FaultStudy,
-    scenarios: list[FaultScenario],
-    taps: MeasurementTaps,
-    plan: list[tuple[Method, Placement]],
-    distortions: tuple[Distortion, ...],
+    study: FaultStudy, scenarios: list[FaultScenario], taps: MeasurementTaps,
+    plan: list[tuple[Method, Placement]], distortions: tuple[Distortion, ...],
 ) -> list[ReportRow]:
-    """The rows of one faulted line's scenarios, every row's feasibility checked."""
-    net, line_id = study.net, scenarios[0].line_id
-    length = net.line(line_id).length_km
-    rows = []
-    for scenario in scenarios:
-        ms = study.measurements(scenario, taps)
-        if distortions:
-            ms = apply_distortion(ms, distortions)
-        zbus, m, ftype, rf = study.zbus(1), scenario.m, scenario.fault_type.value, scenario.rf_ohm
-        for method, placement in plan:
-            ok, reason = feasibility_check(net, line_id, placement, zbus)
+    """Every row of the sweep, every row's feasibility checked: each scenario is
+    simulated in turn, then each method solved over all of them at once.  The
+    first failing row in spec order, scenario then method, raises."""
+    sets = [study.measurements(scenario, taps) for scenario in scenarios]  # builds Z on the first
+    if distortions:
+        sets = [apply_distortion(ms, distortions) for ms in sets]
+    net, zbus, line_ids = study.net, study.zbus(1), [scenario.line_id for scenario in scenarios]
+    length = np.array([net.line(line_id).length_km for line_id in line_ids])
+    m_true, failures, columns = np.array([scenario.m for scenario in scenarios]), [], []
+    for j, (method, placement) in enumerate(plan):
+        verdicts = [feasibility_check(net, line_id, placement, zbus) for line_id in line_ids]
+        m, residual, _, errors = _estimates(net, zbus, line_ids, placement, sets, method)
+        for i, (line_id, (ok, why), error) in enumerate(zip(line_ids, verdicts, errors)):
             if not ok:
-                raise PlacementError(
-                    f"{method.value} placement infeasible for line {line_id}: {reason}"
-                )
-            try:
-                est = estimate_for_placement(net, zbus, line_id, placement, ms, method)
-            except (DegenerateChannelError, LinearDependenceError) as exc:
-                raise PlacementError(f"{method.value}: {exc}") from None
-            pct = percent_error(m * length, est.m * length, length)
-            rows.append(ReportRow(line_id, ftype, m, rf, method.value, est.m, est.residual, pct, ok))
-    return rows
+                failures.append((i, j, f"{method.value} placement infeasible for line {line_id}: {why}"))
+            elif error is not None:
+                failures.append((i, j, f"{method.value}: {error}"))
+        pct = percent_error(m_true * length, m * length, length)
+        columns.append((method.value, m.tolist(), residual.tolist(), pct.tolist()))
+    if failures:
+        raise PlacementError(min(failures)[2])
+    heads = [(s.line_id, s.fault_type.value, s.m, s.rf_ohm) for s in scenarios]
+    return [
+        ReportRow(line, ftype, at, rf, method, m[i], residual[i], pct[i], True)
+        for i, (line, ftype, at, rf) in enumerate(heads) for method, m, residual, pct in columns
+    ]
 
 
 def run_sweep(spec: SweepSpec) -> list[ReportRow]:
@@ -249,7 +245,7 @@ def run_sweep(spec: SweepSpec) -> list[ReportRow]:
 
     Every faulted line, placement bus and branch and distorted channel is
     resolved against the case once, and every scenario built, before the
-    first is evaluated.  Scenarios are evaluated one faulted line at a time.
+    first is evaluated.  Scenarios are simulated one faulted line at a time.
     """
     spec.validate()
     distortions = tuple(parse_distortion(t) for t in spec.distort)
@@ -262,13 +258,9 @@ def run_sweep(spec: SweepSpec) -> list[ReportRow]:
     distortions = tuple(replace(d, channel=str(resolve(d.kind, d.channel))) for d in distortions)
     plan = [(method, _placement_for(method, buses, branches)) for method in spec.methods]
     grid = list(product(spec.types, spec.m_values, spec.rf_ohm))
-    scenarios = [[FaultScenario(line_id, m, t, rf) for t, m, rf in grid] for line_id in spec.lines]
-    taps = _taps(plan, distortions)
-    study = FaultStudy(net)
-    rows: list[ReportRow] = []
-    for group in scenarios:
-        rows.extend(_evaluate(study, group, taps, plan, distortions))
-    rows.sort(key=ReportRow.sort_key)
+    scenarios = [FaultScenario(line_id, m, t, rf) for line_id in spec.lines for t, m, rf in grid]
+    rows = _evaluate(FaultStudy(net), scenarios, _taps(plan, distortions), plan, distortions)
+    rows.sort(key=attrgetter("line", "type", "m_true", "rf_ohm", "method"))
     return rows
 
 
@@ -284,16 +276,21 @@ def _num(x: float) -> str:
     return repr(float(x))  # "nan", "inf" and "-inf" included
 
 
+def _reprs(values: list[float]) -> list[str]:
+    """Each value's :func:`_num` text, made once per bit pattern (``-0.0`` is not ``0.0``):
+    the ratio cancels the fault current, so rows of a (line, m, method) repeat values."""
+    bits, where = np.unique(np.array(values, dtype=float).view(np.int64), return_inverse=True)
+    texts = [repr(x) for x in bits.view(float).tolist()]
+    return [texts[i] for i in where.tolist()]
+
+
 def render_csv(rows: list[ReportRow]) -> str:
-    lines, shared = [CSV_COLUMNS], {}  # "m,rf" text by the ids of the floats rows share
-    for r in rows:
-        key = (id(r.m_true), id(r.rf_ohm))
-        m_rf = shared.get(key) or shared.setdefault(key, f"{_num(r.m_true)},{_num(r.rf_ohm)}")
-        lines.append(
-            f"{r.line},{r.type},{m_rf},{r.method},"
-            f"{float(r.m_est)!r},{float(r.residual)!r},{float(r.pct_error)!r},"
-            f"{'true' if r.feasible else 'false'}"
-        )
+    names = ("m_true", "rf_ohm", "m_est", "residual", "pct_error")
+    columns = [_reprs([getattr(r, name) for r in rows]) for name in names]
+    lines = [CSV_COLUMNS] + [
+        f"{r.line},{r.type},{m},{rf},{r.method},{m_est},{res},{pct},{'true' if r.feasible else 'false'}"
+        for r, m, rf, m_est, res, pct in zip(rows, *columns)
+    ]
     for method, agg in aggregates_by_method(rows).items():
         lines.append(
             f"# aggregate,{method},max_pct_error={_num(agg['max_pct_error'])},"

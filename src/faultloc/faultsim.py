@@ -151,7 +151,7 @@ def fault_sequence_currents(
     An infinite rf means no fault: all currents are zero.  A zero loop
     impedance raises ``ZeroDivisionError``, as complex division does.
     """
-    fault_type = FaultType(fault_type)
+    fault_type = fault_type if isinstance(fault_type, FaultType) else FaultType(fault_type)
     z0, z1, z2 = z_rr
     zero = 0.0 + 0.0j
     if math.isinf(rf_pu):
@@ -209,10 +209,10 @@ class FaultStudy:
         line = self.net.line(scenario.line_id)
         if self._table[0] is not line:  # its fault-point laws, and tap rows per tap set
             self._table = (line, self._laws(fault_point_coefficients, line), {})
-        m, bus_v, laws = scenario.m, self.prefault[0], self._table[1]
-        z_rr = tuple(law.z_at(m) for law in laws)
+        m, bus_v, (z0, z1, z2) = scenario.m, self.prefault[0], self._table[1]
         e_r = (1.0 - m) * bus_v[line.from_bus] + m * bus_v[line.to_bus]
         rf_pu = scenario.rf_ohm / self.net.z_base_ohm
+        z_rr = (z0.z_at(m), z1.z_at(m), z2.z_at(m))
         return fault_sequence_currents(scenario.fault_type, z_rr, e_r, rf_pu)
 
     def measurements(
@@ -222,8 +222,8 @@ class FaultStudy:
         i0, i1, i2 = self.fault_currents(scenario)
         line, _, tables = self._table
         m, sets = scenario.m, []
-        for rows in tables.get(taps) or tables.setdefault(taps, self._tap_rows(line, taps)):
-            sets.append({key: pre for key, pre, _ in rows})
+        for pre, rows in tables.get(taps) or tables.setdefault(taps, self._tap_rows(line, taps)):
+            sets.append(pre.copy())
             sets.append({
                 key: (-(z0.b + z0.c * m) * i0, pre - (z1.b + z1.c * m) * i1, -(z2.b + z2.c * m) * i2)
                 for key, pre, (z0, z1, z2) in rows
@@ -237,7 +237,7 @@ class FaultStudy:
         return laws + [laws[1] if shared else law_of(self.zbus(2), *args)]
 
     def _tap_rows(self, line, taps: MeasurementTaps) -> tuple:
-        """Rows ``(key, pre-fault value, laws per sequence)``: buses, then channels."""
+        """Buses, then channels: pre-fault values by key, and rows ``(key, pre, laws per sequence)``."""
         bus_v0, branch_i0 = self.prefault
         buses = taps.buses if taps.buses is not None else self.net.buses
         branch_ids = taps.branches
@@ -258,7 +258,7 @@ class FaultStudy:
                 )
             pre = -branch_i0[rec.id] if end == "to" else branch_i0[rec.id]
             rows[1].append((bid, pre, self._laws(branch_coefficients, line, (rec, end))))
-        return rows
+        return tuple(({key: pre for key, pre, _ in kind}, kind) for kind in rows)
 
 
 @dataclass(frozen=True)

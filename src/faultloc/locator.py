@@ -17,8 +17,11 @@ measure as ``(kind, id)`` pairs, each read from one measurement set by
 :func:`voltage_channel` or :func:`current_channel`, and the other entries
 take the caller's positive-sequence matrix and read those channels' laws
 under a fault on each line, and every verdict, from one table per (matrix,
-network, placement).  Ranking solves and orders as arrays, builds an entry
-only when it is read, and refuses ``hybrid-quad``.
+network, placement).  One solve serves every estimate: it reads each row's
+ratio in Python and solves the rows as arrays rounded as Python's complex
+arithmetic rounds, so a sweep's rows and a lone :func:`locate` agree bit
+for bit.  Ranking solves and orders as arrays, builds an entry only when it
+is read, and refuses ``hybrid-quad``.
 All estimators consume positive-sequence phasors only and need no
 fault-type or phase-selection information.
 """
@@ -29,8 +32,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import product
 
-import math
-
 import numpy as np
 
 from .faultsim import PhasorMeasurementSet
@@ -39,6 +40,7 @@ from .seqmatrix import (
     LinearLaw,
     SequenceZbus,
     branch_coefficients,
+    _divide,
     build_zbus,  # not called here; perfbench traces this import site
     transfer_coefficients,
 )
@@ -158,19 +160,59 @@ def locate(
     shows no fault signature.
     """
     method = Method(method)
-    laws = (numer_law, denom_law, _dependent(numer_law, denom_law))
-    return _solve(method, laws, ms, _channels(placement, method))
+    laws = [LinearLaw(np.array([w.b], complex), np.array([w.c], complex)) for w in (numer_law, denom_law)]
+    laws.append(np.array([_dependent(numer_law, denom_law)]))
+    return _first(method, _solve(method, laws, [0], [ms], _channels(placement, method)))
 
 
-def _solve(method: Method, laws, ms: PhasorMeasurementSet, channels) -> LocationEstimate:
-    """:func:`locate` from ``(numer_law, denom_law, dependent)`` and the channels."""
-    numer_law, denom_law, dependent = laws
-    if dependent:
-        raise LinearDependenceError(_DEPENDENT)
-    ratio = _ratio(ms, channels)
+def _first(method: Method, solved) -> LocationEstimate:
+    """The first row of :func:`_solve`'s result: its estimate, or its error raised."""
+    m, residual, ambiguous, errors = solved
+    if errors[0] is not None:
+        raise errors[0]
+    return _estimate(float(m[0]), method, float(residual[0]), bool(ambiguous[0]))
+
+
+def _solve(method: Method, laws, k, sets, channels):
+    """Arrays of m, residual and ambiguity, and each row's error or ``None``:
+    row i reads its ratio r from ``sets[i]`` in Python and solves it against
+    line ``k[i]`` of ``laws``, ``(numer, denom, dependent)`` over lines, as
+    ``m = (b_k - r*b_l) / (r*c_l - c_k)`` or by the quadratic, rounding as
+    Python's complex arithmetic does (:func:`_times`, ``_divide``)."""
+    numer, denom, dependent = laws
+    k, ratios, errors = np.asarray(k, dtype=np.intp), [], []
+    for ms, dep in zip(sets, dependent[k].tolist()):
+        try:
+            if dep:
+                raise LinearDependenceError(_DEPENDENT)
+            ratios.append(_ratio(ms, channels))
+            errors.append(None)
+        except (DegenerateChannelError, LinearDependenceError) as exc:
+            ratios.append(1.0)
+            errors.append(exc)
+    r, nc = np.array(ratios, dtype=complex), numer.c[k]
+    rc = _times(r, denom.c[k])
+    den, scale = rc - nc, np.hypot(rc.real, rc.imag) + np.hypot(nc.real, nc.imag)
+    singular = (scale == 0.0) | (np.hypot(den.real, den.imag) <= SOLVE_TOLERANCE * scale)
+    direct = _divide(numer.b[k] - _times(r, denom.b[k]), den)
     if method is Method.HYBRID_QUAD:
-        return _quadratic_solve(numer_law, denom_law, ratio)
-    return _estimate(_ratio_solve(numer_law, denom_law, ratio), method)
+        d2, near = [abs(x) ** 2 for x in ratios], np.where(singular, 0.5, direct.real)
+        m, residual, ambiguous, failed = _quadratic(numer, denom, k, d2, near)
+    else:
+        m, residual, ambiguous = direct.real, np.abs(direct.imag), np.zeros(len(k), bool)
+        failed = [(singular, "channel responses are proportional; the ratio does not depend on"
+                             " the fault position")]
+    for mask, message in failed:
+        for i in np.flatnonzero(mask).tolist():
+            errors[i] = errors[i] or LinearDependenceError(message)
+    return m, residual, ambiguous, errors
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` elementwise, rounded as Python's complex product, not numpy's."""
+    out = (a.real * b.real - a.imag * b.imag).astype(complex)
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def _ratio(ms: PhasorMeasurementSet, channels) -> complex:
@@ -187,22 +229,9 @@ def _ratio(ms: PhasorMeasurementSet, channels) -> complex:
     return numer / denom
 
 
-def _ratio_solve(numer: LinearLaw, denom: LinearLaw, ratio: complex) -> complex:
-    """Solve ratio = numer.at(m) / denom.at(m) for m."""
-    num, den, singular = _ratio_terms(numer, denom, ratio)
-    if singular:
-        raise LinearDependenceError(
-            "channel responses are proportional; the ratio does not depend on"
-            " the fault position"
-        )
-    return num / den
-
-
 def _ratio_terms(numer: LinearLaw, denom: LinearLaw, ratio):
-    """Numerator and denominator of m, and whether the solve is singular.
-
-    Works on scalar laws and elementwise on laws of arrays alike.
-    """
+    """Numerator and denominator of m, and whether the solve is singular, for
+    ranking: elementwise over laws of arrays, in numpy's complex arithmetic."""
     den = ratio * denom.c - numer.c
     scale = abs(ratio * denom.c) + abs(numer.c)
     singular = (scale == 0.0) | (abs(den) <= SOLVE_TOLERANCE * scale)
@@ -210,80 +239,53 @@ def _ratio_terms(numer: LinearLaw, denom: LinearLaw, ratio):
 
 
 def _dependent(a: LinearLaw, b: LinearLaw):
-    """Whether laws ``a`` and ``b`` are proportional.
-
-    Works on scalar laws and elementwise on laws of arrays alike.
-    """
+    """Whether laws ``a`` and ``b`` are proportional, elementwise over laws of arrays."""
     det = a.b * b.c - a.c * b.b
     scale = (abs(a.b) + abs(a.c)) * (abs(b.b) + abs(b.c))
     return (scale == 0.0) | (abs(det) <= DEPENDENCE_TOLERANCE * scale)
 
 
-def _estimate(m_complex: complex, method: Method) -> LocationEstimate:
-    est = LocationEstimate(m=m_complex.real, method=method, residual=abs(m_complex.imag))
+def _estimate(m: float, method: Method, residual: float, ambiguous: bool = False) -> LocationEstimate:
+    est = LocationEstimate(m, method, residual, ambiguous)
+    if ambiguous:
+        return replace(est, notes="both roots in [0, 1]; tie broken toward the direct solution")
     if est.in_range:
         return est
-    return replace(est, notes="solution outside [0, 1]; wrong faulted-line hypothesis?")
+    what = "no root in [0, 1]" if method is Method.HYBRID_QUAD else "solution outside [0, 1]"
+    return replace(est, notes=f"{what}; wrong faulted-line hypothesis?")
 
 
-def _quadratic_solve(
-    numer: LinearLaw, denom: LinearLaw, ratio: complex
-) -> LocationEstimate:
-    """Hybrid estimate through the real quadratic in m.
+def _quadratic(numer: LinearLaw, denom: LinearLaw, k: np.ndarray, d2: list, direct: np.ndarray):
+    """Hybrid estimates from ``c2*m**2 + c1*m + c0 = 0``, the squared magnitudes
+    of the ratio relation's sides equated, ``d2`` the squared ratio magnitude:
+    the root in [0, 1]; of two, the one nearest ``direct`` (ambiguous); of
+    none, the one nearest [0, 1].  The residual is the roots' distance off the
+    real axis.  Law terms are summed in Python, whose ``x**2`` is ``pow``."""
+    lines, rows = np.unique(k, return_inverse=True)
 
-    Equating the squared magnitudes of both sides of the ratio relation
-    gives ``c2*m**2 + c1*m + c0 = 0`` with real coefficients built from the
-    real/imaginary parts of the two laws and the squared ratio magnitude.
-    The root inside [0, 1] is the estimate; if both roots land inside, the
-    result is flagged ambiguous and the root nearest the direct-form
-    solution is returned.
-    """
-    bk, ck, bl, cl = numer.b, numer.c, denom.b, denom.c
-    d2 = abs(ratio) ** 2
-    c2 = ck.real**2 + ck.imag**2 - d2 * (cl.real**2 + cl.imag**2)
-    c1 = 2.0 * (
-        bk.real * ck.real + bk.imag * ck.imag
-        - d2 * (bl.real * cl.real + bl.imag * cl.imag)
-    )
-    c0 = bk.real**2 + bk.imag**2 - d2 * (bl.real**2 + bl.imag**2)
-
-    roots, off_axis = _real_roots(c2, c1, c0)
-    in_range = [r for r in roots if -RANGE_SLACK <= r <= 1.0 + RANGE_SLACK]
-
-    ambiguous, notes = False, ""
-    if len(in_range) == 1:
-        m = in_range[0]
-    elif len(in_range) == 2:
-        ambiguous = True
-        try:
-            direct = _ratio_solve(numer, denom, ratio).real
-        except LinearDependenceError:
-            direct = 0.5
-        m = min(in_range, key=lambda r: abs(r - direct))
-        notes = "both roots in [0, 1]; tie broken toward the direct solution"
-    else:
-        m = min(roots, key=lambda r: max(0.0 - r, r - 1.0, 0.0))
-        notes = "no root in [0, 1]; wrong faulted-line hypothesis?"
-
-    return LocationEstimate(m, Method.HYBRID_QUAD, off_axis, ambiguous, notes)
-
-
-def _real_roots(c2: float, c1: float, c0: float) -> tuple[tuple[float, ...], float]:
-    """Roots of c2*m**2 + c1*m + c0, with their distance off the real axis."""
-    scale = max(abs(c2), abs(c1), abs(c0))
-    if scale == 0.0:
-        raise LinearDependenceError("all quadratic coefficients vanish")
-    if abs(c2) <= SOLVE_TOLERANCE * scale:
-        if abs(c1) <= SOLVE_TOLERANCE * scale:
-            raise LinearDependenceError("quadratic degenerates to a constant")
-        return ((-c0 / c1,), 0.0)
+    def terms(law):  # per line read: |b|**2, Re(b*conj(c)) and |c|**2, then by row
+        b, c = law.b[lines].tolist(), law.c[lines].tolist()
+        bb, cc = [x.real**2 + x.imag**2 for x in b], [y.real**2 + y.imag**2 for y in c]
+        bc = [x.real * y.real + x.imag * y.imag for x, y in zip(b, c)]
+        return np.array([bb, bc, cc]).reshape(3, -1)[:, rows]
+    (kbb, kbc, kcc), (lbb, lbc, lcc), d2 = terms(numer), terms(denom), np.array(d2)
+    c2, c1, c0 = kcc - d2 * lcc, 2.0 * (kbc - d2 * lbc), kbb - d2 * lbb
+    scale = np.maximum(np.maximum(np.abs(c2), np.abs(c1)), np.abs(c0))
+    linear = np.abs(c2) <= SOLVE_TOLERANCE * scale
     disc = c1 * c1 - 4.0 * c2 * c0
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        r1 = (-c1 + s) / (2.0 * c2)
-        r2 = (-c1 - s) / (2.0 * c2)
-        return ((r1,) if r1 == r2 else (r1, r2), 0.0)
-    return ((-c1 / (2.0 * c2),), math.sqrt(-disc) / (2.0 * abs(c2)))
+    s, real = np.sqrt(np.abs(disc)), disc >= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = np.where(linear, -c0 / c1, np.where(real, (-c1 + s) / (2.0 * c2), -c1 / (2.0 * c2)))
+        r2 = np.where(linear | ~real, r1, (-c1 - s) / (2.0 * c2))
+        off_axis = np.where(linear | real, 0.0, s / (2.0 * np.abs(c2)))
+    in1, in2 = ((-RANGE_SLACK <= r) & (r <= 1.0 + RANGE_SLACK) for r in (r1, r2))
+    in2 &= r2 != r1  # a double root is one root
+    outside = [np.maximum(np.maximum(0.0 - r, r - 1.0), 0.0) for r in (r1, r2)]
+    near = np.abs(r1 - direct) <= np.abs(r2 - direct)
+    pick = np.where(in1 & in2, near, in1 | ~in2 & (outside[0] <= outside[1]))
+    failed = [(scale == 0.0, "all quadratic coefficients vanish"),
+              (linear & (np.abs(c1) <= SOLVE_TOLERANCE * scale), "quadratic degenerates to a constant")]
+    return np.where(pick, r1, r2), off_axis, in1 & in2, failed
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +380,7 @@ def _path_nodes(net: Network, sources: list) -> set[int]:
 
 def percent_error(actual_km: float, estimated_km: float, line_length_km: float) -> float:
     """Location error as a percentage of the faulted line's total length."""
-    if line_length_km <= 0:
+    if np.any(np.asarray(line_length_km) <= 0):  # a float, or arrays elementwise
         raise ValueError(f"line length must be positive, got {line_length_km}")
     return 100.0 * abs(actual_km - estimated_km) / line_length_km
 
@@ -417,8 +419,8 @@ class _PlacementLaws:
     """A placement's two channel laws, as laws of arrays over ``net.lines``, with
     masks of the lines where they cannot judge: ``own`` where a channel reads
     the faulted line's own current, ``dependent`` where the laws are
-    proportional, and ``never`` where either holds.  One line's laws, and
-    every line's verdict, are built when first read."""
+    proportional, and ``never`` where either holds.  Every line's verdict is
+    built when first read."""
 
     def __init__(self, zbus: SequenceZbus, net: Network, placement: Placement):
         self.net, self.sources = net, _sources(net, placement)  # net keeps its id taken
@@ -433,18 +435,7 @@ class _PlacementLaws:
         self.own = np.isin(ids, own)
         self.dependent = _dependent(self.numer, self.denom)
         self.never = self.own | self.dependent
-        self._rows, self._verdicts = [None] * len(ids), None
-
-    def laws(self, k: int) -> tuple[LinearLaw, LinearLaw, bool]:
-        """Line k's ``(numer_law, denom_law, dependent)`` in ``complex``; raises
-        ``ValueError`` when a channel reads line k's own current."""
-        row = self._rows[k]
-        if row is None:
-            if self.own[k]:
-                raise ValueError(_OWN_CURRENT.format(self.net.lines[k].id))
-            laws = [LinearLaw(complex(w.b[k]), complex(w.c[k])) for w in (self.numer, self.denom)]
-            row = self._rows[k] = (*laws, bool(self.dependent[k]))
-        return row
+        self._verdicts = None
 
     def verdict(self, k: int) -> tuple[bool, str]:
         """Line k's :func:`feasibility_check` verdict."""
@@ -476,8 +467,18 @@ def estimate_for_placement(
     table on ``zbus``; each call reads the two changes and solves, and
     raises, as :func:`locate` does.
     """
-    k, channels = net.line_index(faulted_line_id), _channels(placement, method)
-    return _solve(method, _laws(zbus, net, placement).laws(k), ms, channels)
+    return _first(method, _estimates(net, zbus, [faulted_line_id], placement, [ms], method))
+
+
+def _estimates(net: Network, zbus: SequenceZbus, line_ids, placement: Placement, sets, method: Method):
+    """:func:`estimate_for_placement` for many rows at once, row i faulting
+    ``line_ids[i]`` and reading ``sets[i]``: :func:`_solve`'s result."""
+    k, channels = [net.line_index(i) for i in line_ids], _channels(placement, method)
+    laws = _laws(zbus, net, placement)
+    own = np.flatnonzero(laws.own[k])
+    if own.size:
+        raise ValueError(_OWN_CURRENT.format(line_ids[own[0]]))
+    return _solve(method, (laws.numer, laws.denom, laws.dependent), k, sets, channels)
 
 
 def rank_line_hypotheses(
@@ -534,7 +535,8 @@ class _Ranking(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return _Ranking(self._method, self._ids[i], self._m_complex[i])
-        return str(self._ids[i]), _estimate(complex(self._m_complex[i]), self._method)
+        m = complex(self._m_complex[i])
+        return str(self._ids[i]), _estimate(m.real, self._method, abs(m.imag))
 
     def __eq__(self, other):
         if isinstance(other, (list, _Ranking)):

@@ -382,22 +382,21 @@ def branch_coefficients(
     return LinearLaw(-b, -c - own)
 
 
-def _divide(a: np.ndarray, b: complex) -> np.ndarray:
-    """``a / b`` rounded as Python's complex division (Smith's method), not as
-    numpy's reciprocal product, so that the laws of every line keep the bits
-    of a one-line law: the hybrid quadratic's off-axis residual would turn
-    one bit into a change near 1e-8.
+def _divide(a: np.ndarray, b) -> np.ndarray:
+    """``a / b`` elementwise, rounded as Python's complex division (Smith's
+    method), not as numpy's reciprocal product, so that the laws of every
+    line keep the bits of a one-line law: the hybrid quadratic's off-axis
+    residual would turn one bit into a change near 1e-8.
     """
-    if abs(b.real) >= abs(b.imag):
-        ratio = b.imag / b.real
-        denom = b.real + b.imag * ratio
-        real, imag = a.real + a.imag * ratio, a.imag - a.real * ratio
-    else:
-        ratio = b.real / b.imag
-        denom = b.real * ratio + b.imag
-        real, imag = a.real * ratio + a.imag, a.imag * ratio - a.real
-    out = (real / denom).astype(complex)
-    out.imag = imag / denom
+    b = np.asarray(b)
+    big = np.abs(b.real) >= np.abs(b.imag)  # divide through by b's larger part p
+    p, q = np.where(big, b.real, b.imag), np.where(big, b.imag, b.real)
+    x, y = np.where(big, a.real, a.imag), np.where(big, a.imag, a.real)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = q / p
+        denom, t = p + q * ratio, x * ratio
+        out = ((x + y * ratio) / denom).astype(complex)
+        out.imag = np.where(big, y - t, t - y) / denom
     return out
 
 

@@ -314,3 +314,45 @@ def feasibility_reason(net: Network, line_id: str, placement) -> str:
         for c in parsed
     ]
     return "ok" if path_crosses_line(net, line_id, *locations) else "path"
+
+
+def python_solve(quadratic: bool, numer, denom, ratio: complex) -> tuple[float, float, bool]:
+    """``(m, residual, ambiguous)`` of one ratio solve in Python's own complex
+    and float arithmetic, whose rounding every array solve must reproduce:
+    the direct form ``(b_k - r*b_l) / (r*c_l - c_k)`` or the hybrid quadratic
+    in ``|ratio|**2``.  Raises ``ZeroDivisionError`` where the solve is singular."""
+    def direct() -> complex:
+        den = ratio * denom.c - numer.c
+        scale = abs(ratio * denom.c) + abs(numer.c)
+        if scale == 0.0 or abs(den) <= 1e-12 * scale:
+            raise ZeroDivisionError("singular ratio solve")
+        return (numer.b - ratio * denom.b) / den
+
+    if not quadratic:
+        m = direct()
+        return m.real, abs(m.imag), False
+    bk, ck, bl, cl, d2 = numer.b, numer.c, denom.b, denom.c, abs(ratio) ** 2
+    c2 = ck.real**2 + ck.imag**2 - d2 * (cl.real**2 + cl.imag**2)
+    c1 = 2.0 * (bk.real * ck.real + bk.imag * ck.imag - d2 * (bl.real * cl.real + bl.imag * cl.imag))
+    c0 = bk.real**2 + bk.imag**2 - d2 * (bl.real**2 + bl.imag**2)
+    scale = max(abs(c2), abs(c1), abs(c0))
+    if scale == 0.0 or max(abs(c2), abs(c1)) <= 1e-12 * scale:
+        raise ZeroDivisionError("degenerate quadratic")
+    off = 0.0
+    if abs(c2) <= 1e-12 * scale:
+        roots = (-c0 / c1,)
+    elif (disc := c1 * c1 - 4.0 * c2 * c0) >= 0.0:
+        r1, r2 = ((-c1 + sign * math.sqrt(disc)) / (2.0 * c2) for sign in (1.0, -1.0))
+        roots = (r1,) if r1 == r2 else (r1, r2)
+    else:
+        roots, off = (-c1 / (2.0 * c2),), math.sqrt(-disc) / (2.0 * abs(c2))
+    inside = [r for r in roots if -1e-9 <= r <= 1.0 + 1e-9]
+    if len(inside) == 2:
+        try:
+            near = direct().real
+        except ZeroDivisionError:
+            near = 0.5
+        return min(inside, key=lambda r: abs(r - near)), off, True
+    if inside:
+        return inside[0], off, False
+    return min(roots, key=lambda r: max(0.0 - r, r - 1.0, 0.0)), off, False

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -828,3 +829,76 @@ def test_degenerate_estimate_in_a_run_exits_two(capsys):
         "faultloc: infeasible placement: ssvm: channel '2' change 1.476e-12 pu is below"
         " the observability threshold 1e-09\n"
     )
+
+
+_DEGENERATE = "ssvm: channel '2' change 1.476e-12 pu is below the observability threshold 1e-09"
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"methods": ["ssvm", "sscm"]}, _DEGENERATE),
+        ({"methods": ["sscm", "ssvm"]},
+         "sscm placement infeasible for line T2: channel fault responses are linearly dependent"),
+        ({"lines": ["T2", "T3"], "rf_ohm": [1.0, 1e15]}, _DEGENERATE),
+        ({"lines": ["T3", "T2"], "rf_ohm": [1e15, 1.0]},
+         "ssvm placement infeasible for line T3: no simple path through line 'T3' joins the"
+         " measurement locations"),
+    ],
+)
+def test_first_failing_row_in_spec_order_names_the_error(tmp_path, capsys, overrides, message):
+    """A sweep with a degenerate row (rf 1e15 on T2, where bus 2 barely moves) and
+    an infeasible (line, method) reports whichever comes first in spec order:
+    scenario by scenario (lines, types, m, rf), and in each the methods in turn."""
+    spec = {"lines": ["T2"], "m_values": [0.5], "rf_ohm": [1e15], "types": ["LG"],
+            "buses": [1, 2], "branches": ["T2@from", "T3"], **overrides}
+    if "T3" in spec["lines"]:
+        spec.update(methods=["ssvm"], branches=[])
+    assert run_cli(["--case", CASE_PATH, "--sweep", _write_sweep(tmp_path, **spec)]) == 2
+    assert capsys.readouterr().err == f"faultloc: infeasible placement: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [("lines", ["T2", "T2"]), ("types", ["LG", "LL", "LG"]), ("m_values", [0.5, 0.5]),
+     ("rf_ohm", [1.0, 1]), ("methods", ["ssvm", "ssvm"])],
+)
+def test_repeated_sweep_entry_exits_one_before_the_case_loads(
+    tmp_path, capsys, monkeypatch, field, values
+):
+    """A repeated entry would repeat rows and count them twice in the aggregates."""
+    def no_case(path):
+        raise AssertionError("the case was loaded for a spec that repeats an entry")
+
+    monkeypatch.setattr(cli, "load_case", no_case)
+    path = _write_sweep(tmp_path, **{field: values})
+    assert run_cli(["--case", CASE_PATH, "--sweep", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"faultloc: error: sweep spec field {field!r} lists ")
+    assert err.endswith(" twice\n") and err.count("\n") == 1
+
+
+#: The benchmark's 7344-row ieee14 sweep: its lines, placements and seed-1 m and rf values.
+_BENCH_LINES = ("1-2", "1-5", "2-4", "2-5", "3-4", "4-5", "4-7", "4-9", "5-6",
+                "6-11", "6-12", "6-13", "7-9", "9-10", "9-14", "10-11", "12-13")
+
+
+def test_rows_of_a_line_position_and_method_agree_across_types_and_resistances():
+    """The ratio of two changes cancels the fault current, so without a clamp
+    every (type, rf) row of one (line, m, method) solves to the same m up to
+    roundoff (at most about 1e-13 here); a wrong broadcast of laws or ratios
+    over a sweep's rows would split them."""
+    rng = random.Random("perfbench-sweep-1")
+    spec = cli.SweepSpec(
+        case=CASE14_PATH, lines=_BENCH_LINES, types=tuple(FaultType),
+        m_values=tuple(sorted(rng.uniform(0.02, 0.98) for _ in range(9))),
+        rf_ohm=tuple(sorted(rng.uniform(0.0, 20.0) for _ in range(3))),
+        methods=tuple(Method), buses=(1, 14), branches=("2-3", "13-14"),
+    )
+    rows = cli.run_sweep(spec)
+    assert len(rows) == 7344
+    groups = {}
+    for r in rows:
+        groups.setdefault((r.line, r.m_true, r.method), []).append(r.m_est)
+    assert len(groups) == 17 * 9 * 4 and {len(g) for g in groups.values()} == {4 * 3}
+    assert max(max(g) - min(g) for g in groups.values()) <= 1e-12

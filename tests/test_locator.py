@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 import time
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,10 +34,10 @@ from faultloc import (
     transfer_coefficients,
     voltage_channel,
 )
-from faultloc import seqmatrix
+from faultloc import locator, seqmatrix
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
-from oracles import all_simple_paths, feasibility_reason, measurement_set, path_crosses_line
+from oracles import all_simple_paths, feasibility_reason, measurement_set, path_crosses_line, python_solve
 
 
 # ---------------------------------------------------------------------------
@@ -861,3 +863,49 @@ def test_ranking_reads_a_terminal_channel_under_a_fault_elsewhere(request, case)
             ranked = dict(rank_line_hypotheses(net, ms, placement, method, zbus))
             if feasibility_check(net, faulted.id, placement, zbus)[0]:
                 assert abs(ranked[faulted.id].m - 0.5) <= 1e-6, (faulted.id, placement)
+
+
+def _bits(*values) -> tuple:
+    return tuple(float(v).hex() for v in values)
+
+
+@pytest.mark.parametrize("method", [Method.HYBRID_DIRECT, Method.HYBRID_QUAD])
+def test_many_row_solve_has_the_bits_of_pythons_arithmetic(method):
+    """Rows gathered from laws over lines, with ratios that fit some m in [0, 1]
+    and ratios that fit none, solve at once to what Python's own complex and
+    float arithmetic gives row by row (``oracles.python_solve``), bit for bit;
+    so does a one-row :func:`locate`.  numpy's complex product, quotient and
+    ``abs`` round differently, and Python's ``x**2`` is ``pow``."""
+    rng = random.Random(11)
+
+    def z():
+        return complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10.0 ** rng.randint(-3, 3)
+
+    lines = 3000
+    numer, denom = (LinearLaw(np.array([z() for _ in range(lines)]), np.array([z() for _ in range(lines)]))
+                    for _ in range(2))
+    k = [rng.randrange(lines) for _ in range(3000)]
+    changes = []
+    for line in k:
+        law_k, law_l = (LinearLaw(complex(w.b[line]), complex(w.c[line])) for w in (numer, denom))
+        m = rng.uniform(-0.5, 1.5)
+        changes.append((law_k.at(m) * (1.0 + 1e-3 * rng.gauss(0, 1)), law_l.at(m)) if rng.random() < 0.7
+                       else (z(), z()))
+    placement = HybridPlacement("T1", 2)
+    sets = [measurement_set({placement.channels[0]: (0j, a), placement.channels[1]: (0j, b)}) for a, b in changes]
+    laws = (numer, denom, np.zeros(lines, bool))
+    m, residual, ambiguous, errors = locator._solve(method, laws, k, sets, placement.channels)
+    assert not any(errors)
+    quadratic, seen = method is Method.HYBRID_QUAD, set()
+    for i, (line, (a, b)) in enumerate(zip(k, changes)):
+        law_k, law_l = (LinearLaw(complex(w.b[line]), complex(w.c[line])) for w in (numer, denom))
+        want_m, want_residual, want_ambiguous = python_solve(quadratic, law_k, law_l, a / b)
+        assert _bits(m[i], residual[i]) == _bits(want_m, want_residual), i
+        assert bool(ambiguous[i]) == want_ambiguous
+        seen.update({("in" if -1e-9 <= want_m <= 1.0 + 1e-9 else "out"), want_ambiguous and "ambiguous",
+                     want_residual > 0.0 and "off-axis"})
+        if i % 250 == 0:
+            est = locate(method, sets[i], placement, law_k, law_l)
+            assert _bits(est.m, est.residual) == _bits(want_m, want_residual)
+    want = {"in", "out", False, "off-axis"} | ({"ambiguous"} if quadratic else set())
+    assert seen == want
