@@ -18,7 +18,7 @@ Exit codes: 0 success, 1 parse/validation failure, 2 infeasible placement.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from operator import attrgetter
 
@@ -166,9 +166,7 @@ def _channel_id(net: Network, faulted: tuple[str, ...], kind: str, token: int | 
         raise CaseError(f"unknown bus {token!r}") from None
 
 
-def _placement_for(
-    method: Method, buses: tuple[int, ...], branches: tuple[str, ...]
-) -> Placement:
+def _placement_for(method: Method, buses: tuple[int, ...], branches: tuple[str, ...]) -> Placement:
     if method is Method.SSVM:
         if len(buses) < 2:
             raise ValueError("voltage method needs two buses (--buses a,b)")
@@ -195,9 +193,7 @@ class ReportRow:
     feasible: bool
 
 
-def _taps(
-    plan: list[tuple[Method, Placement]], distortions: tuple[Distortion, ...]
-) -> MeasurementTaps:
+def _taps(plan: list[tuple[Method, Placement]], distortions: tuple[Distortion, ...]) -> MeasurementTaps:
     """The channels a sweep reads, under their canonical ids: the
     placements' own and the distorted ones."""
     channels = [ch for _, placement in plan for ch in placement.channels]
@@ -332,6 +328,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@cache  # the parser does not depend on the arguments
 def _build_parser() -> _Parser:
     p = _Parser(
         prog="faultloc",

@@ -112,9 +112,7 @@ class PhasorMeasurementSet:
     token: str = ""
 
 
-def prefault_solve(
-    net: Network, zbus: SequenceZbus
-) -> tuple[dict[int, complex], dict[str, complex]]:
+def prefault_solve(net: Network, zbus: SequenceZbus) -> tuple[dict[int, complex], dict[str, complex]]:
     """Positive-sequence steady state before the fault: bus voltages ``Z1 @ J``,
     one block solve.
 
@@ -131,10 +129,7 @@ def prefault_solve(
 
 
 def fault_sequence_currents(
-    fault_type: FaultType,
-    z_rr: SequenceTriple,
-    e_prefault_r: complex,
-    rf_pu: float,
+    fault_type: FaultType, z_rr: SequenceTriple, e_prefault_r: complex, rf_pu: float
 ) -> SequenceTriple:
     """Interconnect the sequence networks at the fault point.
 

@@ -20,16 +20,17 @@ under a fault on each line, and every verdict, from one table per (matrix,
 network, placement).  One solve serves every estimate: it reads each row's
 ratio in Python and solves the rows as arrays rounded as Python's complex
 arithmetic rounds, so a sweep's rows and a lone :func:`locate` agree bit
-for bit.  Ranking solves and orders as arrays, builds an entry only when it
-is read, and refuses ``hybrid-quad``.
-All estimators consume positive-sequence phasors only and need no
-fault-type or phase-selection information.
+for bit.  Ranking solves as arrays, orders in-range hypotheses on the call
+and the rest on the first read past them, builds an entry when it is read,
+and refuses ``hybrid-quad``.  All estimators consume positive-sequence
+phasors only and need no fault-type or phase-selection information.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -139,11 +140,8 @@ class LocationEstimate:
 
 
 def locate(
-    method: Method,
-    ms: PhasorMeasurementSet,
-    placement: Placement,
-    numer_law: LinearLaw,
-    denom_law: LinearLaw,
+    method: Method, ms: PhasorMeasurementSet, placement: Placement,
+    numer_law: LinearLaw, denom_law: LinearLaw,
 ) -> LocationEstimate:
     """Fault position from the ratio of the placement's two changes in ``ms``.
 
@@ -227,15 +225,6 @@ def _ratio(ms: PhasorMeasurementSet, channels) -> complex:
             f" the observability threshold {DEGENERACY_THRESHOLD:g}"
         )
     return numer / denom
-
-
-def _ratio_terms(numer: LinearLaw, denom: LinearLaw, ratio):
-    """Numerator and denominator of m, and whether the solve is singular, for
-    ranking: elementwise over laws of arrays, in numpy's complex arithmetic."""
-    den = ratio * denom.c - numer.c
-    scale = abs(ratio * denom.c) + abs(numer.c)
-    singular = (scale == 0.0) | (abs(den) <= SOLVE_TOLERANCE * scale)
-    return numer.b - ratio * denom.b, den, singular
 
 
 def _dependent(a: LinearLaw, b: LinearLaw):
@@ -343,7 +332,7 @@ def feasibility_check(
     check.
     """
     k = net.line_index(faulted_line_id)
-    return _laws(zbus, net, placement).verdict(k)
+    return _laws(zbus, net, placement).verdicts[k]
 
 
 def _verdict(line_id: str, own: bool, dependent: bool, on_path: bool) -> tuple[bool, str]:
@@ -418,9 +407,8 @@ def _laws(zbus: SequenceZbus, net: Network, placement: Placement) -> _PlacementL
 class _PlacementLaws:
     """A placement's two channel laws, as laws of arrays over ``net.lines``, with
     masks of the lines where they cannot judge: ``own`` where a channel reads
-    the faulted line's own current, ``dependent`` where the laws are
-    proportional, and ``never`` where either holds.  Every line's verdict is
-    built when first read."""
+    the faulted line's own current, and ``dependent`` where the laws are
+    proportional.  Its verdicts and ranking arrays are built on first read."""
 
     def __init__(self, zbus: SequenceZbus, net: Network, placement: Placement):
         self.net, self.sources = net, _sources(net, placement)  # net keeps its id taken
@@ -434,29 +422,30 @@ class _PlacementLaws:
         own = [s[0].id for s in self.sources if isinstance(s, tuple) and not s[1]]
         self.own = np.isin(ids, own)
         self.dependent = _dependent(self.numer, self.denom)
-        self.never = self.own | self.dependent
-        self._verdicts = None
 
-    def verdict(self, k: int) -> tuple[bool, str]:
-        """Line k's :func:`feasibility_check` verdict."""
-        if self._verdicts is None:
-            nodes = _path_nodes(self.net, self.sources)
-            currents = any(isinstance(s, tuple) for s in self.sources)
-            masks = (self.own.tolist(), self.dependent.tolist(), self.net.block_forest()[2])
-            self._verdicts = [
-                _verdict(rec.id, own, dependent and (currents or block in nodes), block in nodes)
-                for rec, own, dependent, block in zip(self.net.lines, *masks)
-            ]
-        return self._verdicts[k]
+    @cached_property
+    def judged(self) -> tuple:
+        """For ranking: the lines that can judge, in ``net.lines`` order, the
+        numerator's ``b``, ``c`` and ``|c|`` there, and the denominator's ``(b, c)``."""
+        k = np.flatnonzero(~(self.own | self.dependent))
+        c = self.numer.c[k]
+        return k, self.numer.b[k], c, np.abs(c), np.stack((self.denom.b[k], self.denom.c[k]))
+
+    @cached_property
+    def verdicts(self) -> list[tuple[bool, str]]:
+        """Every line's :func:`feasibility_check` verdict, in ``net.lines`` order."""
+        nodes = _path_nodes(self.net, self.sources)
+        currents = any(isinstance(s, tuple) for s in self.sources)
+        masks = (self.own.tolist(), self.dependent.tolist(), self.net.block_forest()[2])
+        return [
+            _verdict(rec.id, own, dependent and (currents or block in nodes), block in nodes)
+            for rec, own, dependent, block in zip(self.net.lines, *masks)
+        ]
 
 
 def estimate_for_placement(
-    net: Network,
-    zbus: SequenceZbus,
-    faulted_line_id: str,
-    placement: Placement,
-    ms: PhasorMeasurementSet,
-    method: Method,
+    net: Network, zbus: SequenceZbus, faulted_line_id: str, placement: Placement,
+    ms: PhasorMeasurementSet, method: Method,
 ) -> LocationEstimate:
     """Read the placement's laws, and :func:`locate`.
 
@@ -486,20 +475,19 @@ def rank_line_hypotheses(
 ) -> Sequence[tuple[str, LocationEstimate]]:
     """Run the estimator against every line hypothesis, best first.
 
-    Every hypothesis is solved in one pass, as array expressions over the
-    placement's table of laws on ``zbus``, the network's positive-sequence
-    matrix, with the checks of :func:`locate`.
-    Hypotheses that those checks reject are skipped: all of them when the
-    denominator channel is degenerate, one line when its two laws are
-    dependent or its ratio does not depend on m.  So is the line whose own
-    current a channel reads, which is no channel while that line is
-    faulted; a terminal channel takes its terminal law there instead.
+    Every hypothesis is solved as arrays over the placement's table of laws
+    on ``zbus``, the network's positive-sequence matrix, with the checks of
+    :func:`locate`.  Those checks skip all hypotheses when the denominator
+    channel is degenerate, and a line when its two laws are dependent or
+    its ratio does not depend on m.  So is skipped the line whose own
+    current a channel reads; a terminal channel takes its terminal law.
 
-    Hypotheses yielding an in-range estimate sort ahead of out-of-range
-    ones, then by residual, ties in ``net.lines`` order.  Returns a read-only
-    sequence of ``(line_id, LocationEstimate)``, each built when it is read,
-    equal to the list of its entries.  ``hybrid-quad`` raises ``ValueError``:
-    its magnitude-only quadratic solves to residual 0 on most wrong lines.
+    In-range estimates sort ahead of out-of-range ones, then by residual,
+    ties in ``net.lines`` order: the in-range ones are ordered on the call,
+    the rest on the first read past them.  Returns a read-only sequence of
+    ``(line_id, LocationEstimate)``, each built when it is read, equal to
+    the list of its entries.  ``hybrid-quad`` raises ``ValueError``: its
+    magnitude-only quadratic solves to residual 0 on most wrong lines.
     """
     if method == Method.HYBRID_QUAD:
         raise ValueError(
@@ -507,41 +495,61 @@ def rank_line_hypotheses(
             " to residual 0 on most wrong lines, so it ranks a wrong line first"
         )
     channels = _channels(placement, method)
-    laws = _laws(zbus, net, placement)
+    k, nb, nc, anc, denom = _laws(zbus, net, placement).judged
     try:
         ratio = _ratio(ms, channels)
     except DegenerateChannelError:
-        return _Ranking(method, (), ())
-
-    num, den, singular = _ratio_terms(laws.numer, laws.denom, ratio)
-    keep = np.flatnonzero(~(singular | laws.never))
-    m_complex = num[keep] / den[keep]
-    m = m_complex.real
-    out = ~((-RANGE_SLACK <= m) & (m <= 1.0 + RANGE_SLACK))
-    order = np.lexsort((np.abs(m_complex.imag), out))
-    return _Ranking(method, net.line_end_indices()[2][keep[order]], m_complex[order])
+        return _Ranking(method, net, k[:0], nb[:0])
+    rb, rc = ratio * denom
+    den = rc - nc
+    singular = abs(den) <= SOLVE_TOLERANCE * (abs(rc) + anc)  # so is a zero scale
+    num = nb - rb
+    if singular.any():
+        k, num, den = k[~singular], num[~singular], den[~singular]
+    return _Ranking(method, net, k, num / den)
 
 
 class _Ranking(Sequence):
-    """Ranked hypotheses held as arrays, best first: their line ids and
-    complex solutions for m.  An entry is built when it is read."""
+    """Ranked hypotheses as arrays: each row's position in ``net.lines`` and
+    solution for m.  The in-range rows are ordered now, the rest on the first
+    read past them; an entry, or a slice's list of them, is built when read."""
 
-    def __init__(self, method: Method, ids: np.ndarray, m_complex: np.ndarray):
-        self._method, self._ids, self._m_complex = method, ids, m_complex
+    def __init__(self, method: Method, net: Network, lines, m_complex):
+        self._method, self._net, self._lines, self._m = method, net, lines, m_complex
+        m = m_complex.real
+        self._in_range = (-RANGE_SLACK <= m) & (m <= 1.0 + RANGE_SLACK)
+        self._order = self._by_residual(self._in_range)
+
+    def _by_residual(self, mask) -> np.ndarray:
+        rows = np.flatnonzero(mask)
+        return rows[np.argsort(np.abs(self._m.imag[rows]), kind="stable")]
+
+    def _full(self) -> np.ndarray:
+        if self._in_range is not None:  # order the out-of-range rows after the rest
+            self._order = np.concatenate((self._order, self._by_residual(~self._in_range)))
+            self._in_range = None
+        return self._order
+
+    @property
+    def _ids(self) -> np.ndarray:
+        return self._net.line_end_indices()[2][self._lines[self._full()]]
+
+    @property
+    def _m_complex(self) -> np.ndarray:
+        return self._m[self._full()]
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._m)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return _Ranking(self._method, self._ids[i], self._m_complex[i])
-        m = complex(self._m_complex[i])
-        return str(self._ids[i]), _estimate(m.real, self._method, abs(m.imag))
+            return [self[j] for j in range(len(self))[i]]
+        row = (self._order if 0 <= i < len(self._order) else self._full())[i]
+        m = complex(self._m[row])
+        return self._net.lines[self._lines[row]].id, _estimate(m.real, self._method, abs(m.imag))
 
     def __eq__(self, other):
-        if isinstance(other, (list, _Ranking)):
-            return list(self) == list(other)
-        return NotImplemented
+        return list(self) == list(other) if isinstance(other, (list, _Ranking)) else NotImplemented
 
     def __repr__(self) -> str:
         return repr(list(self))

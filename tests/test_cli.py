@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -383,6 +386,21 @@ def test_unknown_distortion_channel_exits_one(capsys):
     )
     assert rc == 1
     assert capsys.readouterr().err == "faultloc: error: unknown bus '77'\n"
+
+
+def test_a_call_after_another_reports_as_a_call_alone(tmp_path):
+    """The parser is built once per process: a call after one with
+    ``--distort`` and ``--format json`` writes the report the same call
+    writes in a process of its own."""
+    argv = _SINGLE + ["--method", "all", "--buses", "1,2", "--branches", "T1,T3"]
+    first, second, alone = (str(tmp_path / name) for name in ("first", "second", "alone"))
+    assert main(argv + ["--distort", "busV:1:gain:1.01", "--format", "json", "--out", first]) == 0
+    assert main(argv + ["--out", second]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    subprocess.run([sys.executable, "-m", "faultloc.cli", *argv, "--out", alone],
+                   env=env, check=True, capture_output=True)
+    assert Path(second).read_bytes() == Path(alone).read_bytes()
+    assert json.loads(Path(first).read_text())["rows"]
 
 
 def test_bad_distortion_spec_exits_one(capsys):

@@ -9,8 +9,10 @@ the estimates agree to a relative 1e-12, not bit for bit.
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -32,9 +34,14 @@ from faultloc import (
     parse_case,
     rank_line_hypotheses,
 )
+from faultloc.faultsim import Distortion, apply_distortion
 from faultloc.seqmatrix import TABLES
 
 from oracles import kept
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from meshgen import checked_mesh_case  # noqa: E402
+from workloads import identify_queries  # noqa: E402
 
 
 def mesh_text(n: int, seed: int) -> str:
@@ -472,3 +479,87 @@ def test_tables_are_bounded(ieee14, ieee14_study):
     assert (id(ieee14), placements[-1]) in zbus._tables
     again = [bits(rank_line_hypotheses(ieee14, ms, p, Method.SSVM, zbus)) for p in placements]
     assert again == first and kept(zbus) == (0, TABLES)
+
+
+# ---------------------------------------------------------------------------
+# Lazy order: in-range rows on the call, the rest on the first read past them
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=[12, 20], ids=lambda n: f"mesh{n}")
+def bench_queries(request):
+    """The benchmark's concealed-fault queries on a seeded n x n mesh, two per
+    ranking method, each with its consumed taps' measurement set."""
+    n = request.param
+    study = FaultStudy(parse_case(checked_mesh_case(n, 2)))
+    queries = identify_queries(study.net, n, 2, 2 * len(RANKING_METHODS))
+    assert [q.method for q in queries] == 2 * RANKING_METHODS
+    return study, [(q, study.measurements(q.scenario, q.taps)) for q in queries]
+
+
+def unsorted_tail(ranked) -> bool:
+    return ranked._in_range is not None
+
+
+def check_lazy_reads(net, zbus, ms, placement, method):
+    """Every way of reading a fresh ranking gives the entries of ``list`` of
+    another fresh one, which is the per-line reference's order.  Returns them."""
+    def rank():
+        return rank_line_hypotheses(net, ms, placement, method, zbus)
+
+    want = list(rank())
+    assert_same_ranking(want, per_line_ranking(net, zbus, ms, placement, method))
+    head = sum(est.in_range for _, est in want)
+    ranked = rank()
+    assert len(ranked) == len(want) and bool(ranked) is bool(want) and unsorted_tail(ranked)
+    if head:
+        assert ranked[0] == want[0] and ranked[head - 1] == want[head - 1]
+        assert unsorted_tail(ranked)
+    if want:
+        assert ranked[-1] == want[-1] and ranked[0] == want[0] and not unsorted_tail(ranked)
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            rank()[i]
+    assert list(ranked) == want and ranked == want and bits(ranked) == bits(rank())
+    for s in (slice(head - 1, head + 2), slice(max(head - 2, 0), None), slice(None, head + 1),
+              slice(head + 3, max(head - 3, 0), -1), slice(None, None, -5), slice(head, head)):
+        got = rank()[s]
+        assert list(got) == want[s] and len(got) == len(want[s]), s
+    return want
+
+
+def test_lazy_reads_give_the_full_order(bench_queries):
+    study, queries = bench_queries
+    net, zbus = study.net, study.zbus(1)
+    for q, ms in queries:
+        want = check_lazy_reads(net, zbus, ms, q.placement, q.method)
+        assert want[0][0] == q.scenario.line_id and abs(want[0][1].m - q.scenario.m) <= 1e-6
+        assert 0 < sum(est.in_range for _, est in want) < len(want)
+
+
+def test_distorted_sets_keep_the_order(bench_queries):
+    """A 1 % / 1 degree gain on the denominator, as the benchmark's planted
+    wrong query, and a sign flip of it, which on the voltage pairs leaves no
+    hypothesis in range, so that every read is past the in-range rows."""
+    study, queries = bench_queries
+    net, zbus = study.net, study.zbus(1)
+    heads = []
+    for q, ms in queries:
+        kind, ident = q.placement.channels[1]
+        for gain, phase in ((1.01, 1.0), (1.0, 180.0)):
+            bad = apply_distortion(ms, [Distortion(kind, ident, gain=gain, phase_deg=phase)])
+            want = check_lazy_reads(net, zbus, bad, q.placement, q.method)
+            heads.append(sum(est.in_range for _, est in want))
+    assert 0 in heads and max(heads) > 0
+
+
+def test_degenerate_denominator_still_ranks_nothing(bench_queries):
+    study, queries = bench_queries
+    for q, ms in queries:
+        query = frozen(ms, q.placement)
+        ranked = rank_line_hypotheses(study.net, query, q.placement, q.method, study.zbus(1))
+        assert len(ranked) == 0 and not ranked and ranked == [] and list(ranked[0:3]) == []
+        for i in (0, -1):
+            with pytest.raises(IndexError):
+                ranked[i]
+        assert bits(ranked) == ([], b"")
