@@ -33,17 +33,9 @@ from .seqmatrix import (
 )
 
 __all__ = [
-    "FaultType",
-    "FaultScenario",
-    "MeasurementTaps",
-    "PhasorMeasurementSet",
-    "Distortion",
-    "FaultStudy",
-    "prefault_solve",
-    "fault_sequence_currents",
-    "apply_distortion",
-    "measurements_to_csv",
-    "measurements_from_csv",
+    "FaultType", "FaultScenario", "MeasurementTaps", "PhasorMeasurementSet", "Distortion",
+    "FaultStudy", "prefault_solve", "fault_sequence_currents", "apply_distortion",
+    "measurements_to_csv", "measurements_from_csv",
 ]
 
 SequenceTriple = tuple[complex, complex, complex]
@@ -123,9 +115,10 @@ def prefault_solve(net: Network, zbus: SequenceZbus) -> tuple[dict[int, complex]
     j = np.zeros(len(zbus.bus_order), dtype=complex)
     for src in net.sources:
         j[zbus.index(src.bus)] += src.emf / src.z(1)
-    e = zbus.solve(j).tolist()
-    bus_v = {b: e[zbus.index(b)] for b in net.buses}
-    return bus_v, {rec.id: (bus_v[rec.from_bus] - bus_v[rec.to_bus]) / rec.z1 for rec in net.lines}
+    e = zbus.solve(j).tolist()  # in bus order, which is Z's
+    p, q, _, z1, _ = net._lines_bundle()
+    lines = zip(net.lines, p.tolist(), q.tolist(), z1)
+    return dict(zip(net.buses, e)), {rec.id: (e[a] - e[b]) / z for rec, a, b, z in lines}
 
 
 def fault_sequence_currents(

@@ -28,7 +28,7 @@ phasors only and need no fault-type or phase-selection information.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import product
@@ -47,20 +47,9 @@ from .seqmatrix import (
 )
 
 __all__ = [
-    "DegenerateChannelError",
-    "LinearDependenceError",
-    "Method",
-    "LocationEstimate",
-    "VoltagePlacement",
-    "CurrentPlacement",
-    "HybridPlacement",
-    "voltage_channel",
-    "current_channel",
-    "locate",
-    "estimate_for_placement",
-    "feasibility_check",
-    "percent_error",
-    "rank_line_hypotheses",
+    "DegenerateChannelError", "LinearDependenceError", "Method", "LocationEstimate",
+    "VoltagePlacement", "CurrentPlacement", "HybridPlacement", "voltage_channel", "current_channel",
+    "locate", "estimate_for_placement", "feasibility_check", "percent_error", "rank_line_hypotheses",
 ]
 
 #: Channels whose during-fault change is smaller than this (pu) carry no
@@ -99,12 +88,8 @@ class Method(str, Enum):
 
 
 #: Channel kinds each method divides: (numerator, denominator).
-_KINDS = {
-    Method.SSVM: ("busV", "busV"),
-    Method.SSCM: ("branchI", "branchI"),
-    Method.HYBRID_DIRECT: ("branchI", "busV"),
-    Method.HYBRID_QUAD: ("branchI", "busV"),
-}
+_KINDS = {Method.SSVM: ("busV", "busV"), Method.SSCM: ("branchI", "branchI"),
+          Method.HYBRID_DIRECT: ("branchI", "busV"), Method.HYBRID_QUAD: ("branchI", "busV")}
 
 
 def voltage_channel(ms: PhasorMeasurementSet, bus: int) -> complex:
@@ -136,7 +121,12 @@ class LocationEstimate:
 
     @property
     def in_range(self) -> bool:
-        return -RANGE_SLACK <= self.m <= 1.0 + RANGE_SLACK
+        return _in_range(self.m)
+
+
+def _in_range(m):
+    """Whether ``m`` lies in [0, 1] up to :data:`RANGE_SLACK`; elementwise over arrays."""
+    return (-RANGE_SLACK <= m) & (m <= 1.0 + RANGE_SLACK)
 
 
 def locate(
@@ -235,13 +225,13 @@ def _dependent(a: LinearLaw, b: LinearLaw):
 
 
 def _estimate(m: float, method: Method, residual: float, ambiguous: bool = False) -> LocationEstimate:
-    est = LocationEstimate(m, method, residual, ambiguous)
+    notes = ""
     if ambiguous:
-        return replace(est, notes="both roots in [0, 1]; tie broken toward the direct solution")
-    if est.in_range:
-        return est
-    what = "no root in [0, 1]" if method is Method.HYBRID_QUAD else "solution outside [0, 1]"
-    return replace(est, notes=f"{what}; wrong faulted-line hypothesis?")
+        notes = "both roots in [0, 1]; tie broken toward the direct solution"
+    elif not _in_range(m):
+        what = "no root in [0, 1]" if method is Method.HYBRID_QUAD else "solution outside [0, 1]"
+        notes = f"{what}; wrong faulted-line hypothesis?"
+    return LocationEstimate(m, method, residual, ambiguous, notes)
 
 
 def _quadratic(numer: LinearLaw, denom: LinearLaw, k: np.ndarray, d2: list, direct: np.ndarray):
@@ -267,7 +257,7 @@ def _quadratic(numer: LinearLaw, denom: LinearLaw, k: np.ndarray, d2: list, dire
         r1 = np.where(linear, -c0 / c1, np.where(real, (-c1 + s) / (2.0 * c2), -c1 / (2.0 * c2)))
         r2 = np.where(linear | ~real, r1, (-c1 - s) / (2.0 * c2))
         off_axis = np.where(linear | real, 0.0, s / (2.0 * np.abs(c2)))
-    in1, in2 = ((-RANGE_SLACK <= r) & (r <= 1.0 + RANGE_SLACK) for r in (r1, r2))
+    in1, in2 = _in_range(r1), _in_range(r2)
     in2 &= r2 != r1  # a double root is one root
     outside = [np.maximum(np.maximum(0.0 - r, r - 1.0), 0.0) for r in (r1, r2)]
     near = np.abs(r1 - direct) <= np.abs(r2 - direct)
@@ -516,8 +506,7 @@ class _Ranking(Sequence):
 
     def __init__(self, method: Method, net: Network, lines, m_complex):
         self._method, self._net, self._lines, self._m = method, net, lines, m_complex
-        m = m_complex.real
-        self._in_range = (-RANGE_SLACK <= m) & (m <= 1.0 + RANGE_SLACK)
+        self._in_range = _in_range(m_complex.real)
         self._order = self._by_residual(self._in_range)
 
     def _by_residual(self, mask) -> np.ndarray:

@@ -13,9 +13,10 @@ Case file format (UTF-8, one record per line, ``#`` starts a comment):
     line <id> <from> <to> <length_km> <r1_per_km> <x1_per_km> <r0_per_km> <x0_per_km>
     source <bus> <r1> <x1> [r0 x0 r2 x2] [emf_mag emf_deg]
 
-A ``bus`` record must come before any ``line`` or ``source`` record that names
-it.  Numbers are finite decimals with optional exponent; base values are positive
-and all impedances in pu.
+A ``bus`` record must come before any record that names it.  Numbers are finite
+decimals with optional exponent; base values are positive, impedances in pu.  The
+parse reads a ``line`` record once and keeps each line's end indices and total z1
+and z0 on the network, which Y assembly and the pre-fault state read.
 """
 from __future__ import annotations
 
@@ -29,13 +30,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "CaseError",
-    "LineRecord",
-    "SourceRecord",
-    "Network",
-    "parse_case",
-    "load_case",
-    "bundled_case",
+    "CaseError", "LineRecord", "SourceRecord", "Network", "parse_case", "load_case", "bundled_case",
     "validate",
 ]
 
@@ -111,15 +106,15 @@ class Network:
     frequency_hz: float = 50.0
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
     _line_index: dict[str, int] = field(init=False, repr=False, compare=False)
-    #: Caches of line_end_indices, block_forest and seqmatrix._level_blocks (by block rule).
+    #: Caches of _lines_bundle, block_forest and seqmatrix._level_blocks (by block rule).
     _line_ends: tuple | None = field(init=False, repr=False, compare=False, default=None)
     _forest: tuple | None = field(init=False, repr=False, compare=False, default=None)
     _levels: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", {label: i for i, label in enumerate(self.buses)})
-        ids = {rec.id: k for k, rec in reversed(list(enumerate(self.lines)))}  # first id wins
-        object.__setattr__(self, "_line_index", ids)
+        ids = dict(zip([r.id for r in reversed(self.lines)], range(len(self.lines) - 1, -1, -1)))
+        object.__setattr__(self, "_line_index", ids)  # the first id wins
 
     @property
     def n(self) -> int:
@@ -168,15 +163,25 @@ class Network:
 
     def line_end_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every line's from- and to-bus index and its id, in ``lines`` order, as
-        read-only arrays built on first use and cached."""
+        read-only arrays: the first three of :meth:`_lines_bundle`."""
+        return self._lines_bundle()[:3]
+
+    def _lines_bundle(self, *read) -> tuple:
+        """``(p, q, ids, z1, z0)``: :meth:`line_end_indices`, then every line's total z1
+        and z0 as lists of ``complex``, equal to its ``z1`` and ``z0``.  Cached on first
+        use, from ``read``, the from- then to-bus indices and totals :func:`parse_case`
+        has read, or from the records."""
         if self._line_ends is None:
             index, lines = self.bus_index, self.lines
-            ends = [index(r.from_bus) for r in lines] + [index(r.to_bus) for r in lines]
+            ends, z1, z0 = read or (
+                [index(r.from_bus) for r in lines] + [index(r.to_bus) for r in lines],
+                [r.z1 for r in lines], [r.z0 for r in lines],
+            )
             ends = np.fromiter(ends, np.intp, len(ends)).reshape(2, -1)
             ids = np.array([r.id for r in lines], dtype=str)
             for a in (ends, ids):
                 a.setflags(write=False)
-            object.__setattr__(self, "_line_ends", (*ends, ids))
+            object.__setattr__(self, "_line_ends", (*ends, ids, z1, z0))
         return self._line_ends
 
     def line_between(self, a: int, b: int) -> LineRecord:
@@ -251,68 +256,87 @@ def _parse_label(token: str, lineno: int) -> int:
         raise CaseError(f"line {lineno}: bus label must be an integer, got {token!r}") from None
 
 
+def _line_error(args: list[str], lineno: int, buses: dict, lines: dict) -> None:
+    """Raise the first failing check of a ``line`` record, in file order."""
+    if len(args) != 8:
+        raise CaseError(f"line {lineno}: line expects <id> <from> <to> <length_km>"
+                        " <r1/km> <x1/km> <r0/km> <x0/km>")
+    lid = args[0]
+    if lid in lines:
+        raise CaseError(f"line {lineno}: duplicate line id {lid!r}")
+    from_bus, to_bus = _parse_label(args[1], lineno), _parse_label(args[2], lineno)
+    for b in (from_bus, to_bus):
+        if b not in buses:
+            raise CaseError(f"line {lineno}: unknown bus {b}")
+    if from_bus == to_bus:
+        raise CaseError(f"line {lineno}: line {lid!r} joins a bus to itself")
+    length = _parse_float(args[3], lineno, "length")
+    if length <= 0:
+        raise CaseError(f"line {lineno}: non-positive length {length}")
+    nums = [_parse_float(a, lineno, "impedance") for a in args[4:8]]
+    if nums[0] < 0 or nums[2] < 0:
+        raise CaseError(f"line {lineno}: negative resistance on {lid!r}")
+    z1 = complex(nums[0], nums[1])  # only a zero impedance is left, an infinite admittance
+    raise CaseError(f"line {lineno}: line {lid!r} has zero sequence-{int(z1 == 0)} impedance")
+
+
 def parse_case(text: str) -> Network:
     """Parse case text into a validated :class:`Network`.
 
-    One pass over the records, linear in their number.  Raises
+    One pass over the records, linear in their number, that reads a ``line``
+    record once: its numbers, its :class:`LineRecord`, and its end indices
+    and total z1 and z0 for the network's per-line cache.  Raises
     :class:`CaseError` naming the offending source line on syntax errors,
-    unknown bus references, duplicate bus labels, non-positive base values or
-    line lengths, zero line or source impedances, or an empty source list.
+    unknown bus references, duplicate bus labels, non-positive base values
+    or line lengths, zero line or source impedances, or an empty source list.
     """
     base = (100.0, 230.0, 50.0)
-    buses: dict[int, None] = {}  # in declaration order, with O(1) lookups
+    buses: dict[int, int] = {}  # label: index, in declaration order, with O(1) lookups
     lines: dict[str, LineRecord] = {}  # by id, likewise
     sources: list[SourceRecord] = []
+    p, q, z1s, z0s, inf = [], [], [], [], math.inf  # the per-line bundle
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
+        tokens = (raw[: raw.index("#")] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        tokens = body.split()
-        kind, args = tokens[0], tokens[1:]
+        if tokens[0] == "line":
+            try:
+                _, lid, a, b, length, r1, x1, r0, x0 = tokens
+                length, r1, x1, r0, x0 = float(length), float(r1), float(x1), float(r0), float(x0)
+                from_bus, to_bus = int(a), int(b)
+                i, j = buses[from_bus], buses[to_bus]
+            except (ValueError, KeyError):
+                i = j = None
+            if i == j or lid in lines or not (
+                0.0 < length < inf and 0.0 <= r1 < inf and 0.0 <= r0 < inf
+                and -inf < x1 < inf and -inf < x0 < inf and (r1 or x1) and (r0 or x0)
+            ):
+                _line_error(tokens[1:], lineno, buses, lines)  # raises
+            z1, z0 = complex(r1, x1), complex(r0, x0)
+            lines[lid] = LineRecord(lid, from_bus, to_bus, length, z1, z0)
+            p.append(i)
+            q.append(j)
+            z1s.append(z1 * length)  # as LineRecord.z1 and .z0 compute them
+            z0s.append(z0 * length)
+            continue
 
-        if kind == "base":
+        kind, args = tokens[0], tokens[1:]
+        if kind == "bus":
+            if len(args) != 1:
+                raise CaseError(f"line {lineno}: bus expects one label")
+            label = _parse_label(args[0], lineno)
+            if label in buses:
+                raise CaseError(f"line {lineno}: duplicate bus label {label}")
+            buses[label] = len(buses)
+
+        elif kind == "base":
             if len(args) != 3:
                 raise CaseError(f"line {lineno}: base expects <mva> <kv> <hz>")
             base = tuple(_parse_float(a, lineno, "base value") for a in args)
             bad = [a for a, value in zip(args, base) if value <= 0]  # the base is a divisor
             if bad:
                 raise CaseError(f"line {lineno}: bad base value {bad[0]!r}")
-
-        elif kind == "bus":
-            if len(args) != 1:
-                raise CaseError(f"line {lineno}: bus expects one label")
-            label = _parse_label(args[0], lineno)
-            if label in buses:
-                raise CaseError(f"line {lineno}: duplicate bus label {label}")
-            buses[label] = None
-
-        elif kind == "line":
-            if len(args) != 8:
-                raise CaseError(
-                    f"line {lineno}: line expects <id> <from> <to> <length_km>"
-                    " <r1/km> <x1/km> <r0/km> <x0/km>"
-                )
-            lid = args[0]
-            if lid in lines:
-                raise CaseError(f"line {lineno}: duplicate line id {lid!r}")
-            from_bus, to_bus = _parse_label(args[1], lineno), _parse_label(args[2], lineno)
-            for b in (from_bus, to_bus):
-                if b not in buses:
-                    raise CaseError(f"line {lineno}: unknown bus {b}")
-            if from_bus == to_bus:
-                raise CaseError(f"line {lineno}: line {lid!r} joins a bus to itself")
-            length = _parse_float(args[3], lineno, "length")
-            if length <= 0:
-                raise CaseError(f"line {lineno}: non-positive length {length}")
-            nums = [_parse_float(a, lineno, "impedance") for a in args[4:8]]
-            z1, z0 = complex(nums[0], nums[1]), complex(nums[2], nums[3])
-            rec = LineRecord(lid, from_bus, to_bus, length, z1_per_km=z1, z0_per_km=z0)
-            if rec.z1_per_km.real < 0 or rec.z0_per_km.real < 0:
-                raise CaseError(f"line {lineno}: negative resistance on {lid!r}")
-            if 0 in (z1, z0):  # an infinite admittance
-                raise CaseError(f"line {lineno}: line {lid!r} has zero sequence-{int(z1 == 0)} impedance")
-            lines[lid] = rec
 
         elif kind == "source":
             if len(args) not in (3, 5, 7, 9):
@@ -336,7 +360,9 @@ def parse_case(text: str) -> Network:
 
     if not sources:
         raise CaseError("case has no sources; the network would be ungrounded")
-    return Network(tuple(buses), tuple(lines.values()), tuple(sources), *base)  # mva, kv, hz
+    net = Network(tuple(buses), tuple(lines.values()), tuple(sources), *base)  # mva, kv, hz
+    net._lines_bundle(p + q, z1s, z0s)
+    return net
 
 
 def load_case(path: str | Path) -> Network:

@@ -34,16 +34,9 @@ import numpy as np
 from .netmodel import LineRecord, Network
 
 __all__ = [
-    "UngroundedNetworkError",
-    "IllConditionedNetworkError",
-    "SequenceZbus",
-    "LinearLaw",
-    "FaultPointCoefficients",
-    "build_ybus",
-    "build_zbus",
-    "transfer_coefficients",
-    "branch_coefficients",
-    "fault_point_coefficients",
+    "UngroundedNetworkError", "IllConditionedNetworkError", "SequenceZbus", "LinearLaw",
+    "FaultPointCoefficients", "build_ybus", "build_zbus", "transfer_coefficients",
+    "branch_coefficients", "fault_point_coefficients",
 ]
 
 #: Networks whose admittance matrix condition number exceeds this are rejected.
@@ -80,9 +73,10 @@ class SequenceZbus:
     injected at bus ``bus_order[k]``, reference node implicit.  ``_blocks``
     holds :func:`build_zbus`'s block starts, Z[i, i], Z[i, i+1] and factors,
     shared by sequences with equal Y; ``_pos`` gives each index's block
-    position; ``_y_norm`` is ||Y||_1.  The last faulted line's table and the
-    tables of :meth:`table` are fields that equality and ``repr`` ignore;
-    each instance, a ``replace`` copy too, starts with its own.
+    position; ``_y_norm`` is ||Y||_1; ``_index`` is the network's bus index.
+    The last faulted line's table and the tables of :meth:`table` are fields
+    that equality and ``repr`` ignore; each instance, a ``replace`` copy too,
+    starts with its own.
     """
 
     sequence: int
@@ -90,12 +84,9 @@ class SequenceZbus:
     _pos: np.ndarray = field(repr=False, compare=False)
     _blocks: tuple = field(repr=False, compare=False)
     _y_norm: float = field(repr=False, compare=False)
-    _index: dict[int, int] = field(init=False, repr=False, compare=False)
+    _index: dict[int, int] = field(repr=False, compare=False)
     _line: list = field(default_factory=list, init=False, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {b: i for i, b in enumerate(self.bus_order)})
 
     @cached_property
     def condition(self) -> float:
@@ -211,7 +202,7 @@ def _block_rows(net: Network, sequence: int, spans, index, keep, start) -> list[
     """Y's block rows ``[Y[i, i] Y[i, i+1]]``, as :func:`_level_blocks` gathers them."""
     if sequence not in (0, 1, 2):
         raise ValueError(f"sequence must be 0, 1 or 2, got {sequence}")
-    ys = np.array([1.0 / rec.z(sequence) for rec in net.lines], dtype=complex)
+    ys = np.array([1.0 / z for z in net._lines_bundle()[4 if sequence == 0 else 3]], dtype=complex)
     zs = [1.0 / s.z(sequence) for s in net.sources]
     vals = np.concatenate((np.array([ys, ys, -ys, -ys]).T.ravel(), zs))
     y = np.zeros(start[-1], dtype=complex)
@@ -257,7 +248,7 @@ def build_zbus(net: Network, sequence: int) -> SequenceZbus:
             g = g - right[i] @ off[-1].T
         diag.append(0.5 * (g + g.T))
     blocks = ([a for a, _, _ in spans], diag[::-1], off[::-1], right)
-    zbus = SequenceZbus(sequence, net.buses, pos, blocks, float(y_sum.max()))
+    zbus = SequenceZbus(sequence, net.buses, pos, blocks, float(y_sum.max()), net._index)
     # The slack covers the bound's rounding: it accepts nothing the exact test refuses.
     bounded = zbus._y_norm * _z_norm_bound(blocks) <= CONDITION_LIMIT / (1 + 1e-9)
     if not bounded and not zbus.condition <= CONDITION_LIMIT:  # NaN included

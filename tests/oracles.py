@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from faultloc.faultsim import PhasorMeasurementSet
-from faultloc.netmodel import LineRecord, Network
+from faultloc.netmodel import CaseError, LineRecord, Network, SourceRecord
 
 
 def assemble_y(net: Network, seq: int) -> np.ndarray:
@@ -356,3 +356,114 @@ def python_solve(quadratic: bool, numer, denom, ratio: complex) -> tuple[float, 
     if inside:
         return inside[0], off, False
     return min(roots, key=lambda r: max(0.0 - r, r - 1.0, 0.0)), off, False
+
+
+# ---------------------------------------------------------------------------
+# Case parsing: the record-by-record parser the one-pass parse replaced,
+# kept verbatim as the reference for the differential parse test.
+# ---------------------------------------------------------------------------
+
+
+def _parse_float(token: str, lineno: int, what: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan  # reported below, as "nan" and "inf" are
+    if not math.isfinite(value):
+        raise CaseError(f"line {lineno}: bad {what} {token!r}")
+    return value
+
+
+def _parse_label(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise CaseError(f"line {lineno}: bus label must be an integer, got {token!r}") from None
+
+
+def reference_parse_case(text: str) -> Network:
+    """Parse case text into a validated :class:`Network`.
+
+    One pass over the records, linear in their number.  Raises
+    :class:`CaseError` naming the offending source line on syntax errors,
+    unknown bus references, duplicate bus labels, non-positive base values or
+    line lengths, zero line or source impedances, or an empty source list.
+    """
+    base = (100.0, 230.0, 50.0)
+    buses: dict[int, None] = {}  # in declaration order, with O(1) lookups
+    lines: dict[str, LineRecord] = {}  # by id, likewise
+    sources: list[SourceRecord] = []
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if not body:
+            continue
+        tokens = body.split()
+        kind, args = tokens[0], tokens[1:]
+
+        if kind == "base":
+            if len(args) != 3:
+                raise CaseError(f"line {lineno}: base expects <mva> <kv> <hz>")
+            base = tuple(_parse_float(a, lineno, "base value") for a in args)
+            bad = [a for a, value in zip(args, base) if value <= 0]  # the base is a divisor
+            if bad:
+                raise CaseError(f"line {lineno}: bad base value {bad[0]!r}")
+
+        elif kind == "bus":
+            if len(args) != 1:
+                raise CaseError(f"line {lineno}: bus expects one label")
+            label = _parse_label(args[0], lineno)
+            if label in buses:
+                raise CaseError(f"line {lineno}: duplicate bus label {label}")
+            buses[label] = None
+
+        elif kind == "line":
+            if len(args) != 8:
+                raise CaseError(
+                    f"line {lineno}: line expects <id> <from> <to> <length_km>"
+                    " <r1/km> <x1/km> <r0/km> <x0/km>"
+                )
+            lid = args[0]
+            if lid in lines:
+                raise CaseError(f"line {lineno}: duplicate line id {lid!r}")
+            from_bus, to_bus = _parse_label(args[1], lineno), _parse_label(args[2], lineno)
+            for b in (from_bus, to_bus):
+                if b not in buses:
+                    raise CaseError(f"line {lineno}: unknown bus {b}")
+            if from_bus == to_bus:
+                raise CaseError(f"line {lineno}: line {lid!r} joins a bus to itself")
+            length = _parse_float(args[3], lineno, "length")
+            if length <= 0:
+                raise CaseError(f"line {lineno}: non-positive length {length}")
+            nums = [_parse_float(a, lineno, "impedance") for a in args[4:8]]
+            z1, z0 = complex(nums[0], nums[1]), complex(nums[2], nums[3])
+            rec = LineRecord(lid, from_bus, to_bus, length, z1_per_km=z1, z0_per_km=z0)
+            if rec.z1_per_km.real < 0 or rec.z0_per_km.real < 0:
+                raise CaseError(f"line {lineno}: negative resistance on {lid!r}")
+            if 0 in (z1, z0):  # an infinite admittance
+                raise CaseError(f"line {lineno}: line {lid!r} has zero sequence-{int(z1 == 0)} impedance")
+            lines[lid] = rec
+
+        elif kind == "source":
+            if len(args) not in (3, 5, 7, 9):
+                raise CaseError(
+                    f"line {lineno}: source expects <bus> <r1> <x1>"
+                    " [r0 x0 r2 x2] [emf_mag emf_deg]"
+                )
+            bus = _parse_label(args[0], lineno)
+            if bus not in buses:
+                raise CaseError(f"line {lineno}: unknown bus {bus}")
+            nums = [_parse_float(a, lineno, "source value") for a in args[1:]]
+            z1 = complex(nums[0], nums[1])
+            z0, z2 = (complex(*nums[2:4]), complex(*nums[4:6])) if len(nums) >= 6 else (None, None)
+            if 0 in (z1, z0, z2):  # None when z0 and z2 default to z1
+                raise CaseError(f"line {lineno}: source at bus {bus} has zero impedance")
+            emf = cmath.rect(nums[-2], math.radians(nums[-1])) if len(nums) in (4, 8) else 1.0 + 0.0j
+            sources.append(SourceRecord(bus=bus, z1=z1, z2=z2, z0=z0, emf=emf))
+
+        else:
+            raise CaseError(f"line {lineno}: unknown record kind {kind!r}")
+
+    if not sources:
+        raise CaseError("case has no sources; the network would be ungrounded")
+    return Network(tuple(buses), tuple(lines.values()), tuple(sources), *base)  # mva, kv, hz

@@ -12,7 +12,7 @@ MAX_PUBLIC_NAMES = 46
 
 #: Lines over ``src/faultloc/*.py``, as ``wc -l`` counts them.  The same rule:
 #: lower it when the code shrinks, never raise it.
-MAX_SOURCE_LINES = 2189
+MAX_SOURCE_LINES = 2188
 
 
 def test_package_reexports_every_library_name():

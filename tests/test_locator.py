@@ -99,6 +99,37 @@ def test_ssvm_out_of_range_solution_is_flagged():
     assert "hypothesis" in est.notes
 
 
+_OUTSIDE = "solution outside [0, 1]; wrong faulted-line hypothesis?"
+
+
+@pytest.mark.parametrize(
+    ("m", "method", "ambiguous", "notes"),
+    [
+        (0.5, Method.SSVM, False, ""),
+        (1.0 + 1e-9, Method.SSCM, False, ""),  # within the range slack
+        (-1e-9, Method.HYBRID_DIRECT, False, ""),
+        (1.7, Method.SSVM, False, _OUTSIDE),
+        (-0.2, Method.HYBRID_DIRECT, False, _OUTSIDE),
+        (1.3, Method.HYBRID_QUAD, False, "no root in [0, 1]; wrong faulted-line hypothesis?"),
+        (0.25, Method.HYBRID_QUAD, True, "both roots in [0, 1]; tie broken toward the direct solution"),
+    ],
+)
+def test_estimates_carry_their_notes_from_construction(m, method, ambiguous, notes):
+    est = locator._estimate(m, method, 0.125, ambiguous)
+    assert est == locator.LocationEstimate(m, method, 0.125, ambiguous, notes)
+    assert est.in_range is (notes != _OUTSIDE and "no root" not in notes)
+
+
+def test_ranking_entries_note_the_out_of_range_hypotheses(ieee14, ieee14_study):
+    ms = ieee14_study.measurements(FaultScenario("9-14", 0.85, FaultType.LG, 1.0))
+    ranked = list(
+        rank_line_hypotheses(ieee14, ms, VoltagePlacement(1, 14), Method.SSVM, ieee14_study.zbus(1))
+    )
+    notes = {est.notes for _, est in ranked if not est.in_range}
+    assert notes == {_OUTSIDE}
+    assert {est.notes for _, est in ranked if est.in_range} == {""}
+
+
 # ---------------------------------------------------------------------------
 # Current-ratio method
 # ---------------------------------------------------------------------------

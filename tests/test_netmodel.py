@@ -2,13 +2,20 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 
 from dataclasses import replace
+from importlib import resources
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from faultloc import CaseError, build_zbus, parse_case, validate
 from faultloc.netmodel import LineRecord, Network, SourceRecord
+
+from oracles import reference_parse_case
+from test_ranking import mesh_text
 
 ONE_BUS = """
 base 100 230 50
@@ -250,3 +257,127 @@ def test_parse_rejects_non_finite_numbers(record):
     }[kind]
     with pytest.raises(CaseError, match=r"line \d+: bad"):
         parse_case(text)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass parse against the record-by-record reference parser
+# ---------------------------------------------------------------------------
+
+
+def _case_text(name: str) -> str:
+    return resources.files("faultloc").joinpath("cases", f"{name}.case").read_text(encoding="utf-8")
+
+
+#: Fourbus, ieee14 and a 4x4 mesh, as rows of tokens (comment rows included).
+_BASE_ROWS = [
+    [raw.split() for raw in text.splitlines()]
+    for text in (_case_text("fourbus"), _case_text("ieee14"), mesh_text(4, seed=3))
+]
+
+#: Where a record's numbers and bus labels sit among its tokens.
+_NUMBERS = {"base": range(1, 4), "line": range(4, 9), "source": range(2, 10)}
+_LABELS = {"bus": (1,), "line": (2, 3), "source": (1,)}
+
+#: Mutations, numbers and labels drawn most often.
+_OPS = ["number"] * 4 + ["label"] * 2 + ["drop", "duplicate", "swap", "id", "comment"]
+
+
+def _bits(x) -> tuple:
+    """A value's exact bits: ``-0.0`` is not ``0.0``, and every NaN is one."""
+    if x is None or isinstance(x, (str, int)):
+        return (x,)
+    x = complex(x)
+    return struct.pack("<dd", x.real, x.imag), cmath.isnan(x)
+
+
+def _record_bits(net: Network) -> tuple:
+    lines = [
+        (r.id, r.from_bus, r.to_bus, _bits(r.length_km), _bits(r.z1_per_km), _bits(r.z0_per_km))
+        for r in net.lines
+    ]
+    sources = [(s.bus, *map(_bits, (s.z1, s.z2, s.z0, s.emf))) for s in net.sources]
+    base = tuple(map(_bits, (net.base_mva, net.base_kv, net.frequency_hz)))
+    return net.buses, lines, sources, base
+
+
+def _bundle_bits(net: Network) -> tuple:
+    p, q, ids, z1, z0 = net._lines_bundle()
+    assert not any(a.flags.writeable for a in (p, q, ids))
+    return p.tolist(), q.tolist(), ids.tolist(), [_bits(z) for z in z1], [_bits(z) for z in z0]
+
+
+@st.composite
+def _mutated_cases(draw) -> str:
+    """A bundled case or a 4x4 mesh, its tokens mutated: numbers and labels
+    replaced, records dropped, duplicated or swapped, ids duplicated and
+    comments inserted.  Some mutations leave a valid case."""
+    rows = [list(row) for row in draw(st.sampled_from(_BASE_ROWS))]
+    records = lambda kinds: [i for i, row in enumerate(rows) if row and row[0] in kinds]  # noqa: E731
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(_OPS))
+        kinds = {"number": _NUMBERS, "label": _LABELS}.get(op, _NUMBERS.keys() | _LABELS.keys())
+        if not (candidates := records(kinds)):
+            break
+        row = rows[i := draw(st.sampled_from(candidates))]
+        if op == "number" and (at := [k for k in _NUMBERS[row[0]] if k < len(row)]):
+            k = draw(st.sampled_from(at))
+            row[k] = draw(st.sampled_from(["0", "-0", f"-{row[k]}", "nan", "inf", "1e400", "", "word"]))
+        elif op == "label" and (at := [k for k in _LABELS[row[0]] if k < len(row)]):
+            k = draw(st.sampled_from(at))
+            other = row[5 - k] if row[0] == "line" else rows[candidates[-1]][1]  # a self-loop
+            row[k] = draw(st.sampled_from(["999", "1.5", "x", "-3", "+2", "١", other]))
+        elif op == "drop":
+            del rows[i]
+        elif op == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(row))
+        elif op == "swap":
+            j = draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "id" and row[0] == "line":
+            row[1] = rows[draw(st.sampled_from(records({"line"})))][1]
+        elif op == "comment":
+            row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(["#", "# note", "#x"])))
+    return "\n".join(" ".join(row) for row in rows) + "\n"
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text), None
+    except CaseError as exc:
+        return None, str(exc)
+
+
+@settings(derandomize=True, max_examples=400, deadline=2000)
+@given(text=_mutated_cases())
+def test_parse_matches_the_reference_parser_on_mutated_cases(text):
+    """The same error text, or networks whose records agree bit for bit; the
+    per-line cache the parse fills equals the one built from the records."""
+    (net, error), (want, want_error) = _outcome(parse_case, text), _outcome(reference_parse_case, text)
+    assert error == want_error
+    if net is not None:
+        assert _record_bits(net) == _record_bits(want)
+        assert _bundle_bits(net) == _bundle_bits(want) == _bundle_bits(replace(net, lines=net.lines))
+
+
+@pytest.mark.parametrize(
+    ("records", "error"),
+    [
+        # A bad number on an earlier record comes before an unknown bus after it.
+        (["line A 1 2 nan 0.01 0.1 0.03 0.3", "line B 1 9 1 0.01 0.1 0.03 0.3"], "line 4: bad length"),
+        (["line A 1 2 1 0.01 0.1 -0.03 0.3", "line A 1 2 1 0.01 0.1 0.03 0.3"], "line 4: negative"),
+        # Within a record, the first failing check in field order.
+        (["line A 1 1 0 nan 0.1 0.03 0.3"], "line 4: line 'A' joins a bus to itself"),
+        (["line A 1 2 -1 nan 0.1 0.03 0.3"], "line 4: non-positive length -1.0"),
+        (["line A 1 2 1 0 0 0 1e400"], "line 4: bad impedance '1e400'"),
+        (["line A 1 2 1 0 -0 0.03 0.3"], "line 4: line 'A' has zero sequence-1 impedance"),
+        (["line A 1 2 1 0.01 0.1 -0 0"], "line 4: line 'A' has zero sequence-0 impedance"),
+        (["line A x 9 1 0.01 0.1 0.03 0.3"], "line 4: bus label must be an integer, got 'x'"),
+        (["line A 1 2 1 0.01 0.1 0.03"], "line 4: line expects"),
+    ],
+)
+def test_parse_reports_the_first_failing_check_in_file_order(records, error):
+    text = "\n".join(["bus 1", "bus 2", "source 1 0.01 0.1", *records]) + "\n"
+    with pytest.raises(CaseError) as got:
+        parse_case(text)
+    assert str(got.value).startswith(error)
+    assert _outcome(reference_parse_case, text)[1] == str(got.value)

@@ -239,9 +239,9 @@ def test_ranking_placement_and_zero_impedance_errors(fourbus, fourbus_study):
 def test_ranking_follows_the_matrix_bus_order(ieee14, ieee14_study):
     zbus = ieee14_study.zbus(1)
     order = list(reversed(range(ieee14.n)))
-    permuted = replace(
-        zbus, bus_order=tuple(ieee14.buses[i] for i in order), _pos=zbus._pos[order]
-    )
+    bus_order = tuple(ieee14.buses[i] for i in order)
+    index = {bus: i for i, bus in enumerate(bus_order)}  # a network's dict takes its order
+    permuted = replace(zbus, bus_order=bus_order, _pos=zbus._pos[order], _index=index)
     ms = ieee14_study.measurements(FaultScenario("9-14", 0.85, FaultType.LL, 0.0))
     for method in RANKING_METHODS:
         placement = placement_for(method, (1, 14), ("2-3", "13-14"))

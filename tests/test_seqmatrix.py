@@ -20,7 +20,7 @@ from faultloc import (
     parse_case,
     transfer_coefficients,
 )
-from faultloc import seqmatrix
+from faultloc import prefault_solve, seqmatrix
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
 from oracles import assemble_y, dense_z, invert_y, kept, tap_network
@@ -638,3 +638,83 @@ def test_records_sharing_an_id_get_their_own_laws(fourbus):
         assert _bits(law_of(zb, other)) == _bits(theirs)
         assert mine != theirs
         assert _bits(theirs) == _bits(law_of(replace(zb), other))
+
+
+# ---------------------------------------------------------------------------
+# Y and the pre-fault state from the network's per-line cache
+# ---------------------------------------------------------------------------
+
+
+def _reference_block_rows(net: Network, sequence: int, spans, index, keep, start) -> list:
+    """``seqmatrix._block_rows`` with each record's own ``1.0 / rec.z(sequence)``."""
+    ys = np.array([1.0 / rec.z(sequence) for rec in net.lines], dtype=complex)
+    zs = [1.0 / s.z(sequence) for s in net.sources]
+    vals = np.concatenate((np.array([ys, ys, -ys, -ys]).T.ravel(), zs))
+    y = np.zeros(start[-1], dtype=complex)
+    np.add.at(y, index, vals[keep])
+    return [y[o : o + (e - d) * (f - d)].reshape(e - d, f - d) for o, (d, e, f) in zip(start, spans)]
+
+
+def _reference_prefault(net: Network, zbus) -> tuple[dict, dict]:
+    """``prefault_solve`` with a bus lookup per bus and each record's own ``rec.z1``."""
+    j = np.zeros(len(zbus.bus_order), dtype=complex)
+    for src in net.sources:
+        j[zbus.index(src.bus)] += src.emf / src.z(1)
+    e = zbus.solve(j).tolist()
+    bus_v = {b: e[zbus.index(b)] for b in net.buses}
+    return bus_v, {rec.id: (bus_v[rec.from_bus] - bus_v[rec.to_bus]) / rec.z1 for rec in net.lines}
+
+
+def _dict_bits(d: dict) -> list:
+    return [(k, complex(v).real.hex(), complex(v).imag.hex()) for k, v in d.items()]
+
+
+@pytest.mark.parametrize("name", ["fourbus", "ieee14", "mesh12", "mesh20", "mesh30"])
+def test_cached_line_totals_keep_the_per_record_bits(request, name):
+    """Y's block rows and the pre-fault dicts, read from the per-line cache,
+    equal the per-record expressions bit for bit, on a parsed network (cache
+    filled by the parse) and on its ``replace`` copy (cache built on first use)."""
+    if name.startswith("mesh"):
+        net = parse_case(mesh_text(int(name[4:]), seed=int(name[4:])))
+    else:
+        net = request.getfixturevalue(name)
+    blocks = []
+    for copy in (net, replace(net, lines=net.lines)):
+        _, spans, _, gather = seqmatrix._level_blocks(copy)
+        for seq in (0, 1, 2):
+            got, want = (
+                rows(copy, seq, spans, *gather) for rows in (seqmatrix._block_rows, _reference_block_rows)
+            )
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (copy is net, seq)
+        zbus = build_zbus(copy, 1)
+        assert zbus._index is copy._index
+        got, want = prefault_solve(copy, zbus), _reference_prefault(copy, zbus)
+        assert [_dict_bits(d) for d in got] == [_dict_bits(d) for d in want], copy is net
+        blocks.append([a.tobytes() for part in zbus._blocks[1:] for a in part])
+    assert blocks[0] == blocks[1]
+
+
+def test_a_replaced_network_reads_its_own_line_totals(ieee14):
+    """A ``replace`` copy with one line's impedance changed builds its own
+    per-line cache: its Y and pre-fault currents show the change."""
+    ieee14._lines_bundle()  # the original's cache is filled
+    k = 3
+    rec = ieee14.lines[k]
+    lines = tuple(replace(r, z1_per_km=2.0 * r.z1_per_km) if r is rec else r for r in ieee14.lines)
+    changed = replace(ieee14, lines=lines)
+    assert changed._lines_bundle()[3][k] == lines[k].z1 != rec.z1
+    p, q = ieee14.bus_index(rec.from_bus), ieee14.bus_index(rec.to_bus)
+    y, y_changed = build_ybus(ieee14, 1), build_ybus(changed, 1)
+    assert y_changed[p, q] != y[p, q]
+    assert np.abs(y_changed - assemble_y(changed, 1)).max() <= 1e-12 * np.abs(y_changed).max()
+    zbus = build_zbus(changed, 1)
+    got, want = prefault_solve(changed, zbus), _reference_prefault(changed, zbus)
+    assert [_dict_bits(d) for d in got] == [_dict_bits(d) for d in want]
+
+
+def test_a_matrix_shares_its_networks_bus_index(ieee14):
+    z1 = build_zbus(ieee14, 1)
+    z2 = replace(z1, sequence=2)
+    assert z1._index is z2._index is ieee14._index
+    with pytest.raises(ValueError, match="^bus 99 is not in the sequence-2 matrix$"):
+        z2.index(99)
