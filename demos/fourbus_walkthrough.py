@@ -32,12 +32,12 @@ for b in net.buses:
 # For a fault at normalized position m on T2 the transfer impedance from
 # any bus to the fault point is linear in m, and the driving-point
 # impedance at the fault is quadratic in m.  These laws are all the
-# estimators need.
+# estimators need; they live in fl.seqmatrix, not among the package's names.
 line = net.line("T2")
 for bus in (1, 2):
-    tc = fl.transfer_coefficients(zbus, line, bus)
+    tc = fl.seqmatrix.transfer_coefficients(zbus, line, bus)
     print(f"\nbus {bus}: z(m) = {tc.b:.4f} + ({tc.c:.4f})*m")
-fp = fl.fault_point_coefficients(zbus, line)
+fp = fl.seqmatrix.fault_point_coefficients(zbus, line)
 print(f"fault point: z(m) = {fp.a0:.4f} + ({fp.a1:.4f})*m + ({fp.a2:.4f})*m^2")
 
 # ---------------------------------------------------------------------------

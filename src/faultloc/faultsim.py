@@ -34,8 +34,7 @@ from .seqmatrix import (
 
 __all__ = [
     "FaultType", "FaultScenario", "MeasurementTaps", "PhasorMeasurementSet", "Distortion",
-    "FaultStudy", "prefault_solve", "fault_sequence_currents", "apply_distortion",
-    "measurements_to_csv", "measurements_from_csv",
+    "FaultStudy", "apply_distortion", "measurements_to_csv", "measurements_from_csv",
 ]
 
 SequenceTriple = tuple[complex, complex, complex]
@@ -139,7 +138,6 @@ def fault_sequence_currents(
     An infinite rf means no fault: all currents are zero.  A zero loop
     impedance raises ``ZeroDivisionError``, as complex division does.
     """
-    fault_type = fault_type if isinstance(fault_type, FaultType) else FaultType(fault_type)
     z0, z1, z2 = z_rr
     zero = 0.0 + 0.0j
     if math.isinf(rf_pu):

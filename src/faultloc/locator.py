@@ -12,18 +12,19 @@ The methods differ only in which two channels feed that ratio:
 * ``hybrid-quad``: the same pair, solved through the real quadratic
   satisfied by the ratio magnitude instead of in the complex plane.
 
-:func:`locate` solves one ratio; placements name the two channels they
-measure as ``(kind, id)`` pairs, each read from one measurement set by
-:func:`voltage_channel` or :func:`current_channel`, and the other entries
-take the caller's positive-sequence matrix and read those channels' laws
-under a fault on each line, and every verdict, from one table per (matrix,
-network, placement).  One solve serves every estimate: it reads each row's
-ratio in Python and solves the rows as arrays rounded as Python's complex
-arithmetic rounds, so a sweep's rows and a lone :func:`locate` agree bit
-for bit.  Ranking solves as arrays, orders in-range hypotheses on the call
-and the rest on the first read past them, builds an entry when it is read,
-and refuses ``hybrid-quad``.  All estimators consume positive-sequence
-phasors only and need no fault-type or phase-selection information.
+Placements name the two channels they measure as ``(kind, id)`` pairs, each
+read from one measurement set by :func:`voltage_channel` or
+:func:`current_channel`.  The public entries take the caller's
+positive-sequence matrix and read those channels' laws under a fault on
+each line, and every verdict, from one table per (matrix, network,
+placement); a method may be given by name.  One solve serves every
+estimate: it reads each row's ratio in Python and solves the rows as arrays
+rounded as Python's complex arithmetic rounds, so a sweep's rows and a lone
+estimate agree bit for bit; :func:`locate` is that solve on laws the caller
+gives.  Ranking solves as arrays, orders in-range hypotheses on the call and
+the rest on the first read past them, builds an entry when it is read, and
+refuses ``hybrid-quad``.  All estimators consume positive-sequence phasors
+only and need no fault-type or phase-selection information.
 """
 from __future__ import annotations
 
@@ -47,9 +48,9 @@ from .seqmatrix import (
 )
 
 __all__ = [
-    "DegenerateChannelError", "LinearDependenceError", "Method", "LocationEstimate",
-    "VoltagePlacement", "CurrentPlacement", "HybridPlacement", "voltage_channel", "current_channel",
-    "locate", "estimate_for_placement", "feasibility_check", "percent_error", "rank_line_hypotheses",
+    "DegenerateChannelError", "LinearDependenceError", "Method", "LocationEstimate", "VoltagePlacement",
+    "CurrentPlacement", "HybridPlacement", "estimate_for_placement", "feasibility_check",
+    "percent_error", "rank_line_hypotheses",
 ]
 
 #: Channels whose during-fault change is smaller than this (pu) carry no
@@ -133,19 +134,11 @@ def locate(
     method: Method, ms: PhasorMeasurementSet, placement: Placement,
     numer_law: LinearLaw, denom_law: LinearLaw,
 ) -> LocationEstimate:
-    """Fault position from the ratio of the placement's two changes in ``ms``.
-
-    ``numer_law``/``denom_law`` give each channel's change per unit fault
-    current for a fault on the hypothesized line, so that the changes'
-    ratio equals ``numer_law.at(m) / denom_law.at(m)``.  The placement must
-    measure the kinds the method divides (two voltages for ssvm, two
-    currents for sscm, current over voltage for the hybrids), else
-    ``TypeError``.  A current channel on the faulted line must be one of its
-    terminals: the line's own current is no channel there.
-
-    Raises :class:`LinearDependenceError` when the two laws are
-    proportional and :class:`DegenerateChannelError` when the denominator
-    shows no fault signature.
+    """:func:`estimate_for_placement` on laws the caller gives: ``numer_law`` and
+    ``denom_law`` give each channel's change per unit fault current for a fault
+    on the hypothesized line, so that the changes' ratio equals
+    ``numer_law.at(m) / denom_law.at(m)``.  A current channel on the faulted
+    line must be one of its terminals: the line's own current is no channel there.
     """
     method = Method(method)
     laws = [LinearLaw(np.array([w.b], complex), np.array([w.c], complex)) for w in (numer_law, denom_law)]
@@ -435,17 +428,21 @@ class _PlacementLaws:
 
 def estimate_for_placement(
     net: Network, zbus: SequenceZbus, faulted_line_id: str, placement: Placement,
-    ms: PhasorMeasurementSet, method: Method,
+    ms: PhasorMeasurementSet, method: Method | str,
 ) -> LocationEstimate:
-    """Read the placement's laws, and :func:`locate`.
+    """Fault position from the ratio of the placement's two changes in ``ms``,
+    read against their laws in the placement's table on ``zbus``.
 
     The faulted line here is a hypothesis; an out-of-range result indicates
-    it is wrong.  Raises ``TypeError`` when the placement does not measure
-    the channel kinds the method divides, and ``ValueError`` when it reads
-    the faulted line's own current.  The laws come from the placement's
-    table on ``zbus``; each call reads the two changes and solves, and
-    raises, as :func:`locate` does.
+    it is wrong.  ``method`` is a :class:`Method` or its name.  Raises
+    ``TypeError`` when the placement does not measure the channel kinds the
+    method divides (two voltages for ssvm, two currents for sscm, current over
+    voltage for the hybrids), ``ValueError`` for an unknown method or a channel
+    reading the faulted line's own current, :class:`LinearDependenceError` when
+    the two laws are proportional and :class:`DegenerateChannelError` when the
+    denominator shows no fault signature.
     """
+    method = method if type(method) is Method else Method(method)
     return _first(method, _estimates(net, zbus, [faulted_line_id], placement, [ms], method))
 
 
@@ -461,7 +458,8 @@ def _estimates(net: Network, zbus: SequenceZbus, line_ids, placement: Placement,
 
 
 def rank_line_hypotheses(
-    net: Network, ms: PhasorMeasurementSet, placement: Placement, method: Method, zbus: SequenceZbus
+    net: Network, ms: PhasorMeasurementSet, placement: Placement, method: Method | str,
+    zbus: SequenceZbus,
 ) -> Sequence[tuple[str, LocationEstimate]]:
     """Run the estimator against every line hypothesis, best first.
 
@@ -479,7 +477,8 @@ def rank_line_hypotheses(
     the list of its entries.  ``hybrid-quad`` raises ``ValueError``: its
     magnitude-only quadratic solves to residual 0 on most wrong lines.
     """
-    if method == Method.HYBRID_QUAD:
+    method = method if type(method) is Method else Method(method)
+    if method is Method.HYBRID_QUAD:
         raise ValueError(
             "hybrid-quad cannot rank lines: its magnitude-only quadratic solves"
             " to residual 0 on most wrong lines, so it ranks a wrong line first"

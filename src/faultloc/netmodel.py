@@ -391,6 +391,9 @@ def validate(net: Network) -> list[str]:
             diags.append(f"duplicate bus label {b}")
         seen.add(b)
 
+    first = net._line_index  # a channel reads an id's first line, prefault_solve its last
+    if len(first) < len(net.lines):
+        diags += [f"duplicate line id {r.id!r}" for i, r in enumerate(net.lines) if first[r.id] != i]
     for rec in net.lines:
         if rec.from_bus == rec.to_bus:
             diags.append(f"line {rec.id}: endpoints coincide (bus {rec.from_bus})")

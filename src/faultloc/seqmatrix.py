@@ -33,11 +33,7 @@ import numpy as np
 
 from .netmodel import LineRecord, Network
 
-__all__ = [
-    "UngroundedNetworkError", "IllConditionedNetworkError", "SequenceZbus", "LinearLaw",
-    "FaultPointCoefficients", "build_ybus", "build_zbus", "transfer_coefficients",
-    "branch_coefficients", "fault_point_coefficients",
-]
+__all__ = ["UngroundedNetworkError", "IllConditionedNetworkError", "SequenceZbus", "build_zbus"]
 
 #: Networks whose admittance matrix condition number exceeds this are rejected.
 CONDITION_LIMIT = 1e12

@@ -758,12 +758,28 @@ _SSVM = _SINGLE + ["--method", "ssvm", "--buses", "1,2"]
         (_SSVM + ["--distort", "branchI:1-2:clamp:0.5"],
          "current channel 'T2' measures faulted line 'T2'"),
         (_SINGLE + ["--method", "ssvm", "--buses", "1.9,2"], "unknown bus '1.9'"),
+        (_SSVM + ["--distort", "foo:1:gain:1"], "bad distortion channel kind 'foo'"),
+        (_SINGLE + ["--method", "ssvm", "--buses", "1"], "voltage method needs two buses (--buses a,b)"),
+        (_SINGLE + ["--method", "sscm", "--branches", "T1"],
+         "current method needs two branches (--branches a,b)"),
+        (_SINGLE + ["--method", "hybrid", "--buses", "1,2"], "hybrid methods need a branch and a bus"),
     ],
 )
 def test_bad_names_exit_one_before_any_study(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli, "FaultStudy", _no_study)
     assert run_cli(argv) == 1
     assert capsys.readouterr().err == f"faultloc: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [({"format": "xml"}, "unknown report format 'xml'"), ({"case": ""}, "sweep spec {!r} names no case file")],
+)
+def test_bad_spec_fields_exit_one_before_any_study(tmp_path, capsys, monkeypatch, field, message):
+    monkeypatch.setattr(cli, "FaultStudy", _no_study)
+    spec = _write_sweep(tmp_path, **field)
+    assert run_cli(["--case", CASE_PATH, "--sweep", spec]) == 1
+    assert capsys.readouterr().err == f"faultloc: error: {message.format(spec)}\n"
 
 
 @pytest.mark.parametrize("lines", [["T9", "T2"], ["T2", "T3", "T9"]])

@@ -15,15 +15,14 @@ from faultloc import (
     MeasurementTaps,
     apply_distortion,
     build_zbus,
-    fault_point_coefficients,
-    fault_sequence_currents,
     measurements_from_csv,
     measurements_to_csv,
     parse_case,
-    prefault_solve,
 )
 
 from faultloc import seqmatrix
+from faultloc.faultsim import fault_sequence_currents, prefault_solve
+from faultloc.seqmatrix import fault_point_coefficients, transfer_coefficients
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
 from oracles import DirectFaultSolve, dense_z, inverse_sequence_transform, kept, sequence_transform
@@ -357,10 +356,14 @@ def test_scenario_rejects_negative_and_nan_rf():
     assert FaultScenario("T2", 0.5, FaultType.LG, rf_ohm=math.inf).rf_ohm == math.inf
 
 
+def test_scenario_rejects_m_outside_the_line_and_takes_a_type_name():
+    with pytest.raises(ValueError, match=r"fault position m=1\.5 outside \[0, 1\]"):
+        FaultScenario("T2", 1.5, FaultType.LG)
+    assert FaultScenario("T2", 0.5, "LLG").fault_type is FaultType.LLG
+
+
 def test_lg_wiring_identity(fourbus, fourbus_study):
     """Reported fault voltages are exactly E0 - Z_kr(m) * i1, by construction."""
-    from faultloc.seqmatrix import transfer_coefficients
-
     sc = FaultScenario("T2", 0.56, FaultType.LG, rf_ohm=1.0)
     ms = fourbus_study.measurements(sc)
     cur = fourbus_study.fault_currents(sc)
@@ -376,8 +379,6 @@ def _delta_v(ms, bus):
 
 
 def test_voltage_change_ratio_identity(fourbus, fourbus_study):
-    from faultloc.seqmatrix import transfer_coefficients
-
     sc = FaultScenario("T2", 0.73, FaultType.LL, rf_ohm=10.0)
     ms = fourbus_study.measurements(sc)
     line = fourbus.line("T2")
@@ -526,6 +527,8 @@ def test_distortion_unknown_channel(fourbus_study):
         apply_distortion(ms, [Distortion(kind="branchI", channel="nope")])
     with pytest.raises(KeyError):
         apply_distortion(ms, [Distortion(kind="busV", channel="42")])
+    with pytest.raises(KeyError, match="unknown channel kind 'phaseA'"):
+        apply_distortion(ms, [Distortion(kind="phaseA", channel="1")])
 
 
 # ---------------------------------------------------------------------------

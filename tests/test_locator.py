@@ -19,22 +19,18 @@ from faultloc import (
     FaultType,
     HybridPlacement,
     LinearDependenceError,
-    LinearLaw,
     MeasurementTaps,
     Method,
     VoltagePlacement,
-    branch_coefficients,
     build_zbus,
-    current_channel,
     estimate_for_placement,
     feasibility_check,
-    locate,
     percent_error,
     rank_line_hypotheses,
-    transfer_coefficients,
-    voltage_channel,
 )
 from faultloc import locator, seqmatrix
+from faultloc.locator import current_channel, locate, voltage_channel
+from faultloc.seqmatrix import LinearLaw, branch_coefficients, transfer_coefficients
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
 from oracles import all_simple_paths, feasibility_reason, measurement_set, path_crosses_line, python_solve
@@ -128,6 +124,41 @@ def test_ranking_entries_note_the_out_of_range_hypotheses(ieee14, ieee14_study):
     notes = {est.notes for _, est in ranked if not est.in_range}
     assert notes == {_OUTSIDE}
     assert {est.notes for _, est in ranked if est.in_range} == {""}
+
+
+def test_a_method_name_runs_the_method_it_names(fourbus, fourbus_study):
+    """Both public entries take a method by name, and run it bit for bit as the
+    :class:`Method` itself; an unknown name raises ``ValueError``."""
+    from faultloc import Distortion, apply_distortion
+
+    zbus = fourbus_study.zbus(1)
+    clean = fourbus_study.measurements(FaultScenario("T2", 0.56, FaultType.LG, 1.0))
+    ms = apply_distortion(clean, [Distortion("branchI", "T1", gain=1.02, phase_deg=2.0)])
+    placements = {
+        Method.SSVM: VoltagePlacement(1, 2), Method.SSCM: CurrentPlacement("T1", "T3"),
+        Method.HYBRID_DIRECT: HybridPlacement("T1", 2), Method.HYBRID_QUAD: HybridPlacement("T1", 2),
+    }
+
+    def read(est):
+        return type(est.method), est.method, _bits(est.m, est.residual), est.ambiguous, est.notes
+
+    for method, placement in placements.items():
+        by_enum, by_name = (
+            estimate_for_placement(fourbus, zbus, "T2", placement, ms, how) for how in (method, method.value)
+        )
+        assert read(by_name) == read(by_enum) and read(by_name)[:2] == (Method, method)
+        if method is not Method.HYBRID_QUAD:
+            by_enum, by_name = (
+                [(line_id, read(est)) for line_id, est in rank_line_hypotheses(fourbus, ms, placement, how, zbus)]
+                for how in (method, method.value)
+            )
+            assert by_name == by_enum
+    with pytest.raises(ValueError, match="'bogus' is not a valid Method"):
+        estimate_for_placement(fourbus, zbus, "T2", placements[Method.SSVM], ms, "bogus")
+    with pytest.raises(ValueError, match="'bogus' is not a valid Method"):
+        rank_line_hypotheses(fourbus, ms, placements[Method.SSVM], "bogus", zbus)
+    with pytest.raises(ValueError, match="hybrid-quad cannot rank lines"):
+        rank_line_hypotheses(fourbus, ms, placements[Method.HYBRID_QUAD], "hybrid-quad", zbus)
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +872,8 @@ def test_rank_line_hypotheses_finds_true_line(fourbus, fourbus_study, method, pl
 def _terminal_pairings(net, line, zbus):
     """Every sscm and hybrid placement reading a terminal of ``line`` that
     :func:`feasibility_check` accepts for a fault on it: the terminal over or
-    under any other current channel, or over any bus voltage."""
+    under any other current channel, or over any bus voltage.  Each is checked
+    when it is drawn, so its table is still kept for the caller's estimates."""
     terminals = (f"{line.id}@from", f"{line.id}@to")
     currents = [rec.id for rec in net.lines if rec.id != line.id] + list(terminals)
     pairs = {
@@ -850,25 +882,31 @@ def _terminal_pairings(net, line, zbus):
     }
     pairings = [(Method.SSCM, CurrentPlacement(*pair)) for pair in sorted(pairs)]
     pairings += [(Method.HYBRID_DIRECT, HybridPlacement(t, bus)) for t in terminals for bus in net.buses]
-    return [(meth, p) for meth, p in pairings if feasibility_check(net, line.id, p, zbus)[0]]
+    return ((meth, p) for meth, p in pairings if feasibility_check(net, line.id, p, zbus)[0])
 
 
 @pytest.mark.parametrize("case", ["fourbus", "ieee14"])
 def test_terminal_channels_recover_every_fault_position(request, case):
+    """Each (line, placement) solves its five positions at once, as a sweep
+    does; a lone estimate of the first has the bits of its batched row."""
     net = request.getfixturevalue(case)
     study = request.getfixturevalue(f"{case}_study")
     zbus = study.zbus(1)
+    positions = (0.0, 0.01, 0.5, 0.99, 1.0)
     for line in net.lines:
-        pairings = _terminal_pairings(net, line, zbus)
-        assert {p.channels[0][1] for _, p in pairings} >= {f"{line.id}@from", f"{line.id}@to"}
-        for m in (0.0, 0.01, 0.5, 0.99, 1.0):
-            ms = study.measurements(FaultScenario(line.id, m, FaultType.LG, 1.0))
-            for method, placement in pairings:
-                est = estimate_for_placement(net, zbus, line.id, placement, ms, method)
-                assert abs(est.m - m) <= 1e-6, (line.id, m, placement)
-                if 0.0 < m < 1.0:  # a fault at a bus lies on every line meeting there
-                    top, best = rank_line_hypotheses(net, ms, placement, method, zbus)[0]
-                    assert top == line.id and abs(best.m - m) <= 1e-6, (line.id, m, placement)
+        sets = [study.measurements(FaultScenario(line.id, m, FaultType.LG, 1.0)) for m in positions]
+        rows, numerators = [line.id] * len(positions), set()
+        for method, placement in _terminal_pairings(net, line, zbus):
+            numerators.add(placement.channels[0][1])
+            m_est, residual, _, errors = locator._estimates(net, zbus, rows, placement, sets, method)
+            assert errors == [None] * len(positions), (line.id, placement, errors)
+            assert np.all(np.abs(m_est - positions) <= 1e-6), (line.id, placement, m_est)
+            lone = estimate_for_placement(net, zbus, line.id, placement, sets[0], method)
+            assert _bits(lone.m, lone.residual) == _bits(m_est[0], residual[0]), (line.id, placement)
+            for m, ms in zip(positions[1:-1], sets[1:-1]):  # a fault at a bus lies on every line there
+                top, best = rank_line_hypotheses(net, ms, placement, method, zbus)[0]
+                assert top == line.id and abs(best.m - m) <= 1e-6, (line.id, m, placement)
+        assert numerators >= {f"{line.id}@from", f"{line.id}@to"}
 
 
 @pytest.mark.parametrize("case", ["fourbus", "ieee14"])

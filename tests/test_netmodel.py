@@ -177,6 +177,10 @@ def test_validate_reports_a_line_to_an_unknown_bus():
         (3, {"emf": complex(math.inf, 0.0)}, "source at bus 3: non-finite impedance or EMF"),
         (None, {"base_mva": 0.0}, "non-positive or non-finite base value in (0.0, 230.0, 50.0)"),
         (None, {"base_kv": math.nan}, "non-positive or non-finite base value in (100.0, nan, 50.0)"),
+        (None, {"buses": (1, 2, 3, 4, 4)}, "duplicate bus label 4"),
+        ("T2", {"to_bus": 2}, "line T2: endpoints coincide (bus 2)"),
+        ("T2", {"z0_per_km": complex(-0.01, 0.3)}, "line T2: negative per-km resistance"),
+        (3, {"bus": 9}, "source at unknown bus 9"),
     ],
 )
 def test_validate_reports_zero_impedance_records(fourbus, record, change, diagnostic):
@@ -188,6 +192,19 @@ def test_validate_reports_zero_impedance_records(fourbus, record, change, diagno
     sources = tuple(replace(src, **change) if src.bus == record else src for src in fourbus.sources)
     net = replace(fourbus, lines=lines, sources=sources, **(change if record is None else {}))
     assert validate(net) == [diagnostic]
+
+
+def test_validate_reports_a_duplicate_line_id():
+    """``Network.channel`` reads the first line of an id, the pre-fault state
+    the last, so a tap on ``L`` would pair one line's pre-fault current with
+    the other line's laws."""
+    z = (complex(0.01, 0.1), complex(0.03, 0.3))
+    net = Network(
+        buses=(1, 2, 3),
+        lines=(LineRecord("L", 1, 2, 1.0, *z), LineRecord("L", 2, 3, 1.0, *z), LineRecord("M", 1, 3, 1.0, *z)),
+        sources=tuple(SourceRecord(b, 0.1j, emf=cmath.exp(1j * a)) for b, a in ((1, 0.0), (2, -0.2), (3, 0.3))),
+    )
+    assert validate(net) == ["duplicate line id 'L'"]
 
 
 def test_validate_unreachable_island():

@@ -7,20 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from faultloc import (
+from faultloc import FaultStudy, IllConditionedNetworkError, UngroundedNetworkError, build_zbus, parse_case
+from faultloc import seqmatrix
+from faultloc.faultsim import prefault_solve
+from faultloc.seqmatrix import (
     FaultPointCoefficients,
-    FaultStudy,
-    IllConditionedNetworkError,
     LinearLaw,
-    UngroundedNetworkError,
     branch_coefficients,
     build_ybus,
-    build_zbus,
     fault_point_coefficients,
-    parse_case,
     transfer_coefficients,
 )
-from faultloc import prefault_solve, seqmatrix
 from faultloc.netmodel import LineRecord, Network, SourceRecord
 
 from oracles import assemble_y, dense_z, invert_y, kept, tap_network
@@ -204,6 +201,19 @@ def test_ungrounded_network_rejected():
     net = Network(buses=(1,), lines=(), sources=())
     with pytest.raises(UngroundedNetworkError):
         build_zbus(net, 1)
+
+
+def test_an_island_without_a_source_is_singular():
+    # Lossless, so the island's pivot cancels to an exact zero, not roundoff.
+    line = LineRecord("I", 2, 3, 1.0, 0.1j, 0.3j)
+    net = Network(buses=(1, 2, 3), lines=(line,), sources=(SourceRecord(bus=1, z1=0.1j),))
+    with pytest.raises(UngroundedNetworkError, match="sequence-1 network is singular"):
+        build_zbus(net, 1)
+
+
+def test_sequence_must_be_zero_one_or_two(fourbus):
+    with pytest.raises(ValueError, match="sequence must be 0, 1 or 2, got 3"):
+        build_zbus(fourbus, 3)
 
 
 def test_ill_conditioned_network_rejected():
